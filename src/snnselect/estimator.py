@@ -115,8 +115,10 @@ def _window_bandwidth(t: np.ndarray, h: float) -> float:
     cap = BANDWIDTH_CLAMP[1]
     while True:
         inside = t >= -h
-        if np.unique(t[inside]).size >= 2:
-            return h
+        if np.any(inside):
+            window = t[inside]
+            if window.max() > window.min():
+                return h
         if h >= cap:
             if not np.any(inside):
                 raise EstimationError("no effective observations")
@@ -143,13 +145,12 @@ def snn_intercept(
     """
     kernel = kernel or epanechnikov(2)
     rule = rule or BandwidthRule.plug_in()
+    t = eta_hat(data.Z, gamma) - 1.0
+    W = residualized_outcome(data, beta)
     if rule.kind == "fixed":
         h = rule.value
     else:
-        h = plug_in_bandwidth(data, beta, gamma, kernel, scale=rule.value, grid=grid)
-
-    t = eta_hat(data.Z, gamma) - 1.0
-    W = residualized_outcome(data, beta)
+        h = _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, rule.value, grid)
     h = _window_bandwidth(t, h)
     K = eval_kernel(kernel, t / h)
     theta, slope, w = _local_linear_solve(t, K, W)
@@ -226,25 +227,41 @@ def plug_in_bandwidth(
     biased.  The returned value is scale * h* clamped to BANDWIDTH_CLAMP.
     """
     kernel = kernel or epanechnikov(2)
-    if data.n < 30:
-        raise EstimationError("insufficient sample")
-    p = kernel.order
     t = eta_hat(data.Z, gamma) - 1.0
     W = residualized_outcome(data, beta)
+    return _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, scale, grid)
 
+
+def _plug_in_from_ranks(
+    t: np.ndarray,
+    idx: np.ndarray,
+    W: np.ndarray,
+    kernel: KernelSpec,
+    scale: float,
+    grid: QuadratureGrid | None,
+) -> float:
+    """plug_in_bandwidth from the centred ranks t = eta_hat - 1, the index
+    values and W, which snn_intercept computes once and shares.
+
+    The tail-ratio gate needs only the index, so it is checked before the
+    polynomial pilot: when it fails, the pilot could not change the result.
+    """
+    n = t.shape[0]
+    if n < 30:
+        raise EstimationError("insufficient sample")
+    lo, hi = BANDWIDTH_CLAMP
+    if not _upper_tail_ratio(idx) <= _TAIL_RATIO_MAX:  # a NaN ratio fails too
+        return hi
+    p = kernel.order
     coef, sigma2, se_top = _polynomial_pilot(t, W, p)
     c_top = float(coef[p])
-    regular_boundary = _upper_tail_ratio(index_values(data.Z, gamma)) <= _TAIL_RATIO_MAX
-    significant = math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > _CURVATURE_Z * se_top
-
-    lo, hi = BANDWIDTH_CLAMP
-    if not (regular_boundary and significant):
+    if not (math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > _CURVATURE_Z * se_top):
         return hi
     m_p = math.factorial(p) * c_top
     kappa = kernel_moment(kernel, p, grid)
     rk = kernel_l2(kernel, grid)
     num = (math.factorial(p) ** 2) * max(sigma2, 0.0) * rk
-    den = 2.0 * p * kappa * kappa * m_p * m_p * data.n
+    den = 2.0 * p * kappa * kappa * m_p * m_p * n
     if den <= 0.0 or num <= 0.0:
         return hi
     h = scale * (num / den) ** (1.0 / (2 * p + 1))

@@ -5,6 +5,10 @@ index), so reports are bitwise identical regardless of how replications are
 scheduled across workers.  The cell label deliberately excludes the
 estimator: every estimator in a table panel sees the same draws, which makes
 cross-estimator comparisons common-random-number comparisons.
+
+The engine is cell-major: each draw is simulated once and every estimator
+runs on it, and the reps of all cells go to the worker pool as contiguous
+chunks in one dispatch.
 """
 from __future__ import annotations
 
@@ -178,45 +182,71 @@ def _cell_label(spec: DgpSpec) -> str:
     return f"{spec.family}:n={spec.n}:rho={spec.rho:.6g}:alpha={spec.alpha:.6g}"
 
 
+def _fit_nuisance(data) -> tuple | EstimationError:
+    """(beta, gamma) from Klein-Spady then Robinson, or the error that stopped it."""
+    try:
+        gamma = klein_spady_gamma(data)
+        return robinson_beta(data, gamma), gamma
+    except EstimationError as exc:
+        return exc
+
+
+def _estimate(config: EstimatorConfig, draw: LatentDraw, fitted) -> float:
+    """One estimate of a draw; ``fitted`` is the draw's ``_fit_nuisance``
+    result, used unless the config pins the nuisance to its true values."""
+    data = draw.dataset
+    if config.use_true_nuisance:
+        beta, gamma = draw.beta0, draw.gamma0
+    elif isinstance(fitted, EstimationError):
+        raise fitted
+    else:
+        beta, gamma = fitted
+    if config.method == "snn":
+        kern = epanechnikov(config.kernel_order)
+        return snn_intercept(data, beta, gamma, kern, config.bandwidth).theta
+    if config.method == "ols":
+        return ols_selected(data).theta
+    if config.method == "heckman":
+        return heckman_two_step(data).theta
+    if config.method == "h90":
+        return h90_intercept(data, beta, gamma, config.tail).theta
+    return as98_intercept(data, beta, gamma, config.tail).theta
+
+
 def make_estimator(config: EstimatorConfig) -> Callable[[LatentDraw], float]:
     """Bind an EstimatorConfig into a draw -> estimate callable."""
 
     def run(draw: LatentDraw) -> float:
-        data = draw.dataset
-        if config.use_true_nuisance:
-            beta, gamma = draw.beta0, draw.gamma0
-        else:
-            gamma = klein_spady_gamma(data)
-            beta = robinson_beta(data, gamma)
-        if config.method == "snn":
-            kern = epanechnikov(config.kernel_order)
-            return snn_intercept(data, beta, gamma, kern, config.bandwidth).theta
-        if config.method == "ols":
-            return ols_selected(data).theta
-        if config.method == "heckman":
-            return heckman_two_step(data).theta
-        if config.method == "h90":
-            return h90_intercept(data, beta, gamma, config.tail).theta
-        return as98_intercept(data, beta, gamma, config.tail).theta
+        fitted = None if config.use_true_nuisance else _fit_nuisance(draw.dataset)
+        return _estimate(config, draw, fitted)
 
     return run
 
 
-def _replicate(spec: DgpSpec, estimator, label: str, base_seed: int, rep: int):
-    draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
-    try:
-        return rep, float(estimator(draw)), True
-    except EstimationError:
-        return rep, math.nan, False
+def _run_chunk(task):
+    """Simulate reps [start, stop) of one cell, each once, and run every
+    estimator on each draw.  Returns one (rep, value, ok) list per estimator.
+    """
+    spec, estimators, base_seed, start, stop = task
+    label = _cell_label(spec)
+    needs_fit = any(isinstance(e, EstimatorConfig) and not e.use_true_nuisance for e in estimators)
+    out = [[] for _ in estimators]
+    for rep in range(start, stop):
+        draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
+        fitted = _fit_nuisance(draw.dataset) if needs_fit else None
+        for results, est in zip(out, estimators):
+            try:
+                if isinstance(est, EstimatorConfig):
+                    value = _estimate(est, draw, fitted)
+                else:
+                    value = est(draw)
+                results.append((rep, float(value), True))
+            except EstimationError:
+                results.append((rep, math.nan, False))
+    return out
 
 
-def _run_batch(args):
-    spec, config, label, base_seed, reps_slice = args
-    estimator = make_estimator(config) if isinstance(config, EstimatorConfig) else config
-    return [_replicate(spec, estimator, label, base_seed, r) for r in reps_slice]
-
-
-def _collect(results, theta0: float, n: int, reps: int) -> CellStats:
+def _collect(results, theta0: float, n: int) -> CellStats:
     results = sorted(results, key=lambda t: t[0])
     vals = np.array([v for _, v, ok in results if ok], dtype=float)
     failed = sum(1 for _, _, ok in results if not ok)
@@ -227,6 +257,40 @@ def _collect(results, theta0: float, n: int, reps: int) -> CellStats:
     sd = float(np.sqrt(np.mean((vals - mean) ** 2)))
     rmse_scaled = math.sqrt(n) * math.sqrt(sq_bias + sd * sd)
     return CellStats(sq_bias, sd, rmse_scaled, int(vals.size), failed)
+
+
+def _run_cells(specs, estimators, reps, base_seed, workers, executor=None):
+    """CellStats of every (cell, estimator) pair, as ``stats[cell][estimator]``.
+
+    Each cell's reps are split into contiguous chunks, about 4 tasks per
+    worker over the whole plan, and all chunks go out in one map: on
+    ``executor`` if given, else on a pool of ``workers`` processes, else (one
+    worker, or estimators that are plain callables) in this process.
+    """
+    if reps < 2:
+        raise ValueError("need at least 2 replications")
+    per_cell = min(reps, -(-4 * max(workers, 1) // len(specs)))
+    tasks = [
+        (spec, tuple(estimators), base_seed, int(c[0]), int(c[-1]) + 1)
+        for spec in specs
+        for c in np.array_split(np.arange(reps), per_cell)
+    ]
+    pooled = all(isinstance(e, EstimatorConfig) for e in estimators)
+    if pooled and executor is not None:
+        chunks = list(executor.map(_run_chunk, tasks))
+    elif pooled and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_chunk, tasks))
+    else:
+        chunks = [_run_chunk(t) for t in tasks]
+    stats = []
+    for c, spec in enumerate(specs):
+        mine = chunks[c * per_cell:(c + 1) * per_cell]
+        stats.append([
+            _collect([item for chunk in mine for item in chunk[e]], spec.theta0, spec.n)
+            for e in range(len(estimators))
+        ])
+    return stats
 
 
 def run_cell(
@@ -241,22 +305,9 @@ def run_cell(
 
     Failures (EstimationError) are counted, not propagated; the aggregation
     order is fixed by replication index, so results do not depend on worker
-    scheduling.
+    scheduling.  Plain callables always run in this process.
     """
-    if reps < 2:
-        raise ValueError("need at least 2 replications")
-    label = _cell_label(spec)
-    if executor is None and workers > 1 and isinstance(estimator, EstimatorConfig):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return run_cell(spec, estimator, reps, base_seed, workers, pool)
-    if executor is not None and isinstance(estimator, EstimatorConfig):
-        chunks = np.array_split(np.arange(reps), max(workers, 1) * 4)
-        tasks = [(spec, estimator, label, base_seed, list(c)) for c in chunks if len(c)]
-        results = [item for batch in executor.map(_run_batch, tasks) for item in batch]
-    else:
-        fn = make_estimator(estimator) if isinstance(estimator, EstimatorConfig) else estimator
-        results = [_replicate(spec, fn, label, base_seed, r) for r in range(reps)]
-    return _collect(results, spec.theta0, spec.n, reps)
+    return _run_cells([spec], [estimator], reps, base_seed, workers, executor)[0][0]
 
 
 @dataclass(frozen=True)
@@ -274,22 +325,18 @@ class TablePlan:
 
 
 def run_table(plan: TablePlan, base_seed: int, workers: int = 1) -> MonteCarloReport:
-    """Compute every cell of the plan; deterministic for fixed base_seed."""
-    panels: dict = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for config in plan.estimators:
-            cells = {}
-            for rho in plan.rhos:
-                for alpha in plan.alphas:
-                    spec = DgpSpec(plan.family, plan.n, rho=rho, alpha=alpha)
-                    cells[(rho, alpha)] = run_cell(
-                        spec, config, plan.reps, base_seed, workers, pool
-                    )
-            panels[config.label] = cells
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    """Compute every cell of the plan; deterministic for fixed base_seed.
+
+    Cell-major: each draw is simulated once and every estimator of the plan
+    runs on it; the whole table is one dispatch to the worker pool.
+    """
+    keys = [(rho, alpha) for rho in plan.rhos for alpha in plan.alphas]
+    specs = [DgpSpec(plan.family, plan.n, rho=rho, alpha=alpha) for rho, alpha in keys]
+    stats = _run_cells(specs, plan.estimators, plan.reps, base_seed, workers)
+    panels = {
+        config.label: {key: stats[c][e] for c, key in enumerate(keys)}
+        for e, config in enumerate(plan.estimators)
+    }
     return MonteCarloReport(
         family=plan.family,
         n=plan.n,

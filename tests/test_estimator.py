@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import mse_optimal_bandwidth, snn_bruteforce
+from snnselect import estimator
 from snnselect.data import Dataset
+from snnselect.dgp import DgpSpec, simulate
 from snnselect.estimator import (
     BANDWIDTH_CLAMP,
     BandwidthRule,
@@ -229,6 +231,33 @@ class TestPlugInBandwidth:
         for scale in (2 / 3, 1.0, 3 / 2):
             h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]), scale=scale)
             assert h == BANDWIDTH_CLAMP[1]
+
+    def test_failed_tail_gate_skips_pilot(self, monkeypatch):
+        def no_pilot(*args):
+            raise AssertionError("pilot fitted after the tail gate failed")
+
+        monkeypatch.setattr(estimator, "_polynomial_pilot", no_pilot)
+        draw = simulate(DgpSpec("dgp2", 200, rho=0.5, alpha=1.5, seed=3))
+        h = plug_in_bandwidth(draw.dataset, draw.beta0, draw.gamma0)
+        assert h == BANDWIDTH_CLAMP[1]
+        est = snn_intercept(draw.dataset, draw.beta0, draw.gamma0)
+        assert est.bandwidth == BANDWIDTH_CLAMP[1]
+
+    def test_both_gates_pass_gives_formula_via_pilot(self, monkeypatch):
+        pilots = []
+        real = estimator._polynomial_pilot
+
+        def counted(*args):
+            pilots.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(estimator, "_polynomial_pilot", counted)
+        data = uniform_index_data(5000, lambda q: (q - 1.0) ** 2, 1.0, seed=17)
+        h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+        lo, hi = BANDWIDTH_CLAMP
+        assert lo < h < hi and len(pilots) == 1
+        # snn_intercept shares its ranks with the same rule
+        assert snn_intercept(data, np.zeros(1), np.array([1.0])).bandwidth == h
 
     def test_small_sample_precondition(self):
         data = uniform_index_data(20, lambda q: q, 0.1, seed=20)

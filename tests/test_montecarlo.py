@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from snnselect import montecarlo
 from snnselect.dgp import DgpSpec
 from snnselect.exceptions import EstimationError
 from snnselect.montecarlo import (
@@ -138,6 +139,71 @@ class TestRunTable:
         payload = json.loads(report.to_json())
         assert payload["n"] == 40
         assert payload["panels"][config.label][0]["reps_ok"] == 6
+
+
+class TestCellMajorEngine:
+    """run_table simulates each draw once and shares it across estimators."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        real = getattr(montecarlo, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+        return calls
+
+    def test_one_simulate_per_draw(self, monkeypatch):
+        calls = self._counting(monkeypatch, "simulate")
+        configs = [EstimatorConfig(method=m) for m in ("snn", "ols", "h90")]
+        plan = TablePlan("dgp1", 50, configs, rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=5)
+        run_table(plan, base_seed=61, workers=1)
+        assert len(calls) == 4 * 5  # cells x reps, not x estimators
+
+    def test_table_matches_run_cell_with_failures(self):
+        # at n=40 under dgp2 OLS and the two-step refuse some draws
+        configs = [EstimatorConfig(method=m) for m in ("snn", "ols", "heckman", "as98")]
+        plan = TablePlan("dgp2", 40, configs, rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=20)
+        a = run_table(plan, base_seed=67, workers=1)
+        b = run_table(plan, base_seed=67, workers=2)
+        assert repr(a.panels) == repr(b.panels)
+        assert sum(st.reps_failed for st in a.panels["ols"].values()) > 0
+        for config in configs:
+            for (rho, alpha), st in a.panels[config.label].items():
+                spec = DgpSpec("dgp2", 40, rho=rho, alpha=alpha)
+                assert repr(st) == repr(run_cell(spec, config, reps=20, base_seed=67))
+
+    def test_nuisance_fitted_once_per_draw(self, monkeypatch):
+        configs = [
+            EstimatorConfig(method=m, use_true_nuisance=False) for m in ("snn", "h90")
+        ]
+        plan = TablePlan("dgp1", 100, configs, rhos=(0.5,), alphas=(2.0,), reps=3)
+        spec = DgpSpec("dgp1", 100, rho=0.5, alpha=2.0)
+        separate = [run_cell(spec, c, reps=3, base_seed=71) for c in configs]
+        calls = self._counting(monkeypatch, "klein_spady_gamma")
+        report = run_table(plan, base_seed=71, workers=1)
+        assert len(calls) == 3
+        assert [report.panels[c.label][(0.5, 2.0)] for c in configs] == separate
+
+    def test_failed_nuisance_fit_fails_every_dependent_estimator(self, monkeypatch):
+        def no_convergence(data):
+            raise EstimationError("no convergence")
+
+        monkeypatch.setattr(montecarlo, "klein_spady_gamma", no_convergence)
+        configs = [
+            EstimatorConfig(method="snn", use_true_nuisance=False),
+            EstimatorConfig(method="h90", use_true_nuisance=False),
+            EstimatorConfig(method="as98"),
+        ]
+        plan = TablePlan("dgp1", 60, configs, rhos=(0.5,), alphas=(2.0,), reps=4)
+        panels = run_table(plan, base_seed=73, workers=1).panels
+        fitted, true_nuisance = configs[:2], configs[2]
+        for config in fitted:
+            assert panels[config.label][(0.5, 2.0)].reps_failed == 4
+        assert panels[true_nuisance.label][(0.5, 2.0)].reps_ok == 4
 
 
 class TestRateCheck:
