@@ -38,8 +38,6 @@ from .montecarlo import (
     MonteCarloReport,
     RateCheckResult,
     TablePlan,
-    derive_seed,
-    make_estimator,
     rate_check,
     run_cell,
     run_table,
@@ -65,5 +63,6 @@ from .nuisance import (
     silverman_bandwidth,
 )
 from .ranks import eta_hat, eta_hat_at, index_values
+from .seeding import derive_seed
 
 __version__ = "0.1.0"

@@ -27,10 +27,9 @@ from .montecarlo import (
 )
 from .numerics import QuadratureGrid, epanechnikov, kernel_l2, kernel_moment
 from .nuisance import fit_nuisance
+from .registry import METHODS
 
 __all__ = ["cli_main", "main", "build_parser"]
-
-_ESTIMATORS = ("snn", "ols", "heckman", "h90", "as98")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--rho", type=_float_list, default=list(DEFAULT_RHOS), metavar="R1,R2,...")
     sp.add_argument("--alpha", type=_float_list, default=list(DEFAULT_ALPHAS), metavar="A1,A2,...")
-    sp.add_argument("--estimator", action="append", choices=_ESTIMATORS, default=None,
+    sp.add_argument("--estimator", action="append", choices=METHODS, default=None,
                     help="repeatable; default snn")
     sp.add_argument("--bandwidth", type=str, action="append", default=None,
                     help="for snn panels; repeatable; fixed:H or plugin[:SCALE]")
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--reps", type=int, default=400)
     sp.add_argument("--c", type=float, default=0.5, help="bandwidth constant c*n^(-1/(2p+1))")
-    sp.add_argument("--estimator", choices=_ESTIMATORS, default="snn")
+    sp.add_argument("--estimator", choices=METHODS, default="snn")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--workers", type=int, default=1)
     add_common(sp)
@@ -114,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--selection-col", required=True)
     sp.add_argument("--x-cols", required=True, help="comma-separated")
     sp.add_argument("--z-cols", required=True, help="comma-separated")
-    sp.add_argument("--estimator", choices=_ESTIMATORS, default="snn")
+    sp.add_argument("--estimator", choices=METHODS, default="snn")
     sp.add_argument("--bandwidth", type=str, default="plugin")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-cols", required=True)
     sp.add_argument("--z-cols", required=True)
     sp.add_argument("--group-col", required=True)
-    sp.add_argument("--estimator", choices=_ESTIMATORS, default="snn")
+    sp.add_argument("--estimator", choices=METHODS, default="snn")
     sp.add_argument("--bandwidth", type=str, default="plugin")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
@@ -242,36 +241,18 @@ def _cmd_rate_check(args) -> int:
 def _cmd_estimate(args) -> int:
     schema = _schema_from_args(args)
     data = load_csv(args.data, schema)
-    nuis = fit_nuisance(data, gamma_method=args.nuisance.replace("-", "_"))
-    beta, gamma = nuis.beta, nuis.gamma
+    method = METHODS[args.estimator]
+    beta = gamma = None
+    if method.needs_nuisance:
+        nuis = fit_nuisance(data, gamma_method=args.nuisance.replace("-", "_"))
+        beta, gamma = nuis.beta, nuis.gamma
     config = EstimatorConfig(
         method=args.estimator,
         kernel_order=args.kernel_order,
         bandwidth=_parse_bandwidth(args.bandwidth),
         tail=TailRule(args.tail_quantile, args.tau_quantile),
     )
-    from .baselines import as98_intercept, h90_intercept, heckman_two_step, ols_selected
-    from .estimator import snn_intercept
-
-    if args.estimator == "snn":
-        est = snn_intercept(data, beta, gamma, epanechnikov(args.kernel_order), config.bandwidth)
-        payload = {
-            "theta": est.theta, "std_error": est.std_error,
-            "bandwidth": est.bandwidth, "effective_n": est.effective_n, "method": est.method,
-        }
-    elif args.estimator == "ols":
-        fit = ols_selected(data)
-        payload = {"theta": fit.theta, "std_error": float(fit.std_errors[0]), "method": "ols"}
-    elif args.estimator == "heckman":
-        fit = heckman_two_step(data)
-        payload = {"theta": fit.theta, "lambda_coef": fit.lambda_coef, "method": "heckman"}
-    else:
-        fn = h90_intercept if args.estimator == "h90" else as98_intercept
-        est = fn(data, beta, gamma, config.tail)
-        payload = {
-            "theta": est.theta, "std_error": est.std_error,
-            "effective_n": est.effective_n, "method": est.method,
-        }
+    payload = method.report(method.fit(data, beta, gamma, config))
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:

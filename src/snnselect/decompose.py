@@ -12,13 +12,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .baselines import TailRule, as98_intercept, h90_intercept, heckman_two_step, ols_selected
+from .baselines import TailRule
 from .data import Dataset
-from .estimator import BandwidthRule, snn_intercept
+from .estimator import BandwidthRule
 from .exceptions import EstimationError
-from .montecarlo import derive_seed
-from .numerics import epanechnikov
-from .nuisance import klein_spady_gamma, probit_gamma, robinson_beta
+from .nuisance import fit_nuisance
+from .registry import METHODS
+from .seeding import derive_seed, generator
 
 __all__ = [
     "DecompositionConfig",
@@ -34,9 +34,9 @@ class DecompositionConfig:
     """Pipeline settings for one decomposition run.
 
     One nuisance fit per group is shared by all semiparametric intercept
-    methods; OLS and the two-step carry their own slope estimates.  The
-    ``intercept_fn`` hook (data, beta, gamma) -> theta substitutes a custom
-    intercept estimator, mainly for testing.
+    methods; OLS and the two-step carry their own slope estimates and fit no
+    nuisance.  The ``intercept_fn`` hook (data, beta, gamma) -> theta
+    substitutes a custom intercept estimator, mainly for testing.
     """
 
     intercept_method: str = "snn"
@@ -45,16 +45,14 @@ class DecompositionConfig:
     tail: TailRule = field(default_factory=TailRule)
     weighting: str = "group0"
     nuisance: str = "klein_spady"
-    ks_bandwidth: float | None = None
-    robinson_bandwidth: float | None = None
     intercept_fn: Callable[[Dataset, np.ndarray, np.ndarray], float] | None = None
 
     def __post_init__(self) -> None:
         if self.weighting not in ("group0", "group1"):
             raise ValueError("weighting must be 'group0' or 'group1'")
-        if self.nuisance not in ("klein_spady", "probit", "none"):
-            raise ValueError("nuisance must be 'klein_spady', 'probit' or 'none'")
-        if self.intercept_method not in ("snn", "ols", "heckman", "h90", "as98"):
+        if self.nuisance not in ("klein_spady", "probit"):
+            raise ValueError("nuisance must be 'klein_spady' or 'probit'")
+        if self.intercept_method not in METHODS:
             raise ValueError(f"unknown intercept method {self.intercept_method!r}")
 
 
@@ -124,34 +122,18 @@ class DecompositionReport:
 
 
 def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
+    method = METHODS[config.intercept_method]
     try:
-        if config.nuisance == "none":
-            # degenerate pipeline for diagnostics: no slope adjustment
-            gamma = np.zeros(data.l)
-            gamma[0] = 1.0
-            beta = np.zeros(data.k)
-        elif config.nuisance == "probit":
-            gamma = probit_gamma(data)
-            beta = robinson_beta(data, gamma, config.robinson_bandwidth)
-        else:
-            gamma = klein_spady_gamma(data, config.ks_bandwidth)
-            beta = robinson_beta(data, gamma, config.robinson_bandwidth)
-        if config.intercept_fn is not None:
-            theta = float(config.intercept_fn(data, beta, gamma))
-        elif config.intercept_method == "snn":
-            theta = snn_intercept(
-                data, beta, gamma, epanechnikov(config.kernel_order), config.bandwidth
-            ).theta
-        elif config.intercept_method == "h90":
-            theta = h90_intercept(data, beta, gamma, config.tail).theta
-        elif config.intercept_method == "as98":
-            theta = as98_intercept(data, beta, gamma, config.tail).theta
-        elif config.intercept_method == "ols":
-            fit = ols_selected(data)
+        if config.intercept_fn is None and not method.needs_nuisance:
+            fit = method.fit(data, None, None, config)
             theta, beta = fit.theta, fit.beta
         else:
-            fit = heckman_two_step(data)
-            theta, beta = fit.theta, fit.beta
+            nuis = fit_nuisance(data, config.nuisance)
+            beta = nuis.beta
+            if config.intercept_fn is not None:
+                theta = float(config.intercept_fn(data, beta, nuis.gamma))
+            else:
+                theta = method.fit(data, beta, nuis.gamma, config).theta
     except EstimationError as exc:
         raise EstimationError(f"{tag}: {exc}") from exc
     sel = data.selected()
@@ -196,8 +178,7 @@ class BootstrapSummary:
 
 
 def _resample(data: Dataset, seed: int) -> Dataset:
-    g = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-    rows = g.integers(0, data.n, size=data.n)
+    rows = generator(seed).integers(0, data.n, size=data.n)
     return data.take(rows)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import EstimationError
 from .numerics import normal_quantile
+from .seeding import generator
 
 __all__ = [
     "DgpSpec",
@@ -75,10 +76,6 @@ class LatentDraw:
     theta0: float
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-
-
 def _standard_normal(g: np.random.Generator, n: int) -> np.ndarray:
     """Box-Muller transform of uniform pairs."""
     m = (n + 1) // 2
@@ -121,7 +118,7 @@ def simulate(spec: DgpSpec) -> LatentDraw:
     E ~ N(0, 1 - rho^2); under dgp2 the Pareto V is used as drawn, so rho is
     the exact correlation only when Var(V) exists (alpha > 2).
     """
-    g = _generator(spec.seed)
+    g = generator(spec.seed)
     n, l, k = spec.n, spec.l, spec.k
     if spec.family == "dgp1":
         Z = _standard_normal(g, n * l).reshape(n, l)

@@ -12,7 +12,6 @@ chunks in one dispatch.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -21,12 +20,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import TailRule, as98_intercept, h90_intercept, heckman_two_step, ols_selected
+from .baselines import TailRule
 from .dgp import DgpSpec, LatentDraw, simulate
-from .estimator import BandwidthRule, snn_intercept, undersmoothing_bandwidth
+from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
-from .numerics import epanechnikov
-from .nuisance import klein_spady_gamma, robinson_beta
+from .nuisance import fit_nuisance
+from .registry import METHODS
+from .seeding import derive_seed
 
 __all__ = [
     "EstimatorConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "MonteCarloReport",
     "RateCheckResult",
     "derive_seed",
-    "make_estimator",
     "run_cell",
     "run_table",
     "rate_check",
@@ -45,8 +44,6 @@ __all__ = [
 DEFAULT_RHOS = (0.0, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_ALPHAS = (2.00, 1.50, 1.25, 1.00)
 
-_METHODS = ("snn", "ols", "heckman", "h90", "as98")
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -54,8 +51,8 @@ class EstimatorConfig:
 
     ``use_true_nuisance`` pins beta and gamma to their generating values (the
     simulation design of record); switching it off runs the semiparametric
-    nuisance chain first.  OLS and the two-step estimate their own nuisance
-    parameters either way.
+    nuisance chain first.  OLS and the two-step estimate their own slopes and
+    never use the nuisance either way.
     """
 
     method: str = "snn"
@@ -65,21 +62,12 @@ class EstimatorConfig:
     use_true_nuisance: bool = True
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown estimator {self.method!r}; valid: {_METHODS}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown estimator {self.method!r}; valid: {tuple(METHODS)}")
 
     @property
     def label(self) -> str:
-        if self.method == "snn":
-            bw = (
-                f"h={self.bandwidth.value:g}"
-                if self.bandwidth.kind == "fixed"
-                else f"plugin x{self.bandwidth.value:g}"
-            )
-            return f"snn ({bw})"
-        if self.method in ("h90", "as98"):
-            return f"{self.method} (b_n at {self.tail.quantile:g} quantile)"
-        return self.method
+        return METHODS[self.method].label(self)
 
 
 @dataclass(frozen=True)
@@ -127,24 +115,27 @@ class MonteCarloReport:
         }
         return json.dumps(payload, indent=2)
 
+    def _rows(self, cells):
+        """Text rows of one panel: rho, then (sq bias, sd, rmse) per alpha."""
+        for rho in self.rhos:
+            row = [f"{rho:g}"]
+            for a in self.alphas:
+                st = cells[(rho, a)]
+                if st.reps_ok == 0:
+                    row += ["failed"] * 3
+                else:
+                    row += [f"{st.sq_bias:.4f}", f"{st.sd:.4f}", f"{st.rmse_scaled:.4f}"]
+            yield row
+
     def to_csv(self) -> str:
         """One row per rho, per-alpha column triplets, one block per panel."""
         lines = [f"# family={self.family} n={self.n} reps={self.reps} seed={self.base_seed}"]
-        header = ["rho"]
-        for a in self.alphas:
-            header += [f"sq_bias(a={a:g})", f"sd(a={a:g})", f"rmse_scaled(a={a:g})"]
+        header = ",".join(
+            ["rho"] + [f"{col}(a={a:g})" for a in self.alphas for col in ("sq_bias", "sd", "rmse_scaled")]
+        )
         for label, cells in self.panels.items():
-            lines.append(f"# panel: {label}")
-            lines.append(",".join(header))
-            for rho in self.rhos:
-                row = [f"{rho:g}"]
-                for a in self.alphas:
-                    st = cells[(rho, a)]
-                    if st.reps_ok == 0:
-                        row += ["failed"] * 3
-                    else:
-                        row += [f"{st.sq_bias:.4f}", f"{st.sd:.4f}", f"{st.rmse_scaled:.4f}"]
-                lines.append(",".join(row))
+            lines += [f"# panel: {label}", header]
+            lines += [",".join(row) for row in self._rows(cells)]
             fails = sum(st.reps_failed for st in cells.values())
             if fails:
                 lines.append(f"# panel failures: {fails} replication(s) across cells")
@@ -152,94 +143,49 @@ class MonteCarloReport:
 
     def to_markdown(self) -> str:
         lines = [f"**{self.family}, n={self.n}, {self.reps} replications** (seed {self.base_seed})", ""]
+        header = ["rho"] + [f"a={a:g} {col}" for a in self.alphas for col in ("sq bias", "sd", "rmse")]
         for label, cells in self.panels.items():
-            lines.append(f"*{label}*")
-            head = "| rho | " + " | ".join(
-                f"a={a:g} sq bias | a={a:g} sd | a={a:g} rmse" for a in self.alphas
-            ) + " |"
-            lines.append(head)
-            lines.append("|" + "---|" * (1 + 3 * len(self.alphas)))
-            for rho in self.rhos:
-                cellsrow = []
-                for a in self.alphas:
-                    st = cells[(rho, a)]
-                    if st.reps_ok == 0:
-                        cellsrow += ["failed"] * 3
-                    else:
-                        cellsrow += [f"{st.sq_bias:.4f}", f"{st.sd:.4f}", f"{st.rmse_scaled:.4f}"]
-                lines.append("| " + f"{rho:g} | " + " | ".join(cellsrow) + " |")
+            lines += [f"*{label}*", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+            lines += ["| " + " | ".join(row) + " |" for row in self._rows(cells)]
             lines.append("")
         return "\n".join(lines)
-
-
-def derive_seed(base_seed: int, label: str, rep: int) -> int:
-    """64-bit replication seed from a SHA-256 mix; never sequential reuse."""
-    digest = hashlib.sha256(f"{base_seed}|{label}|{rep}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def _cell_label(spec: DgpSpec) -> str:
     return f"{spec.family}:n={spec.n}:rho={spec.rho:.6g}:alpha={spec.alpha:.6g}"
 
 
-def _fit_nuisance(data) -> tuple | EstimationError:
-    """(beta, gamma) from Klein-Spady then Robinson, or the error that stopped it."""
-    try:
-        gamma = klein_spady_gamma(data)
-        return robinson_beta(data, gamma), gamma
-    except EstimationError as exc:
-        return exc
-
-
-def _estimate(config: EstimatorConfig, draw: LatentDraw, fitted) -> float:
-    """One estimate of a draw; ``fitted`` is the draw's ``_fit_nuisance``
-    result, used unless the config pins the nuisance to its true values."""
-    data = draw.dataset
-    if config.use_true_nuisance:
-        beta, gamma = draw.beta0, draw.gamma0
-    elif isinstance(fitted, EstimationError):
-        raise fitted
-    else:
-        beta, gamma = fitted
-    if config.method == "snn":
-        kern = epanechnikov(config.kernel_order)
-        return snn_intercept(data, beta, gamma, kern, config.bandwidth).theta
-    if config.method == "ols":
-        return ols_selected(data).theta
-    if config.method == "heckman":
-        return heckman_two_step(data).theta
-    if config.method == "h90":
-        return h90_intercept(data, beta, gamma, config.tail).theta
-    return as98_intercept(data, beta, gamma, config.tail).theta
-
-
-def make_estimator(config: EstimatorConfig) -> Callable[[LatentDraw], float]:
-    """Bind an EstimatorConfig into a draw -> estimate callable."""
-
-    def run(draw: LatentDraw) -> float:
-        fitted = None if config.use_true_nuisance else _fit_nuisance(draw.dataset)
-        return _estimate(config, draw, fitted)
-
-    return run
-
-
 def _run_chunk(task):
     """Simulate reps [start, stop) of one cell, each once, and run every
     estimator on each draw.  Returns one (rep, value, ok) list per estimator.
+
+    The Klein-Spady + Robinson nuisance is fitted once per draw if any config
+    uses it; when that fit fails, every such config counts the rep as failed.
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
-    needs_fit = any(isinstance(e, EstimatorConfig) and not e.use_true_nuisance for e in estimators)
+    fits = [
+        isinstance(e, EstimatorConfig) and not e.use_true_nuisance and METHODS[e.method].needs_nuisance
+        for e in estimators
+    ]
     out = [[] for _ in estimators]
     for rep in range(start, stop):
         draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
-        fitted = _fit_nuisance(draw.dataset) if needs_fit else None
-        for results, est in zip(out, estimators):
+        if any(fits):
             try:
-                if isinstance(est, EstimatorConfig):
-                    value = _estimate(est, draw, fitted)
-                else:
+                fitted = fit_nuisance(draw.dataset)
+            except EstimationError as exc:
+                fitted = exc
+        for results, est, fit in zip(out, estimators, fits):
+            try:
+                if not isinstance(est, EstimatorConfig):
                     value = est(draw)
+                elif not fit:
+                    value = METHODS[est.method].fit(draw.dataset, draw.beta0, draw.gamma0, est).theta
+                elif isinstance(fitted, EstimationError):
+                    raise fitted
+                else:
+                    value = METHODS[est.method].fit(draw.dataset, fitted.beta, fitted.gamma, est).theta
                 results.append((rep, float(value), True))
             except EstimationError:
                 results.append((rep, math.nan, False))

@@ -51,20 +51,16 @@ class NuisanceEstimates:
         object.__setattr__(self, "gamma", gamma)
 
 
-def fit_nuisance(
-    data: Dataset,
-    gamma_method: str = "klein_spady",
-    ks_bandwidth: float | None = None,
-    robinson_bandwidth: float | None = None,
-) -> NuisanceEstimates:
-    """Selection coefficients then outcome slopes, bundled with provenance."""
+def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady") -> NuisanceEstimates:
+    """Selection coefficients then outcome slopes, bundled with provenance;
+    every nuisance fit in the package goes through here."""
     if gamma_method == "probit":
         gamma = probit_gamma(data)
     elif gamma_method == "klein_spady":
-        gamma = klein_spady_gamma(data, ks_bandwidth)
+        gamma = klein_spady_gamma(data)
     else:
         raise ValueError(f"unknown gamma method {gamma_method!r}")
-    beta = robinson_beta(data, gamma, robinson_bandwidth)
+    beta = robinson_beta(data, gamma)
     return NuisanceEstimates(
         beta=beta, gamma=gamma, beta_method="robinson", gamma_method=gamma_method
     )

@@ -35,6 +35,8 @@ def group_sample(n, theta, seed, rho=0.0, beta=(1.0, -0.5), gamma=(1.0, 0.8, 0.4
 
 
 FAST = DecompositionConfig(nuisance="probit")
+# bootstrap SE of the intercept difference in TestBootstrap.test_se_pinned_bitwise
+PINNED_SE = "0.13415521822679896"
 
 
 class TestDecompose:
@@ -153,6 +155,14 @@ class TestBootstrap:
         summary = bootstrap_se(d0, d1, n_boot=12, seed=9, statistic=identity_check)
         assert summary.n_ok == 12
 
+    def test_se_pinned_bitwise(self):
+        # pins the resampling streams: the Philox draws of every replicate
+        d0 = group_sample(400, 1.0, seed=81, rho=0.5)
+        d1 = group_sample(400, 1.3, seed=82, rho=0.25)
+        summary = bootstrap_se(d0, d1, FAST, n_boot=8, seed=9)
+        assert summary.n_ok == 8
+        assert repr(summary.ses["intercept_difference"]) == PINNED_SE
+
     def test_decompose_with_se_attaches_ses(self):
         d0 = group_sample(500, 1.0, seed=79)
         d1 = group_sample(500, 1.3, seed=80)
@@ -170,8 +180,9 @@ class TestConfigValidation:
             DecompositionConfig(weighting="both")
 
     def test_bad_nuisance(self):
-        with pytest.raises(ValueError):
-            DecompositionConfig(nuisance="oracle")
+        for name in ("oracle", "none"):
+            with pytest.raises(ValueError):
+                DecompositionConfig(nuisance=name)
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,10 @@ def write(path, text):
 
 
 SCHEMA = CsvSchema("y", "d", ("x1",), ("z1", "z2"))
+_SIM_COLUMNS = [
+    "--outcome-col", "y", "--selection-col", "d",
+    "--x-cols", "x1,x2,x3,x4", "--z-cols", "z1,z2,z3,z4,z5,z6,z7",
+]
 
 
 class TestSchema:
@@ -134,6 +138,39 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["theta"] == pytest.approx(5.0, abs=1e-10)
+
+    @pytest.mark.parametrize("method, keys", [
+        ("snn", ["theta", "std_error", "bandwidth", "effective_n", "method"]),
+        ("ols", ["theta", "std_error", "method"]),
+        ("heckman", ["theta", "lambda_coef", "method"]),
+        ("h90", ["theta", "std_error", "effective_n", "method"]),
+        ("as98", ["theta", "std_error", "effective_n", "method"]),
+    ])
+    def test_estimate_json_keys(self, tmp_path, method, keys):
+        p = tmp_path / "sim.csv"
+        save_dataset_csv(p, simulate(DgpSpec("dgp1", 300, rho=0.5, seed=13)).dataset,
+                         default_schema(4, 7))
+        out = tmp_path / "est.json"
+        assert cli_main(["estimate", str(p), *_SIM_COLUMNS, "--estimator", method,
+                         "--nuisance", "probit", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == keys
+        assert payload["method"] == method
+
+    @pytest.mark.parametrize("method", ["ols", "heckman"])
+    def test_estimate_skips_nuisance_for_slope_estimating_methods(self, tmp_path, method):
+        # 80 rows is below the Klein-Spady minimum: the default nuisance
+        # would fail if these methods fitted it
+        p = tmp_path / "small.csv"
+        save_dataset_csv(p, simulate(DgpSpec("dgp1", 80, rho=0.5, seed=11)).dataset,
+                         default_schema(4, 7))
+        thetas = []
+        for nuisance in ([], ["--nuisance", "probit"]):
+            out = tmp_path / "est.json"
+            assert cli_main(["estimate", str(p), *_SIM_COLUMNS, "--estimator", method,
+                             *nuisance, "--format", "json", "--out", str(out)]) == 0
+            thetas.append(json.loads(out.read_text())["theta"])
+        assert thetas[0] == thetas[1]
 
     def test_mc_table_deterministic_across_workers(self, tmp_path):
         args = [

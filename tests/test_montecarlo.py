@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from snnselect import montecarlo
+from snnselect import montecarlo, nuisance
 from snnselect.dgp import DgpSpec
 from snnselect.exceptions import EstimationError
 from snnselect.montecarlo import (
@@ -141,23 +141,78 @@ class TestRunTable:
         assert payload["panels"][config.label][0]["reps_ok"] == 6
 
 
+class TestSerializationText:
+    """Exact CSV and markdown text of a small hand-built report."""
+
+    @staticmethod
+    def _report():
+        from snnselect.montecarlo import CellStats, MonteCarloReport
+
+        keys = [(0.0, 2.0), (0.0, 1.25), (0.5, 2.0), (0.5, 1.25)]
+        ols = dict(zip(keys, [
+            CellStats(0.0025, 0.125, 1.5, 9, 1),
+            CellStats(math.nan, math.nan, math.nan, 0, 10),
+            CellStats(0.01, 0.2, 1.4142135, 10, 0),
+            CellStats(1 / 3, 2 / 3, 4.0, 10, 0),
+        ]))
+        snn = {key: CellStats(0.0, 0.5, 3.1622777, 10, 0) for key in keys}
+        return MonteCarloReport("dgp2", 40, 10, 7, (0.0, 0.5), (2.0, 1.25),
+                                {"ols": ols, "snn (plugin x1)": snn})
+
+    def test_csv_text(self):
+        header = ("rho,sq_bias(a=2),sd(a=2),rmse_scaled(a=2),"
+                  "sq_bias(a=1.25),sd(a=1.25),rmse_scaled(a=1.25)")
+        assert self._report().to_csv() == "\n".join([
+            "# family=dgp2 n=40 reps=10 seed=7",
+            "# panel: ols",
+            header,
+            "0,0.0025,0.1250,1.5000,failed,failed,failed",
+            "0.5,0.0100,0.2000,1.4142,0.3333,0.6667,4.0000",
+            "# panel failures: 11 replication(s) across cells",
+            "# panel: snn (plugin x1)",
+            header,
+            "0,0.0000,0.5000,3.1623,0.0000,0.5000,3.1623",
+            "0.5,0.0000,0.5000,3.1623,0.0000,0.5000,3.1623",
+        ]) + "\n"
+
+    def test_markdown_text(self):
+        header = ("| rho | a=2 sq bias | a=2 sd | a=2 rmse "
+                  "| a=1.25 sq bias | a=1.25 sd | a=1.25 rmse |")
+        assert self._report().to_markdown() == "\n".join([
+            "**dgp2, n=40, 10 replications** (seed 7)",
+            "",
+            "*ols*",
+            header,
+            "|---|---|---|---|---|---|---|",
+            "| 0 | 0.0025 | 0.1250 | 1.5000 | failed | failed | failed |",
+            "| 0.5 | 0.0100 | 0.2000 | 1.4142 | 0.3333 | 0.6667 | 4.0000 |",
+            "",
+            "*snn (plugin x1)*",
+            header,
+            "|---|---|---|---|---|---|---|",
+            "| 0 | 0.0000 | 0.5000 | 3.1623 | 0.0000 | 0.5000 | 3.1623 |",
+            "| 0.5 | 0.0000 | 0.5000 | 3.1623 | 0.0000 | 0.5000 | 3.1623 |",
+            "",
+        ])
+
+
 class TestCellMajorEngine:
     """run_table simulates each draw once and shares it across estimators."""
 
     @staticmethod
-    def _counting(monkeypatch, name):
+    def _counting(monkeypatch, module, name):
         calls = []
-        real = getattr(montecarlo, name)
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_one_simulate_per_draw(self, monkeypatch):
-        calls = self._counting(monkeypatch, "simulate")
+        calls = self._counting(monkeypatch, montecarlo, "simulate")
         configs = [EstimatorConfig(method=m) for m in ("snn", "ols", "h90")]
         plan = TablePlan("dgp1", 50, configs, rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=5)
         run_table(plan, base_seed=61, workers=1)
@@ -183,16 +238,16 @@ class TestCellMajorEngine:
         plan = TablePlan("dgp1", 100, configs, rhos=(0.5,), alphas=(2.0,), reps=3)
         spec = DgpSpec("dgp1", 100, rho=0.5, alpha=2.0)
         separate = [run_cell(spec, c, reps=3, base_seed=71) for c in configs]
-        calls = self._counting(monkeypatch, "klein_spady_gamma")
+        calls = self._counting(monkeypatch, nuisance, "klein_spady_gamma")
         report = run_table(plan, base_seed=71, workers=1)
         assert len(calls) == 3
         assert [report.panels[c.label][(0.5, 2.0)] for c in configs] == separate
 
     def test_failed_nuisance_fit_fails_every_dependent_estimator(self, monkeypatch):
-        def no_convergence(data):
+        def no_convergence(data, *args):
             raise EstimationError("no convergence")
 
-        monkeypatch.setattr(montecarlo, "klein_spady_gamma", no_convergence)
+        monkeypatch.setattr(nuisance, "klein_spady_gamma", no_convergence)
         configs = [
             EstimatorConfig(method="snn", use_true_nuisance=False),
             EstimatorConfig(method="h90", use_true_nuisance=False),
@@ -204,6 +259,15 @@ class TestCellMajorEngine:
         for config in fitted:
             assert panels[config.label][(0.5, 2.0)].reps_failed == 4
         assert panels[true_nuisance.label][(0.5, 2.0)].reps_ok == 4
+
+    @pytest.mark.parametrize("method", ["ols", "heckman"])
+    def test_slope_estimating_methods_fit_no_nuisance(self, method):
+        # n=60 is below the Klein-Spady minimum, so a nuisance fit would fail
+        spec = DgpSpec("dgp1", 60, rho=0.5)
+        fitted = run_cell(spec, EstimatorConfig(method, use_true_nuisance=False), reps=4, base_seed=1)
+        true = run_cell(spec, EstimatorConfig(method, use_true_nuisance=True), reps=4, base_seed=1)
+        assert true.reps_ok == 4
+        assert repr(fitted) == repr(true)
 
 
 class TestRateCheck:

@@ -1,0 +1,52 @@
+import pytest
+
+import snnselect
+from snnselect import montecarlo, seeding
+from snnselect.cli import build_parser
+from snnselect.decompose import DecompositionConfig
+from snnselect.montecarlo import EstimatorConfig
+from snnselect.registry import METHODS
+
+
+def _estimator_choices(parser):
+    """The choices of every --estimator option, per subcommand."""
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    out = {}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest == "estimator":
+                out[name] = list(action.choices)
+    return out
+
+
+class TestOneNameList:
+    def test_registry_holds_the_five_methods(self):
+        assert list(METHODS) == ["snn", "ols", "heckman", "h90", "as98"]
+        assert [m for m, entry in METHODS.items() if not entry.needs_nuisance] == ["ols", "heckman"]
+
+    def test_configs_accept_exactly_the_registry_keys(self):
+        for name in METHODS:
+            assert EstimatorConfig(method=name).method == name
+            assert DecompositionConfig(intercept_method=name).intercept_method == name
+        for name in ("magic", "SNN", "heckit", ""):
+            with pytest.raises(ValueError):
+                EstimatorConfig(method=name)
+            with pytest.raises(ValueError):
+                DecompositionConfig(intercept_method=name)
+
+    def test_every_estimator_option_offers_the_registry_keys(self):
+        choices = _estimator_choices(build_parser())
+        assert set(choices) == {"mc-table", "rate-check", "estimate", "decompose"}
+        assert all(names == list(METHODS) for names in choices.values())
+
+
+class TestSeeding:
+    def test_derive_seed_resolves_from_every_old_location(self):
+        assert snnselect.derive_seed is seeding.derive_seed
+        assert montecarlo.derive_seed is seeding.derive_seed
+
+    def test_generator_is_keyed_by_the_low_64_bits(self):
+        a = seeding.generator(5).random(4)
+        b = seeding.generator(5 + 2**64).random(4)
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != seeding.generator(6).random(4).tobytes()
