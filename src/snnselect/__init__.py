@@ -44,7 +44,6 @@ from .montecarlo import (
 )
 from .numerics import (
     KernelSpec,
-    QuadratureGrid,
     epanechnikov,
     eval_kernel,
     inverse_mills,

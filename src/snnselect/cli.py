@@ -25,7 +25,7 @@ from .montecarlo import (
     rate_check,
     run_table,
 )
-from .numerics import QuadratureGrid, epanechnikov, kernel_l2, kernel_moment
+from .numerics import epanechnikov, kernel_l2, kernel_moment
 from .nuisance import fit_nuisance
 from .registry import METHODS
 
@@ -45,13 +45,16 @@ class _UsageError(Exception):
 
 
 def _parse_bandwidth(text: str) -> BandwidthRule:
-    if text == "plugin":
-        return BandwidthRule.plug_in()
-    if text.startswith("plugin:"):
-        return BandwidthRule.plug_in(float(text.split(":", 1)[1]))
-    if text.startswith("fixed:"):
-        return BandwidthRule.fixed(float(text.split(":", 1)[1]))
-    raise _UsageError(f"bad --bandwidth {text!r}; use fixed:H or plugin[:SCALE]")
+    try:
+        if text == "plugin":
+            return BandwidthRule.plug_in()
+        if text.startswith("plugin:"):
+            return BandwidthRule.plug_in(float(text.split(":", 1)[1]))
+        if text.startswith("fixed:"):
+            return BandwidthRule.fixed(float(text.split(":", 1)[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    raise argparse.ArgumentTypeError(f"bad value {text!r}; use fixed:H or plugin[:SCALE]")
 
 
 def _float_list(text: str) -> list[float]:
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_float_list, default=list(DEFAULT_ALPHAS), metavar="A1,A2,...")
     sp.add_argument("--estimator", action="append", choices=METHODS, default=None,
                     help="repeatable; default snn")
-    sp.add_argument("--bandwidth", type=str, action="append", default=None,
+    sp.add_argument("--bandwidth", type=_parse_bandwidth, action="append", default=None,
                     help="for snn panels; repeatable; fixed:H or plugin[:SCALE]")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-cols", required=True, help="comma-separated")
     sp.add_argument("--z-cols", required=True, help="comma-separated")
     sp.add_argument("--estimator", choices=METHODS, default="snn")
-    sp.add_argument("--bandwidth", type=str, default="plugin")
+    sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
     sp.add_argument("--tau-quantile", type=float, default=0.5)
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z-cols", required=True)
     sp.add_argument("--group-col", required=True)
     sp.add_argument("--estimator", choices=METHODS, default="snn")
-    sp.add_argument("--bandwidth", type=str, default="plugin")
+    sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
     sp.add_argument("--tau-quantile", type=float, default=0.5)
@@ -140,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel-check", help="kernel moment diagnostics")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
-    sp.add_argument("--nodes", type=int, default=401)
     add_common(sp)
 
     sp = sub.add_parser("ident-check", help="identification-ratio profile over q")
@@ -187,12 +189,11 @@ def _estimator_configs(args) -> list[EstimatorConfig]:
     configs = []
     for method in methods:
         if method == "snn":
-            bws = args.bandwidth or ["plugin"]
-            for bw in bws:
+            for bw in args.bandwidth or [BandwidthRule.plug_in()]:
                 configs.append(EstimatorConfig(
                     method="snn",
                     kernel_order=args.kernel_order,
-                    bandwidth=_parse_bandwidth(bw),
+                    bandwidth=bw,
                     tail=tail,
                 ))
         else:
@@ -249,7 +250,7 @@ def _cmd_estimate(args) -> int:
     config = EstimatorConfig(
         method=args.estimator,
         kernel_order=args.kernel_order,
-        bandwidth=_parse_bandwidth(args.bandwidth),
+        bandwidth=args.bandwidth,
         tail=TailRule(args.tail_quantile, args.tau_quantile),
     )
     payload = method.report(method.fit(data, beta, gamma, config))
@@ -266,7 +267,7 @@ def _cmd_decompose(args) -> int:
     config = DecompositionConfig(
         intercept_method=args.estimator,
         kernel_order=args.kernel_order,
-        bandwidth=_parse_bandwidth(args.bandwidth),
+        bandwidth=args.bandwidth,
         tail=TailRule(args.tail_quantile, args.tau_quantile),
         weighting=args.weighting,
         nuisance=args.nuisance.replace("-", "_"),
@@ -285,9 +286,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_kernel_check(args) -> int:
     kern = epanechnikov(args.kernel_order)
-    grid = QuadratureGrid.simpson(args.nodes)
-    moments = {f"moment_{j}": kernel_moment(kern, j, grid) for j in range(2 * kern.order + 1)}
-    payload = {"family": kern.family, "order": kern.order, "l2": kernel_l2(kern, grid), **moments}
+    moments = {f"moment_{j}": kernel_moment(kern, j) for j in range(2 * kern.order + 1)}
+    payload = {"family": kern.family, "order": kern.order, "l2": kernel_l2(kern), **moments}
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import EstimationError
-from .numerics import KernelSpec, QuadratureGrid, epanechnikov, eval_kernel, kernel_l2, kernel_moment
+from .numerics import KernelSpec, epanechnikov, eval_kernel, kernel_l2, kernel_moment
 from .ranks import eta_hat, index_values
 
 __all__ = [
@@ -132,7 +132,6 @@ def snn_intercept(
     gamma: np.ndarray,
     kernel: KernelSpec | None = None,
     rule: BandwidthRule | None = None,
-    grid: QuadratureGrid | None = None,
 ) -> InterceptEstimate:
     """Locally linear boundary estimate of the outcome intercept.
 
@@ -150,7 +149,7 @@ def snn_intercept(
     if rule.kind == "fixed":
         h = rule.value
     else:
-        h = _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, rule.value, grid)
+        h = _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, rule.value)
     h = _window_bandwidth(t, h)
     K = eval_kernel(kernel, t / h)
     theta, slope, w = _local_linear_solve(t, K, W)
@@ -205,7 +204,6 @@ def plug_in_bandwidth(
     gamma: np.ndarray,
     kernel: KernelSpec | None = None,
     scale: float = 1.0,
-    grid: QuadratureGrid | None = None,
 ) -> float:
     """Estimated MSE-optimal bandwidth for the boundary locally linear fit.
 
@@ -229,7 +227,7 @@ def plug_in_bandwidth(
     kernel = kernel or epanechnikov(2)
     t = eta_hat(data.Z, gamma) - 1.0
     W = residualized_outcome(data, beta)
-    return _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, scale, grid)
+    return _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, scale)
 
 
 def _plug_in_from_ranks(
@@ -238,7 +236,6 @@ def _plug_in_from_ranks(
     W: np.ndarray,
     kernel: KernelSpec,
     scale: float,
-    grid: QuadratureGrid | None,
 ) -> float:
     """plug_in_bandwidth from the centred ranks t = eta_hat - 1, the index
     values and W, which snn_intercept computes once and shares.
@@ -258,8 +255,8 @@ def _plug_in_from_ranks(
     if not (math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > _CURVATURE_Z * se_top):
         return hi
     m_p = math.factorial(p) * c_top
-    kappa = kernel_moment(kernel, p, grid)
-    rk = kernel_l2(kernel, grid)
+    kappa = kernel_moment(kernel, p)
+    rk = kernel_l2(kernel)
     num = (math.factorial(p) ** 2) * max(sigma2, 0.0) * rk
     den = 2.0 * p * kappa * kappa * m_p * m_p * n
     if den <= 0.0 or num <= 0.0:

@@ -205,13 +205,13 @@ def _collect(results, theta0: float, n: int) -> CellStats:
     return CellStats(sq_bias, sd, rmse_scaled, int(vals.size), failed)
 
 
-def _run_cells(specs, estimators, reps, base_seed, workers, executor=None):
+def _run_cells(specs, estimators, reps, base_seed, workers):
     """CellStats of every (cell, estimator) pair, as ``stats[cell][estimator]``.
 
     Each cell's reps are split into contiguous chunks, about 4 tasks per
-    worker over the whole plan, and all chunks go out in one map: on
-    ``executor`` if given, else on a pool of ``workers`` processes, else (one
-    worker, or estimators that are plain callables) in this process.
+    worker over the whole plan, and all chunks go out in one map on a pool of
+    ``workers`` processes, or (one worker, or estimators that are plain
+    callables) in this process.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
@@ -222,9 +222,7 @@ def _run_cells(specs, estimators, reps, base_seed, workers, executor=None):
         for c in np.array_split(np.arange(reps), per_cell)
     ]
     pooled = all(isinstance(e, EstimatorConfig) for e in estimators)
-    if pooled and executor is not None:
-        chunks = list(executor.map(_run_chunk, tasks))
-    elif pooled and workers > 1:
+    if pooled and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     else:
@@ -245,7 +243,6 @@ def run_cell(
     reps: int,
     base_seed: int,
     workers: int = 1,
-    executor: ProcessPoolExecutor | None = None,
 ) -> CellStats:
     """Monte Carlo statistics of one estimator on one (rho, alpha) cell.
 
@@ -253,7 +250,7 @@ def run_cell(
     order is fixed by replication index, so results do not depend on worker
     scheduling.  Plain callables always run in this process.
     """
-    return _run_cells([spec], [estimator], reps, base_seed, workers, executor)[0][0]
+    return _run_cells([spec], [estimator], reps, base_seed, workers)[0][0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Smoothing kernels, quadrature, and Gaussian special functions.
+"""Smoothing kernels, their exact moments, and Gaussian special functions.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -6,14 +6,14 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
 
 __all__ = [
     "KernelSpec",
-    "QuadratureGrid",
     "epanechnikov",
     "eval_kernel",
     "kernel_moment",
@@ -76,54 +76,38 @@ def eval_kernel(spec: KernelSpec, u):
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Composite-Simpson nodes and weights on [-1, 1].
-
-    Node count must be odd and >= 201 so the weights sum to 2 and the rule is
-    exact for the piecewise-polynomial kernels used here.
-    """
-
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @classmethod
-    def simpson(cls, n_nodes: int = 401) -> "QuadratureGrid":
-        if n_nodes < 201:
-            raise ValueError("quadrature grid needs at least 201 nodes")
-        if n_nodes % 2 == 0:
-            n_nodes += 1
-        nodes = np.linspace(-1.0, 1.0, n_nodes)
-        h = nodes[1] - nodes[0]
-        w = np.full(n_nodes, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        weights = w * (h / 3.0)
-        return cls(nodes=nodes, weights=weights)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
 
 
-_DEFAULT_GRID = QuadratureGrid.simpson(401)
+def _kernel_coefficients(spec: KernelSpec) -> list[Fraction]:
+    """Exact power-series coefficients c_k of K(u) = sum c_k u^k on [-1, 1]."""
+    coef = [Fraction(3, 4), Fraction(0), Fraction(-3, 4)]
+    if spec.order == 4:
+        coef = _poly_mul(coef, [Fraction(_EPAN4_A), Fraction(0), Fraction(_EPAN4_B)])
+    return coef
 
 
-def default_grid() -> QuadratureGrid:
-    return _DEFAULT_GRID
+def _integral(coef: list[Fraction], j: int = 0) -> Fraction:
+    """Exact ∫ u^j sum c_k u^k du over [-1, 1]; odd powers integrate to 0."""
+    return sum(2 * c / (j + k + 1) for k, c in enumerate(coef) if (j + k) % 2 == 0)
 
 
-def kernel_moment(spec: KernelSpec, j: int, grid: QuadratureGrid | None = None) -> float:
-    """Numeric ∫ u^j K(u) du over [-1, 1]."""
+def kernel_moment(spec: KernelSpec, j: int) -> float:
+    """∫ u^j K(u) du over [-1, 1], the correctly rounded exact value."""
     if j < 0:
         raise ValueError("moment order must be nonnegative")
-    grid = grid or _DEFAULT_GRID
-    return grid.integrate(grid.nodes**j * eval_kernel(spec, grid.nodes))
+    return float(_integral(_kernel_coefficients(spec), j))
 
 
-def kernel_l2(spec: KernelSpec, grid: QuadratureGrid | None = None) -> float:
-    """∫ K(u)^2 du, the variance constant of the kernel."""
-    grid = grid or _DEFAULT_GRID
-    return grid.integrate(eval_kernel(spec, grid.nodes) ** 2)
+def kernel_l2(spec: KernelSpec) -> float:
+    """∫ K(u)^2 du, the variance constant of the kernel, correctly rounded."""
+    coef = _kernel_coefficients(spec)
+    return float(_integral(_poly_mul(coef, coef)))
 
 
 def normal_cdf(x):

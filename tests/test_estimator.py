@@ -248,14 +248,18 @@ class TestPlugInBandwidth:
         real = estimator._polynomial_pilot
 
         def counted(*args):
-            pilots.append(1)
-            return real(*args)
+            pilots.append(real(*args))
+            return pilots[-1]
 
         monkeypatch.setattr(estimator, "_polynomial_pilot", counted)
         data = uniform_index_data(5000, lambda q: (q - 1.0) ** 2, 1.0, seed=17)
         h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
         lo, hi = BANDWIDTH_CLAMP
         assert lo < h < hi and len(pilots) == 1
+        # the formula with the exact kernel constants (kappa_2 = 0.2, IntK2 = 0.6)
+        coef, sigma2, _ = pilots[0]
+        oracle = mse_optimal_bandwidth(sigma2=sigma2, m_p=2.0 * coef[2], n=data.n)
+        assert h == pytest.approx(oracle, rel=1e-13, abs=0.0)
         # snn_intercept shares its ranks with the same rule
         assert snn_intercept(data, np.zeros(1), np.array([1.0])).bandwidth == h
 

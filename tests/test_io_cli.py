@@ -1,8 +1,10 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+from snnselect import cli
 from snnselect.cli import cli_main
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
@@ -227,6 +229,12 @@ class TestCli:
         assert payload["l2"] == pytest.approx(0.6, abs=1e-8)
         assert payload["moment_2"] == pytest.approx(0.2, abs=1e-8)
 
+    def test_kernel_check_fourth_order_exact(self, capsys):
+        assert cli_main(["kernel-check", "--kernel-order", "4", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(payload[f"moment_{j}"] == 0.0 for j in (1, 2, 3, 5, 7))
+        assert payload["l2"] == 1.25
+
     def test_ident_check(self, capsys):
         rc = cli_main(["ident-check", "--dgp", "dgp1", "--alpha", "1.0", "--format", "json"])
         assert rc == 0
@@ -263,9 +271,29 @@ class TestCli:
         assert cli_main(["mc-table", "--estimator", "magic"]) == 1
         err = capsys.readouterr().err
         assert "snn" in err  # valid set listed
+        assert cli_main(["kernel-check", "--nodes", "401"]) == 1
 
-    def test_bad_bandwidth_text(self):
-        assert cli_main(["mc-table", "--n", "50", "--reps", "4", "--bandwidth", "auto"]) == 1
+    @pytest.mark.parametrize("command", [
+        ["mc-table", "--n", "50", "--reps", "4"],
+        ["estimate", "{csv}", *_SIM_COLUMNS],
+        ["decompose", "{csv}", *_SIM_COLUMNS, "--group-col", "g"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_bandwidth_text(self, tmp_path, monkeypatch, command):
+        # a usage error, reported before any nuisance fit; on 80 rows a fit
+        # would fail as a numerical error (exit 2) instead
+        def never(*args, **kwargs):
+            raise AssertionError("nuisance fitted before --bandwidth was parsed")
+
+        monkeypatch.setattr(cli, "fit_nuisance", never)
+        # the package's ``decompose`` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "fit_nuisance", never)
+        p = tmp_path / "small.csv"
+        save_dataset_csv(p, simulate(DgpSpec("dgp1", 80, rho=0.5, seed=11)).dataset,
+                         default_schema(4, 7))
+        header, *rows = p.read_text().splitlines()
+        write(p, "\n".join([header + ",g"] + [f"{r},{i % 2}" for i, r in enumerate(rows)]) + "\n")
+        argv = [str(p) if a == "{csv}" else a for a in command]
+        assert cli_main(argv + ["--bandwidth", "auto"]) == 1
 
     def test_missing_file_is_data_error(self, tmp_path):
         rc = cli_main([

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from snnselect.numerics import (
     KernelSpec,
-    QuadratureGrid,
     epanechnikov,
     eval_kernel,
     inverse_mills,
@@ -17,8 +17,17 @@ from snnselect.numerics import (
     normal_pdf,
 )
 
-GRID = QuadratureGrid.simpson(401)
-FINE = QuadratureGrid.simpson(801)
+# Closed forms on [-1, 1]: order 2 is (3/4)(1 - u^2); order 4 multiplies it by
+# (15 - 35 u^2)/8.  Even moments of (1 - u^2) u^j are 2/(j+1) - 2/(j+3).
+def _even_moment(j: int) -> Fraction:
+    return Fraction(2, j + 1) - Fraction(2, j + 3)
+
+
+EXACT_MOMENTS = {
+    2: lambda j: Fraction(3, 4) * _even_moment(j),
+    4: lambda j: Fraction(3, 32) * (15 * _even_moment(j) - 35 * _even_moment(j + 2)),
+}
+EXACT_L2 = {2: Fraction(3, 5), 4: Fraction(5, 4)}
 
 
 class TestKernels:
@@ -37,42 +46,34 @@ class TestKernels:
         assert eval_kernel(epanechnikov(4), 0.5) == pytest.approx(expected, abs=1e-15)
 
     def test_moment_normalization(self):
-        assert kernel_moment(epanechnikov(2), 0, GRID) == pytest.approx(1.0, abs=1e-8)
-        assert kernel_moment(epanechnikov(4), 0, GRID) == pytest.approx(1.0, abs=1e-8)
+        assert kernel_moment(epanechnikov(2), 0) == pytest.approx(1.0, abs=1e-8)
+        assert kernel_moment(epanechnikov(4), 0) == pytest.approx(1.0, abs=1e-8)
 
     def test_moment_symmetry(self):
-        assert kernel_moment(epanechnikov(2), 1, GRID) == pytest.approx(0.0, abs=1e-8)
+        assert kernel_moment(epanechnikov(2), 1) == pytest.approx(0.0, abs=1e-8)
 
     def test_moment_second_analytic(self):
         # ∫ u^2 (3/4)(1-u^2) du = 0.2 exactly
-        assert kernel_moment(epanechnikov(2), 2, GRID) == pytest.approx(0.2, abs=1e-8)
+        assert kernel_moment(epanechnikov(2), 2) == pytest.approx(0.2, abs=1e-8)
 
     def test_fourth_order_moment_conditions(self):
         k4 = epanechnikov(4)
         for j in range(1, 4):
-            assert kernel_moment(k4, j, GRID) == pytest.approx(0.0, abs=1e-8)
-        m4 = kernel_moment(k4, 4, GRID)
+            assert kernel_moment(k4, j) == pytest.approx(0.0, abs=1e-8)
+        m4 = kernel_moment(k4, 4)
         assert math.isfinite(m4) and abs(m4) > 1e-3
         assert m4 == pytest.approx(-1.0 / 21.0, abs=1e-8)  # analytic value
 
     def test_l2_analytic(self):
         # ∫ (9/16)(1-u^2)^2 du = 0.6 exactly
-        assert kernel_l2(epanechnikov(2), GRID) == pytest.approx(0.6, abs=1e-8)
+        assert kernel_l2(epanechnikov(2)) == pytest.approx(0.6, abs=1e-8)
 
-    def test_l2_grid_stability(self):
-        for fam in (2, 4):
-            k = epanechnikov(fam)
-            assert kernel_l2(k, GRID) == pytest.approx(kernel_l2(k, FINE), abs=1e-8)
-            v = kernel_l2(k, GRID)
-            assert math.isfinite(v) and v > 0
-
-    def test_moments_grid_refinement(self):
-        for fam in (2, 4):
-            k = epanechnikov(fam)
-            for j in range(0, 2 * k.order + 1):
-                a = kernel_moment(k, j, GRID)
-                b = kernel_moment(k, j, FINE)
-                assert abs(a - b) < 1e-8
+    @pytest.mark.parametrize("order, j", [(2, j) for j in range(5)] + [(4, j) for j in range(9)])
+    def test_moments_and_l2_exact(self, order, j):
+        k = epanechnikov(order)
+        expected = EXACT_MOMENTS[order](j) if j % 2 == 0 else Fraction(0)
+        assert kernel_moment(k, j) == float(expected)
+        assert kernel_l2(k) == float(EXACT_L2[order])
 
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=200)
@@ -86,17 +87,6 @@ class TestKernels:
             KernelSpec("tricube")
         with pytest.raises(ValueError):
             epanechnikov(6)
-
-
-class TestQuadrature:
-    def test_weights_sum_to_two(self):
-        assert GRID.weights.sum() == pytest.approx(2.0, abs=1e-12)
-        assert np.all(GRID.weights > 0)
-
-    def test_minimum_node_count(self):
-        assert GRID.nodes.size >= 201
-        with pytest.raises(ValueError):
-            QuadratureGrid.simpson(99)
 
 
 class TestGaussian:
