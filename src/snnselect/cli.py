@@ -174,11 +174,11 @@ def _schema_from_args(args, group: bool = False) -> CsvSchema:
 
 
 def _cmd_simulate(args) -> int:
+    if args.out is None:
+        raise _UsageError("simulate requires --out")
     spec = DgpSpec(args.dgp, args.n, rho=args.rho, alpha=args.alpha,
                    theta0=args.theta0, seed=args.seed)
     draw = simulate(spec)
-    if args.out is None:
-        raise _UsageError("simulate requires --out")
     save_dataset_csv(args.out, draw.dataset, default_schema(spec.k, spec.l))
     return 0
 

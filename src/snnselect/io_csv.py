@@ -1,13 +1,21 @@
 """CSV ingestion and serialization for microdata.
 
-Headered, comma-separated, UTF-8, '.' decimal point.  Rows with unparseable
-required fields are rejected (never imputed) with their row numbers; floats
-are written with 17 significant digits so a write/load round trip is exact.
+Headered, comma-separated, UTF-8, '.' decimal point.  The header is read and
+checked with ``csv``; the required columns are then parsed column-wise in C
+by ``np.loadtxt`` (the group column, if any, as strings).  Whenever that parse
+rejects a file (a quoted, empty or malformed cell, a short row, a
+whitespace-only line, no data rows), the file is read again by a row walk
+whose only job is to name the offending rows: rows with unparseable required
+fields are rejected, never imputed.  Non-finite values (``nan``, ``inf``) are
+rejected with their column and rows, whichever path parsed them.  Floats are
+written with 17 significant digits and CRLF line endings, in blocks of rows,
+so a write/load round trip is bit-exact.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +24,12 @@ from .data import Dataset
 from .exceptions import DataError
 
 __all__ = ["CsvSchema", "load_csv", "save_dataset_csv", "default_schema"]
+
+# Error messages list at most this many rows, then "... and N more rows".
+_MAX_LISTED = 10
+# Characters per read of the pre-parse scan; rows per formatted write block.
+_SCAN_CHARS = 1 << 20
+_WRITE_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -60,19 +74,66 @@ def load_csv(path: str | Path, schema: CsvSchema):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    try:
+        table, groups = _parse_columns(path, schema)
+    except ValueError:
+        table, groups = _walk_rows(path, schema)
+    _check_values(table, schema)
+    if schema.group_column is None:
+        return _dataset(table, schema)
+    labels = sorted(set(groups))
+    if len(labels) != 2:
+        raise DataError(f"group column must take exactly 2 values, found {len(labels)}")
+    return tuple(_dataset(table[groups == lab], schema) for lab in labels)
+
+
+def _read_header(fh, schema: CsvSchema) -> list:
+    """The header row's column names; ``fh`` is left at the first data line."""
+    # readline, not iteration, so that fh.tell() still works afterwards
+    names = next(csv.reader(iter(fh.readline, "")), None)
+    if names is None:
+        raise DataError("empty file")
+    for col in schema.required_columns() + ((schema.group_column,) if schema.group_column else ()):
+        if col not in names:
+            raise DataError(f"missing column: {col}")
+    return names
+
+
+def _parse_columns(path: Path, schema: CsvSchema):
+    """(table, groups) by one C parse per dtype; ValueError on any file it cannot take."""
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("empty file")
-        for col in schema.required_columns() + ((schema.group_column,) if schema.group_column else ()):
-            if col not in reader.fieldnames:
-                raise DataError(f"missing column: {col}")
-        rows = list(reader)
+        # a repeated name: the last column wins, as in csv.DictReader
+        index = {name: i for i, name in enumerate(_read_header(fh, schema))}
+        start = fh.tell()
+        # Without quotes a comma always separates cells, as it does for csv;
+        # a blank-only body is left to the row walk's "empty file".
+        has_rows = False
+        for chunk in iter(partial(fh.read, _SCAN_CHARS), ""):
+            if '"' in chunk:
+                raise ValueError("quoted cell")
+            has_rows = has_rows or bool(chunk.strip("\r\n"))
+        if not has_rows:
+            raise ValueError("no data rows")
+        fh.seek(start)
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                           usecols=[index[c] for c in schema.required_columns()])
+        groups = None
+        if schema.group_column:
+            fh.seek(start)
+            groups = np.loadtxt(fh, dtype=str, delimiter=",", comments=None, ndmin=1,
+                                usecols=index[schema.group_column])
+    return table, groups
+
+
+def _walk_rows(path: Path, schema: CsvSchema):
+    """(table, groups) cell by cell; DataError naming every unparseable row."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh, fieldnames=_read_header(fh, schema)))
     if not rows:
         raise DataError("empty file")
 
     bad: list[str] = []
-    d, y, X, Z, groups = [], [], [], [], []
+    table, groups = [], []
     for i, row in enumerate(rows, start=1):
         try:
             dval = float(row[schema.selection_column])
@@ -83,55 +144,57 @@ def load_csv(path: str | Path, schema: CsvSchema):
             bad.append(f"non-binary selection value at row {i}")
             continue
         try:
-            yval = float(row[schema.outcome_column])
-            xvals = [float(row[c]) for c in schema.x_columns]
-            zvals = [float(row[c]) for c in schema.z_columns]
+            values = [float(row[c]) for c in schema.required_columns()[1:]]
         except (TypeError, ValueError):
             bad.append(f"unparseable value at row {i}")
             continue
-        d.append(dval)
-        y.append(yval)
-        X.append(xvals)
-        Z.append(zvals)
+        table.append([dval, *values])
         if schema.group_column:
             groups.append(row[schema.group_column])
     if bad:
-        shown = bad[:10]
-        if len(bad) > len(shown):
-            shown.append(f"... and {len(bad) - len(shown)} more rows")
-        raise DataError("; ".join(shown))
-
-    d = np.asarray(d)
-    y = np.asarray(y)
-    X = np.asarray(X)
-    Z = np.asarray(Z)
-    if schema.group_column is None:
-        return Dataset(d=d, y=y, X=X, Z=Z)
-    labels = sorted(set(groups))
-    if len(labels) != 2:
-        raise DataError(f"group column must take exactly 2 values, found {len(labels)}")
-    groups = np.asarray(groups)
-    parts = []
-    for lab in labels:
-        m = groups == lab
-        parts.append(Dataset(d=d[m], y=y[m], X=X[m], Z=Z[m]))
-    return tuple(parts)
+        raise DataError("; ".join(_capped(bad)))
+    return np.asarray(table), np.asarray(groups) if schema.group_column else None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _capped(items: list) -> list:
+    if len(items) <= _MAX_LISTED:
+        return items
+    return items[:_MAX_LISTED] + [f"... and {len(items) - _MAX_LISTED} more rows"]
+
+
+def _check_values(table: np.ndarray, schema: CsvSchema) -> None:
+    """Reject non-binary selection values, then non-finite values, by row."""
+    rows = np.flatnonzero((table[:, 0] != 0.0) & (table[:, 0] != 1.0)) + 1
+    if rows.size:
+        raise DataError("; ".join(_capped([f"non-binary selection value at row {i}" for i in rows])))
+    finite = np.isfinite(table)
+    if finite.all():
+        return
+    messages = []
+    for j, name in enumerate(schema.required_columns()):
+        rows = np.flatnonzero(~finite[:, j]) + 1
+        if rows.size:
+            listed = ", ".join(_capped([str(i) for i in rows]))
+            messages.append(f"non-finite value in column {name} at row {listed}")
+    raise DataError("; ".join(messages))
+
+
+def _dataset(table: np.ndarray, schema: CsvSchema) -> Dataset:
+    # contiguous copies, laid out as a row-by-row parse would lay them out
+    k = len(schema.x_columns)
+    return Dataset(d=table[:, 0].copy(), y=table[:, 1].copy(),
+                   X=table[:, 2:2 + k].copy(), Z=table[:, 2 + k:].copy())
 
 
 def save_dataset_csv(path: str | Path, data: Dataset, schema: CsvSchema | None = None) -> None:
     schema = schema or default_schema(data.k, data.l)
     if len(schema.x_columns) != data.k or len(schema.z_columns) != data.l:
         raise DataError("schema does not match dataset dimensions")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.required_columns())
-        for i in range(data.n):
-            row = [_fmt(data.d[i]), _fmt(data.y[i])]
-            row += [_fmt(v) for v in data.X[i]]
-            row += [_fmt(v) for v in data.Z[i]]
-            writer.writerow(row)
+    table = np.column_stack((data.d, data.y, data.X, data.Z))
+    # "%.17g" is format(x, ".17g"); CRLF is csv.writer's line terminator
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(schema.required_columns())
+        for start in range(0, data.n, _WRITE_ROWS):
+            block = table[start:start + _WRITE_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

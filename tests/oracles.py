@@ -6,6 +6,7 @@ implementations can be checked against an independent path.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -111,3 +112,13 @@ def loo_nw_bruteforce(index, values, h: float):
             est[i] = num / den
             valid[i] = True
     return est, valid
+
+
+def save_csv_cellwise(path, data, schema) -> None:
+    """Dataset to CSV one cell at a time: ``format(x, ".17g")`` through csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.required_columns())
+        for i in range(data.n):
+            row = [data.d[i], data.y[i], *data.X[i], *data.Z[i]]
+            writer.writerow([format(float(x), ".17g") for x in row])

@@ -1,10 +1,17 @@
 import importlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import save_csv_cellwise
 
-from snnselect import cli
+from snnselect import cli, io_csv
 from snnselect.cli import cli_main
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
@@ -90,6 +97,131 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="exactly 2"):
             load_csv(p, schema)
 
+    def test_non_finite_outcome_of_unselected_row(self, tmp_path):
+        # d = 0 masks y in every estimator, but 0 * nan is still nan
+        p = tmp_path / "d.csv"
+        write(p, "d,y,x1,z1,z2\n1,2,3,4,5\n0,nan,1,2,3\n1,1,2,3,4\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, SCHEMA)
+        assert str(exc.value) == "non-finite value in column y at row 2"
+        assert cli_main(["estimate", str(p), "--outcome-col", "y", "--selection-col", "d",
+                         "--x-cols", "x1", "--z-cols", "z1,z2"]) == 1
+
+    def test_non_finite_selection_covariate(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write(p, "d,y,x1,z1,z2\n1,2,3,4,-Infinity\n0,0,1,2,3\n1,1,2,3,inf\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, SCHEMA)
+        assert str(exc.value) == "non-finite value in column z2 at row 1, 3"
+
+    def test_non_finite_rows_capped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write(p, "d,y,x1,z1,z2\n" + "1,NaN,3,4,5\n" * 12 + "0,0,nan,2,3\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, SCHEMA)
+        rows = ", ".join(str(i) for i in range(1, 11))
+        assert str(exc.value) == (f"non-finite value in column y at row {rows}, ... and 2 more rows; "
+                                  "non-finite value in column x1 at row 13")
+
+    def test_non_finite_in_group_file_names_file_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write(p, "d,y,x1,z1,z2,g\n1,1,1,1,1,m\n1,2,2,2,2,f\n0,0,3,3,3,m\n1,3,inf,4,4,f\n")
+        schema = CsvSchema("y", "d", ("x1",), ("z1", "z2"), group_column="g")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, schema)
+        assert str(exc.value) == "non-finite value in column x1 at row 4"
+
+
+_GROUP_SCHEMA = CsvSchema("y", "d", ("x1",), ("z1", "z2"), group_column="g")
+_HEAD = "d,y,x1,z1,z2\n"
+# (file text, schema, whether the row walk has to read it)
+_PARSE_CASES = [
+    pytest.param(_HEAD + "1,2,3,4,5\n\n0,0,1,2,3\n", SCHEMA, False, id="blank-line"),
+    pytest.param(_HEAD + "1,2,3,4,5\n   \n0,0,1,2,3\n", SCHEMA, True, id="whitespace-line"),
+    pytest.param(_HEAD + '1,"2.5",3,4,5\n0,0,1,2,3\n', SCHEMA, True, id="quoted-number"),
+    # split at every comma, the cells of these rows would shift into d, y, ... and still parse
+    pytest.param('q,e,d,y,x1,z1,z2\n"a,b",0,1,2,3,4,5\n"c,d",1,0,0,1,2,3\n', SCHEMA, True,
+                 id="quoted-comma"),
+    pytest.param(_HEAD + "1,1_0,3,4,5\n0,0,1,2,3\n", SCHEMA, True, id="underscore"),
+    pytest.param(_HEAD + "1,,3,4,5\n0,0,1,2,3\n", SCHEMA, True, id="empty-cell"),
+    # read as a comment, this row would vanish instead of being rejected
+    pytest.param(_HEAD + "1,2,3,4,5\n#5,0,1,2,3\n0,0,1,2,3\n", SCHEMA, True, id="hash-cell"),
+    pytest.param(_HEAD + "1,0x10,3,4,5\n0,0,1,2,3\n", SCHEMA, True, id="hex"),
+    pytest.param(_HEAD + "1,2,3,4,5\n0,0,1,2\n", SCHEMA, True, id="short-row"),
+    pytest.param(_HEAD + "1,2,3,4,5\n0,0,1,2,3,9\n", SCHEMA, False, id="long-row"),
+    pytest.param(_HEAD.replace("\n", "\r\n") + "1,2,3,4,5\r\n0,0,1,2,3\r\n", SCHEMA, False, id="crlf"),
+    pytest.param(_HEAD + "1,2,3,4,5\r0,0,1,2,3\r", SCHEMA, False, id="cr"),
+    pytest.param(_HEAD + "1,2,3,4,5\n0,0,1,2,3", SCHEMA, False, id="no-final-newline"),
+    pytest.param("z2,x1,d,z1,y\n5,3,1,4,2\n3,1,0,2,0\n", SCHEMA, False, id="reordered"),
+    pytest.param("d,name,y,x1,z1,z2\n1,ann,2,3,4,5\n0,bo,0,1,2,3\n", SCHEMA, False, id="string-column"),
+    pytest.param("d,y,x1,z1,z2,y\n1,9,3,4,5,2\n0,9,1,2,3,0\n", SCHEMA, False, id="repeated-name"),
+    pytest.param(_HEAD + "1,2,3,4,5\n\n2,0,1,2,3\n", SCHEMA, False, id="non-binary-after-blank"),
+    pytest.param(_HEAD + '1,nan,3,4,5\n0,"0",1,2,3\n', SCHEMA, True, id="non-finite-walked"),
+    pytest.param(_HEAD + "\n\n", SCHEMA, True, id="blank-body"),
+    pytest.param("d,y,x1,z1,z2,g\n1,1,1,1,1, m\n1,2,2,2,2,f\n0,0,3,3,3, m\n1,4,4,4,4,f\n", _GROUP_SCHEMA,
+                 False, id="two-groups"),
+]
+
+
+def _load_outcome(path, schema):
+    """The arrays load_csv returns (dtype, shape, bytes), or its DataError text."""
+    try:
+        result = load_csv(path, schema)
+    except DataError as exc:
+        return str(exc)
+    parts = result if isinstance(result, tuple) else (result,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for part in parts for a in (part.d, part.y, part.X, part.Z)]
+
+
+class TestParsePaths:
+    """The C parse must agree with the row walk wherever it accepts a file."""
+
+    @pytest.mark.parametrize("text, schema, walks", _PARSE_CASES)
+    def test_c_parse_matches_row_walk(self, tmp_path, monkeypatch, text, schema, walks):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        walked = []
+        walk = io_csv._walk_rows
+        monkeypatch.setattr(io_csv, "_walk_rows", lambda *args: walked.append(1) or walk(*args))
+        outcome = _load_outcome(p, schema)
+        assert bool(walked) == walks
+
+        def no_c_parse(*args):
+            raise ValueError("C parse disabled")
+
+        monkeypatch.setattr(io_csv, "_parse_columns", no_c_parse)
+        assert _load_outcome(p, schema) == outcome
+
+    @pytest.mark.parametrize("text, message", [
+        (_HEAD + "1,2,3,4,5\n   \n0,0,1,2,3\n", "unparseable selection value at row 2"),
+        (_HEAD + "1,2,3,4,5\n#5,0,1,2,3\n0,0,1,2,3\n", "unparseable selection value at row 2"),
+        (_HEAD + "1,2,3,4,5\n\n2,0,1,2,3\n", "non-binary selection value at row 2"),
+        (_HEAD + "\n\n", "empty file"),
+    ], ids=["whitespace-line", "hash-cell", "non-binary-after-blank", "blank-body"])
+    def test_row_numbered_messages(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError) as exc:
+            load_csv(p, SCHEMA)
+        assert str(exc.value) == message
+
+    def test_saved_file_never_walks_rows(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("row walk used for a file save_dataset_csv wrote")
+
+        monkeypatch.setattr(io_csv, "_walk_rows", refuse)
+        data = simulate(DgpSpec("dgp1", 300, rho=0.5, seed=5)).dataset
+        p = tmp_path / "sim.csv"
+        save_dataset_csv(p, data)
+        back = load_csv(p, default_schema(data.k, data.l))
+        assert all(np.array_equal(getattr(back, a), getattr(data, a)) for a in "dyXZ")
+
+
+# finite doubles, with the signed zero, the subnormal and normal extremes
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
 
 class TestRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -103,6 +235,25 @@ class TestRoundTrip:
         assert np.array_equal(back.X, draw.dataset.X)
         assert np.array_equal(back.Z, draw.dataset.Z)
 
+    @given(data=st.data(), n=st.integers(2, 12), k=st.integers(1, 3), l=st.integers(1, 3),
+           block=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_writer_bytes_match_cellwise_writer(self, data, n, k, l, block):
+        d = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+        cells = data.draw(hnp.arrays(float, (n, 1 + k + l), elements=_FINITE))
+        ds = Dataset(d=d, y=cells[:, 0], X=cells[:, 1:1 + k], Z=cells[:, 1 + k:])
+        schema = default_schema(k, l)
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+            # a small block size puts block boundaries inside these few rows
+            with mock.patch.object(io_csv, "_WRITE_ROWS", block):
+                save_dataset_csv(fast, ds, schema)
+            save_csv_cellwise(slow, ds, schema)
+            assert fast.read_bytes() == slow.read_bytes()
+            back = load_csv(fast, schema)
+        for a in "dyXZ":
+            assert getattr(back, a).tobytes() == getattr(ds, a).tobytes()
+
 
 class TestCli:
     def test_simulate_and_reload(self, tmp_path):
@@ -114,6 +265,14 @@ class TestCli:
         assert rc == 0
         data = load_csv(out, default_schema(4, 7))
         assert data.n == 120
+
+    def test_simulate_checks_out_before_drawing(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sample drawn before --out was checked")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        assert cli_main(["simulate", "--n", "300000"]) == 1
+        assert "simulate requires --out" in capsys.readouterr().err
 
     def test_estimate_constant_outcome_h90(self, tmp_path):
         # constant observed outcome: slope residualization is exactly zero,
