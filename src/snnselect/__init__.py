@@ -61,7 +61,7 @@ from .nuisance import (
     robinson_beta,
     silverman_bandwidth,
 )
-from .ranks import eta_hat, eta_hat_at, index_values
+from .ranks import eta_hat, index_values
 from .seeding import derive_seed
 
 __version__ = "0.1.0"

@@ -110,33 +110,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
     add_common(sp)
 
+    def add_data_fit(sp, group: bool = False):
+        """The CSV, its columns and the fit options of estimate and decompose."""
+        sp.add_argument("data", type=Path)
+        sp.add_argument("--outcome-col", required=True)
+        sp.add_argument("--selection-col", required=True)
+        sp.add_argument("--x-cols", required=True, help="comma-separated")
+        sp.add_argument("--z-cols", required=True, help="comma-separated")
+        if group:
+            sp.add_argument("--group-col", required=True)
+        sp.add_argument("--estimator", choices=METHODS, default="snn")
+        sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
+        sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
+        sp.add_argument("--tail-quantile", type=float, default=0.95)
+        sp.add_argument("--tau-quantile", type=float, default=0.5)
+        sp.add_argument("--nuisance", choices=("klein-spady", "probit"), default="klein-spady")
+
     sp = sub.add_parser("estimate", help="intercept estimate on a CSV dataset")
-    sp.add_argument("data", type=Path)
-    sp.add_argument("--outcome-col", required=True)
-    sp.add_argument("--selection-col", required=True)
-    sp.add_argument("--x-cols", required=True, help="comma-separated")
-    sp.add_argument("--z-cols", required=True, help="comma-separated")
-    sp.add_argument("--estimator", choices=METHODS, default="snn")
-    sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
-    sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
-    sp.add_argument("--tail-quantile", type=float, default=0.95)
-    sp.add_argument("--tau-quantile", type=float, default=0.5)
-    sp.add_argument("--nuisance", choices=("klein-spady", "probit"), default="klein-spady")
+    add_data_fit(sp)
     add_common(sp)
 
     sp = sub.add_parser("decompose", help="two-group decomposition with bootstrap SEs")
-    sp.add_argument("data", type=Path)
-    sp.add_argument("--outcome-col", required=True)
-    sp.add_argument("--selection-col", required=True)
-    sp.add_argument("--x-cols", required=True)
-    sp.add_argument("--z-cols", required=True)
-    sp.add_argument("--group-col", required=True)
-    sp.add_argument("--estimator", choices=METHODS, default="snn")
-    sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
-    sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
-    sp.add_argument("--tail-quantile", type=float, default=0.95)
-    sp.add_argument("--tau-quantile", type=float, default=0.5)
-    sp.add_argument("--nuisance", choices=("klein-spady", "probit"), default="klein-spady")
+    add_data_fit(sp, group=True)
     sp.add_argument("--weighting", choices=("group0", "group1"), default="group0")
     sp.add_argument("--bootstrap", type=int, default=200, metavar="B")
     add_common(sp)
@@ -163,14 +158,25 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _schema_from_args(args, group: bool = False) -> CsvSchema:
+def _schema_from_args(args) -> CsvSchema:
     return CsvSchema(
         outcome_column=args.outcome_col,
         selection_column=args.selection_col,
         x_columns=tuple(args.x_cols.split(",")),
         z_columns=tuple(args.z_cols.split(",")),
-        group_column=args.group_col if group else None,
+        group_column=getattr(args, "group_col", None),
     )
+
+
+def _fit_fields(args) -> dict:
+    """The shared fit options of estimate and decompose as config fields;
+    ``nuisance`` is the gamma method's name in ``fit_nuisance``."""
+    return {
+        "kernel_order": args.kernel_order,
+        "bandwidth": args.bandwidth,
+        "tail": TailRule(args.tail_quantile, args.tau_quantile),
+        "nuisance": args.nuisance.replace("-", "_"),
+    }
 
 
 def _cmd_simulate(args) -> int:
@@ -240,19 +246,15 @@ def _cmd_rate_check(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    schema = _schema_from_args(args)
-    data = load_csv(args.data, schema)
+    data = load_csv(args.data, _schema_from_args(args))
+    fields = _fit_fields(args)
+    gamma_method = fields.pop("nuisance")
     method = METHODS[args.estimator]
     beta = gamma = None
     if method.needs_nuisance:
-        nuis = fit_nuisance(data, gamma_method=args.nuisance.replace("-", "_"))
+        nuis = fit_nuisance(data, gamma_method=gamma_method)
         beta, gamma = nuis.beta, nuis.gamma
-    config = EstimatorConfig(
-        method=args.estimator,
-        kernel_order=args.kernel_order,
-        bandwidth=args.bandwidth,
-        tail=TailRule(args.tail_quantile, args.tau_quantile),
-    )
+    config = EstimatorConfig(method=args.estimator, **fields)
     payload = method.report(method.fit(data, beta, gamma, config))
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
@@ -262,16 +264,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    schema = _schema_from_args(args, group=True)
-    data0, data1 = load_csv(args.data, schema)
-    config = DecompositionConfig(
-        intercept_method=args.estimator,
-        kernel_order=args.kernel_order,
-        bandwidth=args.bandwidth,
-        tail=TailRule(args.tail_quantile, args.tau_quantile),
-        weighting=args.weighting,
-        nuisance=args.nuisance.replace("-", "_"),
-    )
+    data0, data1 = load_csv(args.data, _schema_from_args(args))
+    config = DecompositionConfig(intercept_method=args.estimator, weighting=args.weighting,
+                                 **_fit_fields(args))
     report = decompose_with_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed)
     if args.format == "json":
         payload = dict(report.quantities())

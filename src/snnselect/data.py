@@ -8,6 +8,11 @@ import numpy as np
 __all__ = ["Dataset"]
 
 
+def _columns(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One sample of the selection model.
@@ -17,6 +22,9 @@ class Dataset:
         values are kept as-is for real data and masked through d)
     X : (n, k) outcome covariates
     Z : (n, l) selection covariates
+
+    A 1-d ``X`` or ``Z`` is taken as one column; any other shape without n
+    rows raises ValueError.  Nothing is transposed.
     """
 
     d: np.ndarray = field(repr=False)
@@ -27,16 +35,11 @@ class Dataset:
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
-        if X.shape[0] != d.shape[0]:
-            X = X.T
-        if Z.shape[0] != d.shape[0]:
-            Z = Z.T
+        X, Z = (_columns(a) for a in (self.X, self.Z))
         n = d.shape[0]
         if n < 2:
             raise ValueError("dataset needs at least 2 observations")
-        if y.shape != (n,) or X.shape[0] != n or Z.shape[0] != n:
+        if y.shape != (n,) or any(a.ndim != 2 or a.shape[0] != n for a in (X, Z)):
             raise ValueError("inconsistent dataset dimensions")
         if not np.all((d == 0.0) | (d == 1.0)):
             raise ValueError("selection indicator must be 0/1")

@@ -33,10 +33,10 @@ __all__ = [
 class DecompositionConfig:
     """Pipeline settings for one decomposition run.
 
-    One nuisance fit per group is shared by all semiparametric intercept
-    methods; OLS and the two-step carry their own slope estimates and fit no
-    nuisance.  The ``intercept_fn`` hook (data, beta, gamma) -> theta
-    substitutes a custom intercept estimator, mainly for testing.
+    ``intercept_method`` names a method of ``registry.METHODS``.  A method
+    that needs the nuisance gets one fit per group, whose slopes also enter
+    B; OLS and the two-step carry their own slope estimates and fit no
+    nuisance.
     """
 
     intercept_method: str = "snn"
@@ -45,7 +45,6 @@ class DecompositionConfig:
     tail: TailRule = field(default_factory=TailRule)
     weighting: str = "group0"
     nuisance: str = "klein_spady"
-    intercept_fn: Callable[[Dataset, np.ndarray, np.ndarray], float] | None = None
 
     def __post_init__(self) -> None:
         if self.weighting not in ("group0", "group1"):
@@ -124,16 +123,13 @@ class DecompositionReport:
 def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
     method = METHODS[config.intercept_method]
     try:
-        if config.intercept_fn is None and not method.needs_nuisance:
-            fit = method.fit(data, None, None, config)
-            theta, beta = fit.theta, fit.beta
-        else:
+        if method.needs_nuisance:
             nuis = fit_nuisance(data, config.nuisance)
             beta = nuis.beta
-            if config.intercept_fn is not None:
-                theta = float(config.intercept_fn(data, beta, nuis.gamma))
-            else:
-                theta = method.fit(data, beta, nuis.gamma, config).theta
+            theta = method.fit(data, beta, nuis.gamma, config).theta
+        else:
+            fit = method.fit(data, None, None, config)
+            theta, beta = fit.theta, fit.beta
     except EstimationError as exc:
         raise EstimationError(f"{tag}: {exc}") from exc
     sel = data.selected()

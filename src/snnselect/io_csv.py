@@ -148,9 +148,12 @@ def _walk_rows(path: Path, schema: CsvSchema):
         except (TypeError, ValueError):
             bad.append(f"unparseable value at row {i}")
             continue
-        table.append([dval, *values])
         if schema.group_column:
+            if row[schema.group_column] is None:  # a short row
+                bad.append(f"missing group value at row {i}")
+                continue
             groups.append(row[schema.group_column])
+        table.append([dval, *values])
     if bad:
         raise DataError("; ".join(_capped(bad)))
     return np.asarray(table), np.asarray(groups) if schema.group_column else None

@@ -6,9 +6,11 @@ scheduled across workers.  The cell label deliberately excludes the
 estimator: every estimator in a table panel sees the same draws, which makes
 cross-estimator comparisons common-random-number comparisons.
 
-The engine is cell-major: each draw is simulated once and every estimator
-runs on it, and the reps of all cells go to the worker pool as contiguous
-chunks in one dispatch.
+Estimators are ``EstimatorConfig`` records naming a method of
+``registry.METHODS``; ``run_cell``, ``run_table`` and ``rate_check`` take
+nothing else.  The engine is cell-major: each draw is simulated once and
+every estimator runs on it, and the reps of all cells go to the worker pool
+as contiguous chunks in one dispatch.
 """
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .baselines import TailRule
-from .dgp import DgpSpec, LatentDraw, simulate
+from .dgp import DgpSpec, simulate
 from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
 from .nuisance import fit_nuisance
@@ -164,10 +166,7 @@ def _run_chunk(task):
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
-    fits = [
-        isinstance(e, EstimatorConfig) and not e.use_true_nuisance and METHODS[e.method].needs_nuisance
-        for e in estimators
-    ]
+    fits = [not e.use_true_nuisance and METHODS[e.method].needs_nuisance for e in estimators]
     out = [[] for _ in estimators]
     for rep in range(start, stop):
         draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
@@ -178,9 +177,7 @@ def _run_chunk(task):
                 fitted = exc
         for results, est, fit in zip(out, estimators, fits):
             try:
-                if not isinstance(est, EstimatorConfig):
-                    value = est(draw)
-                elif not fit:
+                if not fit:
                     value = METHODS[est.method].fit(draw.dataset, draw.beta0, draw.gamma0, est).theta
                 elif isinstance(fitted, EstimationError):
                     raise fitted
@@ -210,8 +207,7 @@ def _run_cells(specs, estimators, reps, base_seed, workers):
 
     Each cell's reps are split into contiguous chunks, about 4 tasks per
     worker over the whole plan, and all chunks go out in one map on a pool of
-    ``workers`` processes, or (one worker, or estimators that are plain
-    callables) in this process.
+    ``workers`` processes, or run in this process when ``workers`` is 1.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
@@ -221,8 +217,7 @@ def _run_cells(specs, estimators, reps, base_seed, workers):
         for spec in specs
         for c in np.array_split(np.arange(reps), per_cell)
     ]
-    pooled = all(isinstance(e, EstimatorConfig) for e in estimators)
-    if pooled and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     else:
@@ -239,7 +234,7 @@ def _run_cells(specs, estimators, reps, base_seed, workers):
 
 def run_cell(
     spec: DgpSpec,
-    estimator: EstimatorConfig | Callable[[LatentDraw], float],
+    estimator: EstimatorConfig,
     reps: int,
     base_seed: int,
     workers: int = 1,
@@ -248,7 +243,7 @@ def run_cell(
 
     Failures (EstimationError) are counted, not propagated; the aggregation
     order is fixed by replication index, so results do not depend on worker
-    scheduling.  Plain callables always run in this process.
+    scheduling.
     """
     return _run_cells([spec], [estimator], reps, base_seed, workers)[0][0]
 
@@ -302,7 +297,7 @@ class RateCheckResult:
 def rate_check(
     ns: Sequence[int],
     spec_template: DgpSpec,
-    estimator: EstimatorConfig | Callable[[LatentDraw], float],
+    estimator: EstimatorConfig,
     c: float = 0.5,
     reps: int = 400,
     base_seed: int = 0,
@@ -311,18 +306,18 @@ def rate_check(
     """Least-squares slope of log RMSE on log n under the rate-optimal
     bandwidth schedule h_n = c * n^(-1/(2p+1)).
 
-    For the locally linear estimator the bandwidth is re-derived at each n;
-    callables are used as-is (they encode their own tuning).
+    For snn the bandwidth is re-derived at each n; every other method keeps
+    its own tuning.  Needs at least 3 distinct sample sizes.
     """
     ns = sorted(int(n) for n in ns)
-    if len(ns) < 3:
-        raise ValueError("need at least 3 sample sizes")
+    if len(set(ns)) < 3:
+        raise ValueError("need at least 3 distinct sample sizes")
     rmses = []
     cells = []
     for n in ns:
         spec = replace(spec_template, n=n)
         est = estimator
-        if isinstance(estimator, EstimatorConfig) and estimator.method == "snn":
+        if estimator.method == "snn":
             h = undersmoothing_bandwidth(n, estimator.kernel_order, c)
             est = replace(estimator, bandwidth=BandwidthRule.fixed(h))
         stats = run_cell(spec, est, reps, base_seed, workers)

@@ -78,7 +78,8 @@ def silverman_bandwidth(index: np.ndarray, c: float = 1.06) -> float:
 
 
 def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
-    """Leave-one-out Nadaraya-Watson smooth of each column of ``values``.
+    """Leave-one-out Nadaraya-Watson smooth of each column of the (n, m)
+    array ``values`` on the (n,) ``index``.
 
     Returns (estimates, valid) where ``valid`` flags rows whose window holds
     at least one other observation with positive weight.  Expanding the
@@ -86,9 +87,7 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
     x^2 times the smoothed columns.
     """
     x = np.asarray(index, dtype=float)
-    V = np.atleast_2d(np.asarray(values, dtype=float))
-    if V.shape[0] != x.shape[0]:
-        V = V.T
+    V = np.asarray(values, dtype=float)
     n = x.shape[0]
     x = x - np.median(x)  # limits cancellation in the x^2 prefix sums
 

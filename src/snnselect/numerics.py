@@ -51,9 +51,6 @@ class KernelSpec:
     def order(self) -> int:
         return 2 if self.family == "epanechnikov2" else 4
 
-    def __call__(self, u):
-        return eval_kernel(self, u)
-
 
 def epanechnikov(order: int = 2) -> KernelSpec:
     """Convenience constructor; ``order`` must be 2 or 4."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import EstimationError
 
-__all__ = ["index_values", "eta_hat", "eta_hat_at"]
+__all__ = ["index_values", "eta_hat"]
 
 
 def index_values(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -21,14 +21,6 @@ def index_values(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return Z @ gamma
 
 
-def _check(Z: np.ndarray, gamma: np.ndarray) -> None:
-    if np.asarray(Z).shape[0] < 2:
-        raise EstimationError("insufficient sample")
-    g = np.asarray(gamma, dtype=float)
-    if not np.any(g != 0.0):
-        raise EstimationError("degenerate index")
-
-
 def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Rank transform: value_i = #{j : (Z_j - Z_i)'gamma <= 0} / n.
 
@@ -36,15 +28,10 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     maximum index always maps to 1.  Ties share the highest applicable rank.
     Computed by one sort instead of the O(n^2) double loop.
     """
-    _check(Z, gamma)
+    if np.asarray(Z).shape[0] < 2:
+        raise EstimationError("insufficient sample")
+    if not np.any(np.asarray(gamma, dtype=float) != 0.0):
+        raise EstimationError("degenerate index")
     idx = index_values(Z, gamma)
     order = np.sort(idx)
     return np.searchsorted(order, idx, side="right") / idx.shape[0]
-
-
-def eta_hat_at(Z: np.ndarray, gamma: np.ndarray, z: np.ndarray) -> float:
-    """Rank of an arbitrary query point z: #{j : Z_j'gamma <= z'gamma} / n."""
-    _check(Z, gamma)
-    idx = index_values(Z, gamma)
-    q = float(np.asarray(z, dtype=float) @ np.asarray(gamma, dtype=float))
-    return float(np.count_nonzero(idx <= q)) / idx.shape[0]

@@ -80,19 +80,14 @@ class TestDecompose:
         assert rep.intercept_difference == pytest.approx(0.5, abs=0.15)
 
     def test_component_b_shared_beta_matches_ols_route(self):
-        # with the intercept estimator swapped through the hook, B is
-        # identical because it depends only on the shared slopes
-        from snnselect.baselines import ols_selected
-
+        # h90 uses the same Robinson slopes as snn, so with the intercept
+        # method swapped B is identical: it depends only on those slopes
         d0 = group_sample(4000, 1.0, seed=67)
         d1 = group_sample(4000, 1.3, seed=68, x_shift=0.1)
         snn_cfg = DecompositionConfig(nuisance="probit")
-        ols_cfg = DecompositionConfig(
-            nuisance="probit",
-            intercept_fn=lambda data, beta, gamma: ols_selected(data).theta,
-        )
+        h90_cfg = DecompositionConfig(nuisance="probit", intercept_method="h90")
         a = decompose(d0, d1, snn_cfg)
-        b = decompose(d0, d1, ols_cfg)
+        b = decompose(d0, d1, h90_cfg)
         assert b.component_B == a.component_B  # bitwise: same betas, same endowments
         assert abs(a.component_A - b.component_A) <= 0.2
 

@@ -134,6 +134,8 @@ class TestLoadCsv:
 
 _GROUP_SCHEMA = CsvSchema("y", "d", ("x1",), ("z1", "z2"), group_column="g")
 _HEAD = "d,y,x1,z1,z2\n"
+# every required cell present, the group cell missing
+_SHORT_GROUP_ROW = "d,y,x1,z1,z2,g\n1,1,1,1,1,m\n1,2,2,2,2\n0,0,3,3,3,f\n"
 # (file text, schema, whether the row walk has to read it)
 _PARSE_CASES = [
     pytest.param(_HEAD + "1,2,3,4,5\n\n0,0,1,2,3\n", SCHEMA, False, id="blank-line"),
@@ -160,6 +162,7 @@ _PARSE_CASES = [
     pytest.param(_HEAD + "\n\n", SCHEMA, True, id="blank-body"),
     pytest.param("d,y,x1,z1,z2,g\n1,1,1,1,1, m\n1,2,2,2,2,f\n0,0,3,3,3, m\n1,4,4,4,4,f\n", _GROUP_SCHEMA,
                  False, id="two-groups"),
+    pytest.param(_SHORT_GROUP_ROW, _GROUP_SCHEMA, True, id="short-group-row"),
 ]
 
 
@@ -192,17 +195,18 @@ class TestParsePaths:
         monkeypatch.setattr(io_csv, "_parse_columns", no_c_parse)
         assert _load_outcome(p, schema) == outcome
 
-    @pytest.mark.parametrize("text, message", [
-        (_HEAD + "1,2,3,4,5\n   \n0,0,1,2,3\n", "unparseable selection value at row 2"),
-        (_HEAD + "1,2,3,4,5\n#5,0,1,2,3\n0,0,1,2,3\n", "unparseable selection value at row 2"),
-        (_HEAD + "1,2,3,4,5\n\n2,0,1,2,3\n", "non-binary selection value at row 2"),
-        (_HEAD + "\n\n", "empty file"),
-    ], ids=["whitespace-line", "hash-cell", "non-binary-after-blank", "blank-body"])
-    def test_row_numbered_messages(self, tmp_path, text, message):
+    @pytest.mark.parametrize("text, schema, message", [
+        (_HEAD + "1,2,3,4,5\n   \n0,0,1,2,3\n", SCHEMA, "unparseable selection value at row 2"),
+        (_HEAD + "1,2,3,4,5\n#5,0,1,2,3\n0,0,1,2,3\n", SCHEMA, "unparseable selection value at row 2"),
+        (_HEAD + "1,2,3,4,5\n\n2,0,1,2,3\n", SCHEMA, "non-binary selection value at row 2"),
+        (_HEAD + "\n\n", SCHEMA, "empty file"),
+        (_SHORT_GROUP_ROW, _GROUP_SCHEMA, "missing group value at row 2"),
+    ], ids=["whitespace-line", "hash-cell", "non-binary-after-blank", "blank-body", "short-group-row"])
+    def test_row_numbered_messages(self, tmp_path, text, schema, message):
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode("utf-8"))
         with pytest.raises(DataError) as exc:
-            load_csv(p, SCHEMA)
+            load_csv(p, schema)
         assert str(exc.value) == message
 
     def test_saved_file_never_walks_rows(self, tmp_path, monkeypatch):
@@ -380,6 +384,11 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert len(payload["rmse"]) == 3
+
+    def test_rate_check_repeated_sizes_exit_1(self, capsys):
+        argv = ["rate-check", "--ns", "200,200,200", "--estimator", "ols", "--reps", "3"]
+        assert cli_main(argv) == 1
+        assert "3 distinct sample sizes" in capsys.readouterr().err
 
     def test_kernel_check(self, capsys):
         rc = cli_main(["kernel-check", "--kernel-order", "2", "--format", "json"])

@@ -1,8 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from snnselect import montecarlo, nuisance
+from snnselect import baselines, montecarlo, nuisance
 from snnselect.dgp import DgpSpec
 from snnselect.exceptions import EstimationError
 from snnselect.montecarlo import (
@@ -15,14 +16,20 @@ from snnselect.montecarlo import (
 )
 
 
-def _constant_estimator(draw):
-    return draw.theta0
+OLS = EstimatorConfig(method="ols")
 
 
-def _failing_estimator(draw):
-    if draw.dataset.d.sum() % 2 == 0:
-        raise EstimationError("empty tail")
-    return draw.theta0 + 0.1
+def _stub_ols(monkeypatch, theta_of):
+    """Make the registered ols method estimate theta_of(data).
+
+    The registry reaches ols_selected through its module at call time, so
+    this holds for runs in this process (workers=1).
+    """
+    monkeypatch.setattr(baselines, "ols_selected", lambda data: SimpleNamespace(theta=theta_of(data)))
+
+
+def _fails(data):
+    raise EstimationError("empty tail")
 
 
 class TestSeedDerivation:
@@ -44,9 +51,10 @@ class TestSeedDerivation:
 
 
 class TestRunCell:
-    def test_constant_estimator_zero_stats(self):
+    def test_constant_estimator_zero_stats(self, monkeypatch):
         spec = DgpSpec("dgp1", 50, seed=0)
-        stats = run_cell(spec, _constant_estimator, reps=20, base_seed=7)
+        _stub_ols(monkeypatch, lambda data: spec.theta0)
+        stats = run_cell(spec, OLS, reps=20, base_seed=7)
         assert stats.sq_bias == 0.0
         assert stats.sd == 0.0
         assert stats.rmse_scaled == 0.0
@@ -60,15 +68,21 @@ class TestRunCell:
             math.sqrt(100) * math.sqrt(stats.sq_bias + stats.sd**2), abs=1e-9
         )
 
-    def test_failure_accounting(self):
+    def test_failure_accounting(self, monkeypatch):
+        def odd_selected_only(data):
+            if data.d.sum() % 2 == 0:
+                raise EstimationError("empty tail")
+            return 1.1
+
         spec = DgpSpec("dgp1", 40)
-        stats = run_cell(spec, _failing_estimator, reps=30, base_seed=3)
+        _stub_ols(monkeypatch, odd_selected_only)
+        stats = run_cell(spec, OLS, reps=30, base_seed=3)
         assert stats.reps_ok + stats.reps_failed == 30
         assert stats.reps_failed > 0
 
     def test_reps_validation(self):
         with pytest.raises(ValueError):
-            run_cell(DgpSpec("dgp1", 40), _constant_estimator, reps=1, base_seed=0)
+            run_cell(DgpSpec("dgp1", 40), OLS, reps=1, base_seed=0)
 
     def test_worker_count_does_not_change_results(self):
         spec = DgpSpec("dgp1", 60, rho=0.25, alpha=1.5)
@@ -271,32 +285,29 @@ class TestCellMajorEngine:
 
 
 class TestRateCheck:
-    def test_exact_loglinear_recovery(self):
-        def estimator(draw):
-            return draw.theta0 + 3.0 * draw.dataset.n ** (-0.4)
-
+    def test_exact_loglinear_recovery(self, monkeypatch):
         spec = DgpSpec("dgp1", 100)
-        result = rate_check([100, 200, 400, 800], spec, estimator, reps=3, base_seed=43)
+        _stub_ols(monkeypatch, lambda data: spec.theta0 + 3.0 * data.n ** (-0.4))
+        result = rate_check([100, 200, 400, 800], spec, OLS, reps=3, base_seed=43)
         assert result.slope == pytest.approx(-0.4, abs=1e-10)
 
     def test_sample_mean_parametric_rate(self):
-        def estimator(draw):
-            return float(draw.u.mean())  # estimates 0 at the parametric rate
-
-        spec = DgpSpec("dgp1", 100, rho=0.0, theta0=0.0)
-        result = rate_check([100, 400, 1600], spec, estimator, reps=2000, base_seed=47)
+        # at rho = 0 selection is ignorable, so OLS on the selected subsample
+        # is a parametric estimator of the intercept: RMSE ~ n^(-1/2)
+        spec = DgpSpec("dgp1", 100, rho=0.0)
+        result = rate_check([100, 400, 1600], spec, OLS, reps=1000, base_seed=47)
         assert result.slope == pytest.approx(-0.5, abs=0.05)
 
     def test_needs_three_sizes(self):
-        with pytest.raises(ValueError):
-            rate_check([100, 200], DgpSpec("dgp1", 100), _constant_estimator, reps=5)
+        # repeated sizes would leave the log-log fit rank-deficient
+        for ns in ([100, 200], [200, 200, 200], [100, 100, 200, 200]):
+            with pytest.raises(ValueError, match="3 distinct"):
+                rate_check(ns, DgpSpec("dgp1", 100), OLS, reps=5)
 
-    def test_total_failure_reported(self):
-        def always_fails(draw):
-            raise EstimationError("empty tail")
-
+    def test_total_failure_reported(self, monkeypatch):
+        _stub_ols(monkeypatch, _fails)
         with pytest.raises(EstimationError, match="n=100"):
-            rate_check([100, 200, 400], DgpSpec("dgp1", 100), always_fails, reps=3, base_seed=1)
+            rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=3, base_seed=1)
 
     def test_snn_uses_undersmoothing_schedule(self):
         config = EstimatorConfig(method="snn")
@@ -307,10 +318,8 @@ class TestRateCheck:
 
 
 class TestCellStatsInvariants:
-    def test_all_failed_cell(self):
-        def always_fails(draw):
-            raise EstimationError("x")
-
-        stats = run_cell(DgpSpec("dgp1", 30), always_fails, reps=5, base_seed=59)
+    def test_all_failed_cell(self, monkeypatch):
+        _stub_ols(monkeypatch, _fails)
+        stats = run_cell(DgpSpec("dgp1", 30), OLS, reps=5, base_seed=59)
         assert stats.reps_ok == 0 and stats.reps_failed == 5
         assert math.isnan(stats.rmse_scaled)

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import eta_hat_bruteforce
 from snnselect.exceptions import EstimationError
-from snnselect.ranks import eta_hat, eta_hat_at
+from snnselect.ranks import eta_hat
 
 
 def one_col(values):
@@ -70,25 +70,3 @@ class TestEtaHat:
         g = np.array([1.0])
         assert np.array_equal(eta_hat(Z, g), eta_hat(Z, c * g))
 
-
-class TestEtaHatAt:
-    def test_interior_query(self):
-        Z = one_col([1.0, 2.0, 3.0])
-        assert eta_hat_at(Z, np.array([1.0]), np.array([2.5])) == pytest.approx(2 / 3)
-
-    def test_below_all(self):
-        Z = one_col([1.0, 2.0, 3.0])
-        assert eta_hat_at(Z, np.array([1.0]), np.array([0.0])) == 0.0
-
-    def test_at_max(self):
-        Z = one_col([1.0, 2.0, 3.0])
-        assert eta_hat_at(Z, np.array([1.0]), np.array([3.0])) == 1.0
-
-    def test_monotone_in_query_index(self):
-        rng = np.random.default_rng(4)
-        Z = rng.normal(size=(30, 2))
-        g = np.array([1.0, 2.0])
-        qs = [np.array([a, b]) for a, b in rng.normal(size=(20, 2))]
-        qs.sort(key=lambda z: z @ g)
-        vals = [eta_hat_at(Z, g, z) for z in qs]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))

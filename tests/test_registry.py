@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import pytest
 
 import snnselect
@@ -50,3 +53,13 @@ class TestSeeding:
         b = seeding.generator(5 + 2**64).random(4)
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != seeding.generator(6).random(4).tobytes()
+
+
+class TestPublicNames:
+    def test_every_all_name_resolves(self):
+        # the benchmark's tracer getattr()s each of these names
+        modules = [importlib.import_module(f"snnselect.{m.name}")
+                   for m in pkgutil.iter_modules(snnselect.__path__)]
+        missing = [f"{module.__name__}.{name}" for module in modules
+                   for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert len(modules) >= 14 and not missing
