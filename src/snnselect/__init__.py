@@ -20,12 +20,11 @@ from .decompose import (
     decompose,
     decompose_with_se,
 )
-from .dgp import DgpSpec, LatentDraw, identification_ratio, simulate, true_beta, true_gamma, true_intercept
+from .dgp import DgpSpec, LatentDraw, identification_ratio, simulate, true_beta, true_gamma
 from .estimator import (
     BANDWIDTH_CLAMP,
     BandwidthRule,
     InterceptEstimate,
-    plug_in_bandwidth,
     residualized_outcome,
     snn_intercept,
     undersmoothing_bandwidth,

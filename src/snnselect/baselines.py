@@ -88,13 +88,16 @@ def ols_selected(data: Dataset) -> OlsFit:
 
 
 def probit_mle(d: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Probit MLE of d on Z (no added constant), Newton with analytic Hessian.
+    """Probit MLE of d on Z (no added constant; a 1-d Z is one column), Newton
+    with analytic Hessian.
 
     Raises "probit failed" on divergence (coefficient norm > 1e4), separation
     or a degenerate outcome.
     """
     d = np.asarray(d, dtype=float)
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim == 1:
+        Z = Z[:, None]
     if d.min() == d.max():
         raise EstimationError("probit failed")
 
@@ -150,7 +153,7 @@ def heckman_two_step(data: Dataset) -> TwoStepFit:
     )
 
 
-def _tail_estimate(W: np.ndarray, d: np.ndarray, weights: np.ndarray, h: float, method: str) -> InterceptEstimate:
+def _tail_estimate(W: np.ndarray, d: np.ndarray, weights: np.ndarray, h: float) -> InterceptEstimate:
     wd = d * weights
     total = float(wd.sum())
     if total <= 0.0:
@@ -165,7 +168,6 @@ def _tail_estimate(W: np.ndarray, d: np.ndarray, weights: np.ndarray, h: float, 
         std_error=math.sqrt(max(var, 0.0)),
         bandwidth=h,
         effective_n=int(np.count_nonzero(wd > 0.0)),
-        method=method,
     )
 
 
@@ -178,7 +180,7 @@ def h90_intercept(
     idx = index_values(data.Z, gamma)
     b_n = float(np.quantile(idx, rule.quantile))
     W = residualized_outcome(data, beta)
-    return _tail_estimate(W, data.d, (idx > b_n).astype(float), 1.0 - rule.quantile, "h90")
+    return _tail_estimate(W, data.d, (idx > b_n).astype(float), 1.0 - rule.quantile)
 
 
 def smooth_tail_weight(u, tau: float):
@@ -217,4 +219,4 @@ def as98_intercept(
     tau = float(np.quantile(idx[sel], rule.tau_quantile))
     W = residualized_outcome(data, beta)
     s = smooth_tail_weight(idx - b_n, tau)
-    return _tail_estimate(W, data.d, np.asarray(s), 1.0 - rule.quantile, "as98")
+    return _tail_estimate(W, data.d, np.asarray(s), 1.0 - rule.quantile)

@@ -57,6 +57,12 @@ def _parse_bandwidth(text: str) -> BandwidthRule:
     raise argparse.ArgumentTypeError(f"bad value {text!r}; use fixed:H or plugin[:SCALE]")
 
 
+def _replicates(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r}: need an integer B >= 2")
+    return int(text)
+
+
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -69,10 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="snnselect", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def add_output(sp, formats=("csv", "json"), seed=False):
+        """--out, --format over ``formats`` (none when empty) and, for the
+        commands that draw random numbers, --seed."""
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="csv")
 
     sp = sub.add_parser("simulate", help="draw one simulated sample to CSV")
     sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
@@ -80,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float, default=0.0)
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--theta0", type=float, default=1.0)
-    add_common(sp)
+    add_output(sp, formats=(), seed=True)
 
     sp = sub.add_parser("mc-table", help="Monte Carlo grid over (rho, alpha)")
     sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tail-quantile", type=float, default=0.95)
     sp.add_argument("--tau-quantile", type=float, default=0.5)
     sp.add_argument("--workers", type=int, default=1)
-    add_common(sp)
+    add_output(sp, ("csv", "json", "markdown"), seed=True)
 
     sp = sub.add_parser("rate-check", help="log-log RMSE slope under the rate-optimal schedule")
     sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--estimator", choices=METHODS, default="snn")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
     sp.add_argument("--workers", type=int, default=1)
-    add_common(sp)
+    add_output(sp, seed=True)
 
     def add_data_fit(sp, group: bool = False):
         """The CSV, its columns and the fit options of estimate and decompose."""
@@ -128,17 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("estimate", help="intercept estimate on a CSV dataset")
     add_data_fit(sp)
-    add_common(sp)
+    add_output(sp)
 
     sp = sub.add_parser("decompose", help="two-group decomposition with bootstrap SEs")
     add_data_fit(sp, group=True)
     sp.add_argument("--weighting", choices=("group0", "group1"), default="group0")
-    sp.add_argument("--bootstrap", type=int, default=200, metavar="B")
-    add_common(sp)
+    sp.add_argument("--bootstrap", type=_replicates, default=200, metavar="B")
+    add_output(sp, seed=True)
 
     sp = sub.add_parser("kernel-check", help="kernel moment diagnostics")
     sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
-    add_common(sp)
+    add_output(sp)
 
     sp = sub.add_parser("ident-check", help="identification-ratio profile over q")
     sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
@@ -146,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-min", type=float, default=0.01)
     sp.add_argument("--q-max", type=float, default=0.999)
     sp.add_argument("--points", type=int, default=50)
-    add_common(sp)
+    add_output(sp)
 
     return p
 
@@ -255,7 +265,7 @@ def _cmd_estimate(args) -> int:
         nuis = fit_nuisance(data, gamma_method=gamma_method)
         beta, gamma = nuis.beta, nuis.gamma
     config = EstimatorConfig(method=args.estimator, **fields)
-    payload = method.report(method.fit(data, beta, gamma, config))
+    payload = {**method.report(method.fit(data, beta, gamma, config)), "method": args.estimator}
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:

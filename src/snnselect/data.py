@@ -60,10 +60,6 @@ class Dataset:
     def l(self) -> int:
         return self.Z.shape[1]
 
-    @property
-    def n_selected(self) -> int:
-        return int(self.d.sum())
-
     def selected(self) -> np.ndarray:
         return self.d > 0.5
 

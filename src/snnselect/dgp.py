@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "DgpSpec",
     "LatentDraw",
     "simulate",
-    "true_intercept",
     "true_gamma",
     "true_beta",
     "identification_ratio",
@@ -35,17 +35,19 @@ class DgpSpec:
 
     dgp1: jointly normal covariates and selection error, the selection
     coefficient scaled so Var(index) = alpha.  dgp2: Cauchy covariates with
-    a Pareto(alpha) selection error; the index is the last covariate.
+    a Pareto(alpha) selection error; the index is the last covariate.  Both
+    draw l = 7 selection covariates, the first k = 4 of which enter the
+    outcome.
     """
 
     family: str
     n: int
     rho: float = 0.0
     alpha: float = 2.0
-    l: int = 7
-    k: int = 4
     theta0: float = 1.0
     seed: int = 0
+    l: ClassVar[int] = 7
+    k: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -56,8 +58,6 @@ class DgpSpec:
             raise ValueError("rho must lie in [-1, 1]")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if not 0 < self.k < self.l:
-            raise ValueError("need 0 < k < l")
 
     def with_seed(self, seed: int) -> "DgpSpec":
         return replace(self, seed=int(seed))
@@ -104,10 +104,6 @@ def true_gamma(spec: DgpSpec) -> np.ndarray:
 
 def true_beta(spec: DgpSpec) -> np.ndarray:
     return np.ones(spec.k)
-
-
-def true_intercept(spec: DgpSpec) -> float:
-    return spec.theta0
 
 
 def simulate(spec: DgpSpec) -> LatentDraw:

@@ -23,21 +23,20 @@ __all__ = [
     "InterceptEstimate",
     "residualized_outcome",
     "snn_intercept",
-    "plug_in_bandwidth",
     "undersmoothing_bandwidth",
     "BANDWIDTH_CLAMP",
 ]
 
 # Clamp band for the plug-in bandwidth.  The lower bound keeps the local
 # window populated; the upper bound is returned whenever either gate of
-# plug_in_bandwidth fails.  Under dgp2 that is the tail-ratio gate, in every
+# the plug-in rule fails.  Under dgp2 that is the tail-ratio gate, in every
 # sample, even where the rank-domain curvature is significant, so the cap is
 # not an unbounded optimal bandwidth and the capped fit stays biased as n
 # grows.  At the cap the kernel covers the whole rank range with a mild
 # taper, so the fit uses the full sample.
 BANDWIDTH_CLAMP = (0.05, 2.0)
 
-# Gate constants for the plug-in rule, see plug_in_bandwidth.
+# Gate constants for the plug-in rule, see _plug_in_from_ranks.
 _TAIL_RATIO_MAX = 1.2
 _CURVATURE_Z = 3.5
 _WIDEN_FACTOR = 1.5
@@ -73,7 +72,6 @@ class InterceptEstimate:
     std_error: float
     bandwidth: float
     effective_n: int
-    method: str
 
 
 def residualized_outcome(data: Dataset, beta: np.ndarray) -> np.ndarray:
@@ -162,7 +160,6 @@ def snn_intercept(
         std_error=se,
         bandwidth=h,
         effective_n=int(np.count_nonzero(K > 0.0)),
-        method="snn",
     )
 
 
@@ -198,14 +195,16 @@ def _upper_tail_ratio(idx: np.ndarray) -> float:
     return float((q95 - q75) / shoulder)
 
 
-def plug_in_bandwidth(
-    data: Dataset,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    kernel: KernelSpec | None = None,
-    scale: float = 1.0,
+def _plug_in_from_ranks(
+    t: np.ndarray,
+    idx: np.ndarray,
+    W: np.ndarray,
+    kernel: KernelSpec,
+    scale: float,
 ) -> float:
-    """Estimated MSE-optimal bandwidth for the boundary locally linear fit.
+    """Estimated MSE-optimal bandwidth for the boundary locally linear fit,
+    from the centred ranks t = eta_hat - 1, the index values and W, which
+    snn_intercept computes once and shares.
 
     The rule evaluates
 
@@ -223,22 +222,6 @@ def plug_in_bandwidth(
     sample while the pilot curvature is usually significant, so the clamp
     there is not an unbounded optimal bandwidth, and the clamped fit is
     biased.  The returned value is scale * h* clamped to BANDWIDTH_CLAMP.
-    """
-    kernel = kernel or epanechnikov(2)
-    t = eta_hat(data.Z, gamma) - 1.0
-    W = residualized_outcome(data, beta)
-    return _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, scale)
-
-
-def _plug_in_from_ranks(
-    t: np.ndarray,
-    idx: np.ndarray,
-    W: np.ndarray,
-    kernel: KernelSpec,
-    scale: float,
-) -> float:
-    """plug_in_bandwidth from the centred ranks t = eta_hat - 1, the index
-    values and W, which snn_intercept computes once and shares.
 
     The tail-ratio gate needs only the index, so it is checked before the
     polynomial pilot: when it fails, the pilot could not change the result.

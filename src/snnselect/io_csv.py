@@ -55,13 +55,12 @@ class CsvSchema:
         return (self.selection_column, self.outcome_column) + self.x_columns + self.z_columns
 
 
-def default_schema(k: int, l: int, group: bool = False) -> CsvSchema:
+def default_schema(k: int, l: int) -> CsvSchema:
     return CsvSchema(
         outcome_column="y",
         selection_column="d",
         x_columns=tuple(f"x{i+1}" for i in range(k)),
         z_columns=tuple(f"z{i+1}" for i in range(l)),
-        group_column="group" if group else None,
     )
 
 

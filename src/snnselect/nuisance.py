@@ -37,8 +37,6 @@ _KS_TOL = 1e-8
 class NuisanceEstimates:
     beta: np.ndarray
     gamma: np.ndarray  # first component exactly 1
-    beta_method: str
-    gamma_method: str
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
@@ -52,8 +50,8 @@ class NuisanceEstimates:
 
 
 def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady") -> NuisanceEstimates:
-    """Selection coefficients then outcome slopes, bundled with provenance;
-    every nuisance fit in the package goes through here."""
+    """Selection coefficients then Robinson outcome slopes; every nuisance
+    fit in the package goes through here."""
     if gamma_method == "probit":
         gamma = probit_gamma(data)
     elif gamma_method == "klein_spady":
@@ -61,9 +59,7 @@ def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady") -> NuisanceEs
     else:
         raise ValueError(f"unknown gamma method {gamma_method!r}")
     beta = robinson_beta(data, gamma)
-    return NuisanceEstimates(
-        beta=beta, gamma=gamma, beta_method="robinson", gamma_method=gamma_method
-    )
+    return NuisanceEstimates(beta=beta, gamma=gamma)
 
 
 def silverman_bandwidth(index: np.ndarray, c: float = 1.06) -> float:

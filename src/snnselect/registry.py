@@ -51,16 +51,16 @@ def _tail_label(name: str):
     return lambda cfg: f"{name} (b_n at {cfg.tail.quantile:g} quantile)"
 
 
-_TAIL_FIELDS = _fields("theta", "std_error", "effective_n", "method")
+_TAIL_FIELDS = _fields("theta", "std_error", "effective_n")
 
 METHODS: dict[str, Method] = {
-    "snn": Method(_snn, True, _fields("theta", "std_error", "bandwidth", "effective_n", "method"),
+    "snn": Method(_snn, True, _fields("theta", "std_error", "bandwidth", "effective_n"),
                   _snn_label),
     "ols": Method(lambda data, *_: baselines.ols_selected(data), False,
-                  lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0]), "method": "ols"},
+                  lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
                   lambda cfg: "ols"),
     "heckman": Method(lambda data, *_: baselines.heckman_two_step(data), False,
-                      lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef, "method": "heckman"},
+                      lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
                       lambda cfg: "heckman"),
     "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90")),
     "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98")),

@@ -93,6 +93,14 @@ class TestProbit:
         with pytest.raises(EstimationError, match="probit failed"):
             probit_mle(d, z)
 
+    def test_one_dimensional_z_is_one_column(self):
+        rng = np.random.default_rng(28)
+        z = rng.normal(size=300)
+        d = (z >= rng.normal(size=300)).astype(float)
+        g = probit_mle(d, z)
+        assert g.shape == (1,)
+        assert g.tobytes() == probit_mle(d, z[:, None]).tobytes()
+
 
 class TestHeckmanTwoStep:
     def test_recovers_planted_lambda_structure(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snnselect.dgp import DgpSpec, identification_ratio, simulate, true_gamma, true_intercept
+from snnselect.dgp import DgpSpec, identification_ratio, simulate, true_gamma
 from snnselect.exceptions import EstimationError
 
 
@@ -15,7 +15,10 @@ class TestSpecValidation:
             DgpSpec("dgp1", 100, rho=1.5)
 
     def test_dims(self):
-        with pytest.raises(ValueError):
+        # l and k are constants of both designs, not settable fields
+        spec = DgpSpec("dgp1", 100)
+        assert (spec.l, spec.k) == (7, 4)
+        with pytest.raises(TypeError):
             DgpSpec("dgp1", 100, l=3, k=3)
 
     def test_rho_one_allowed_but_degenerate(self):
@@ -88,11 +91,12 @@ class TestSimulate:
 
 class TestTrueIntercept:
     def test_default(self):
-        assert true_intercept(DgpSpec("dgp1", 100)) == 1.0
+        spec = DgpSpec("dgp1", 100)
+        assert spec.theta0 == 1.0 and simulate(spec).theta0 == spec.theta0
 
     def test_zero_and_negative(self):
-        assert true_intercept(DgpSpec("dgp1", 100, theta0=0.0)) == 0.0
-        assert true_intercept(DgpSpec("dgp2", 100, theta0=-2.5)) == -2.5
+        for spec in (DgpSpec("dgp1", 100, theta0=0.0), DgpSpec("dgp2", 100, theta0=-2.5)):
+            assert simulate(spec).theta0 == spec.theta0
 
     def test_true_gamma_shapes(self):
         g1 = true_gamma(DgpSpec("dgp1", 100, alpha=2.0))

@@ -10,7 +10,6 @@ from snnselect.dgp import DgpSpec, simulate
 from snnselect.estimator import (
     BANDWIDTH_CLAMP,
     BandwidthRule,
-    plug_in_bandwidth,
     residualized_outcome,
     snn_intercept,
     undersmoothing_bandwidth,
@@ -21,6 +20,11 @@ from snnselect.exceptions import EstimationError
 def make_data(d, y, X, Z):
     return Dataset(d=np.asarray(d, float), y=np.asarray(y, float),
                    X=np.asarray(X, float), Z=np.asarray(Z, float))
+
+
+def plug_in_h(data, beta, gamma, scale=1.0):
+    """The plug-in bandwidth, as snn_intercept reports it."""
+    return snn_intercept(data, beta, gamma, rule=BandwidthRule.plug_in(scale)).bandwidth
 
 
 def uniform_index_data(n, w_fn, noise, seed=0, d=None):
@@ -191,7 +195,7 @@ class TestPlugInBandwidth:
     def test_flat_curvature_hits_upper_clamp(self):
         # exogenous-selection surrogate: pure-noise W, bounded uniform index
         data = uniform_index_data(500, lambda q: np.zeros_like(q), 1.0, seed=15)
-        h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+        h = plug_in_h(data, np.zeros(1), np.array([1.0]))
         assert h == BANDWIDTH_CLAMP[1]
 
     def test_heavy_tail_index_hits_upper_clamp(self):
@@ -203,14 +207,14 @@ class TestPlugInBandwidth:
         ranks = np.searchsorted(np.sort(z), z, side="right") / n
         y = 4.0 * (ranks - 1.0) ** 2 + 0.2 * rng.standard_normal(n)
         data = make_data(np.ones(n), y, np.zeros((n, 1)), z[:, None])
-        h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+        h = plug_in_h(data, np.zeros(1), np.array([1.0]))
         assert h == BANDWIDTH_CLAMP[1]
 
     def test_matches_optimal_formula_on_known_quadratic(self):
         # m(q) = (q-1)^2, unit noise: true m''(1) = 2, sigma2 = 1
         n = 5000
         data = uniform_index_data(n, lambda q: (q - 1.0) ** 2, 1.0, seed=17)
-        h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+        h = plug_in_h(data, np.zeros(1), np.array([1.0]))
         oracle = mse_optimal_bandwidth(sigma2=1.0, m_p=2.0, n=n)
         assert oracle == pytest.approx(0.2371, abs=5e-4)
         assert abs(h - oracle) <= 0.35 * oracle
@@ -220,7 +224,7 @@ class TestPlugInBandwidth:
         hs = {}
         for n in (600, 9600):
             data = uniform_index_data(n, lambda q: 4.0 * (q - 1.0) ** 2, 0.3, seed=18)
-            hs[n] = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+            hs[n] = plug_in_h(data, np.zeros(1), np.array([1.0]))
         lo, hi = BANDWIDTH_CLAMP
         assert lo < hs[600] < hi and lo < hs[9600] < hi
         ratio = hs[9600] / hs[600]
@@ -229,7 +233,7 @@ class TestPlugInBandwidth:
     def test_plugin_scale_applies_before_clamp(self):
         data = uniform_index_data(500, lambda q: np.zeros_like(q), 1.0, seed=19)
         for scale in (2 / 3, 1.0, 3 / 2):
-            h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]), scale=scale)
+            h = plug_in_h(data, np.zeros(1), np.array([1.0]), scale=scale)
             assert h == BANDWIDTH_CLAMP[1]
 
     def test_failed_tail_gate_skips_pilot(self, monkeypatch):
@@ -238,10 +242,8 @@ class TestPlugInBandwidth:
 
         monkeypatch.setattr(estimator, "_polynomial_pilot", no_pilot)
         draw = simulate(DgpSpec("dgp2", 200, rho=0.5, alpha=1.5, seed=3))
-        h = plug_in_bandwidth(draw.dataset, draw.beta0, draw.gamma0)
+        h = plug_in_h(draw.dataset, draw.beta0, draw.gamma0)
         assert h == BANDWIDTH_CLAMP[1]
-        est = snn_intercept(draw.dataset, draw.beta0, draw.gamma0)
-        assert est.bandwidth == BANDWIDTH_CLAMP[1]
 
     def test_both_gates_pass_gives_formula_via_pilot(self, monkeypatch):
         pilots = []
@@ -253,20 +255,18 @@ class TestPlugInBandwidth:
 
         monkeypatch.setattr(estimator, "_polynomial_pilot", counted)
         data = uniform_index_data(5000, lambda q: (q - 1.0) ** 2, 1.0, seed=17)
-        h = plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+        h = plug_in_h(data, np.zeros(1), np.array([1.0]))
         lo, hi = BANDWIDTH_CLAMP
         assert lo < h < hi and len(pilots) == 1
         # the formula with the exact kernel constants (kappa_2 = 0.2, IntK2 = 0.6)
         coef, sigma2, _ = pilots[0]
         oracle = mse_optimal_bandwidth(sigma2=sigma2, m_p=2.0 * coef[2], n=data.n)
         assert h == pytest.approx(oracle, rel=1e-13, abs=0.0)
-        # snn_intercept shares its ranks with the same rule
-        assert snn_intercept(data, np.zeros(1), np.array([1.0])).bandwidth == h
 
     def test_small_sample_precondition(self):
         data = uniform_index_data(20, lambda q: q, 0.1, seed=20)
         with pytest.raises(EstimationError, match="insufficient sample"):
-            plug_in_bandwidth(data, np.zeros(1), np.array([1.0]))
+            plug_in_h(data, np.zeros(1), np.array([1.0]))
 
 
 class TestBandwidthRule:

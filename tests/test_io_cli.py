@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import save_csv_cellwise
 
 from snnselect import cli, io_csv
-from snnselect.cli import cli_main
+from snnselect.cli import build_parser, cli_main
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
 from snnselect.exceptions import DataError
@@ -28,6 +28,37 @@ _SIM_COLUMNS = [
     "--outcome-col", "y", "--selection-col", "d",
     "--x-cols", "x1,x2,x3,x4", "--z-cols", "z1,z2,z3,z4,z5,z6,z7",
 ]
+
+
+def grouped_sim_csv(path, n):
+    """A simulated dgp1 sample with an alternating 0/1 group column ``g``."""
+    save_dataset_csv(path, simulate(DgpSpec("dgp1", n, rho=0.5, seed=11)).dataset,
+                     default_schema(4, 7))
+    header, *rows = path.read_text().splitlines()
+    write(path, "\n".join([header + ",g"] + [f"{r},{i % 2}" for i, r in enumerate(rows)]) + "\n")
+    return path
+
+
+def format_choices():
+    """{subcommand: its --format choices, () without --format}, read from the parser."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return {
+        name: tuple(next((a.choices for a in sp._actions if a.dest == "format"), ()))
+        for name, sp in subparsers.choices.items()
+    }
+
+
+# Cheap arguments for every subcommand that has --format; "{csv}" is
+# replaced by grouped_sim_csv's file.
+_FORMAT_RUNS = {
+    "mc-table": ["--n", "50", "--reps", "4", "--rho", "0", "--alpha", "2", "--estimator", "ols"],
+    "rate-check": ["--ns", "50,100,200", "--reps", "4", "--estimator", "ols"],
+    "estimate": ["{csv}", *_SIM_COLUMNS, "--estimator", "ols"],
+    "decompose": ["{csv}", *_SIM_COLUMNS, "--group-col", "g", "--estimator", "ols",
+                  "--bootstrap", "4"],
+    "kernel-check": [],
+    "ident-check": ["--points", "5"],
+}
 
 
 class TestSchema:
@@ -455,13 +486,64 @@ class TestCli:
         monkeypatch.setattr(cli, "fit_nuisance", never)
         # the package's ``decompose`` attribute is the function, not the module
         monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "fit_nuisance", never)
-        p = tmp_path / "small.csv"
-        save_dataset_csv(p, simulate(DgpSpec("dgp1", 80, rho=0.5, seed=11)).dataset,
-                         default_schema(4, 7))
-        header, *rows = p.read_text().splitlines()
-        write(p, "\n".join([header + ",g"] + [f"{r},{i % 2}" for i, r in enumerate(rows)]) + "\n")
+        p = grouped_sim_csv(tmp_path / "small.csv", 80)
         argv = [str(p) if a == "{csv}" else a for a in command]
         assert cli_main(argv + ["--bandwidth", "auto"]) == 1
+
+    @pytest.mark.parametrize("boot", ["0", "1"])
+    def test_bootstrap_below_two_is_usage_error(self, tmp_path, monkeypatch, capsys, boot):
+        # rejected by the parser, before any CSV is read
+        def never(*args, **kwargs):
+            raise AssertionError("CSV read before --bootstrap was parsed")
+
+        monkeypatch.setattr(cli, "load_csv", never)
+        argv = ["decompose", str(tmp_path / "two.csv"), *_SIM_COLUMNS, "--group-col", "g",
+                "--bootstrap", boot]
+        assert cli_main(argv) == 1
+        assert "--bootstrap" in capsys.readouterr().err
+
+    def test_format_runs_cover_every_format_option(self):
+        choices = format_choices()
+        assert {name for name, fmts in choices.items() if fmts} == set(_FORMAT_RUNS)
+        assert choices["mc-table"] == ("csv", "json", "markdown")
+        assert all(choices[name] == ("csv", "json") for name in _FORMAT_RUNS if name != "mc-table")
+
+    @pytest.mark.parametrize("command", sorted(_FORMAT_RUNS))
+    def test_every_format_writes_its_own_bytes(self, tmp_path, command):
+        p = grouped_sim_csv(tmp_path / "sim.csv", 400)
+        args = [str(p) if a == "{csv}" else a for a in _FORMAT_RUNS[command]]
+        written = {}
+        for fmt in format_choices()[command]:
+            out = tmp_path / f"out.{fmt}"
+            assert cli_main([command, *args, "--format", fmt, "--out", str(out)]) == 0
+            written[fmt] = out.read_bytes()
+        assert len(set(written.values())) == len(written) >= 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["estimate", "{csv}", *_SIM_COLUMNS, "--seed", "1"], "--seed",
+                     id="estimate-seed"),
+        pytest.param(["kernel-check", "--seed", "1"], "--seed", id="kernel-check-seed"),
+        pytest.param(["ident-check", "--seed", "1"], "--seed", id="ident-check-seed"),
+        pytest.param(["simulate", "--n", "50", "--format", "csv", "--out", "{out}"], "--format",
+                     id="simulate-format-csv"),
+        pytest.param(["simulate", "--n", "50", "--format", "json", "--out", "{out}"], "--format",
+                     id="simulate-format-json"),
+        pytest.param(["rate-check", *_FORMAT_RUNS["rate-check"], "--format", "markdown"],
+                     "markdown", id="rate-check-markdown"),
+        pytest.param(["estimate", "{csv}", *_SIM_COLUMNS, "--format", "markdown"], "markdown",
+                     id="estimate-markdown"),
+        pytest.param(["decompose", "{csv}", *_SIM_COLUMNS, "--group-col", "g",
+                      "--format", "markdown"], "markdown", id="decompose-markdown"),
+        pytest.param(["kernel-check", "--format", "markdown"], "markdown",
+                     id="kernel-check-markdown"),
+        pytest.param(["ident-check", "--format", "markdown"], "markdown",
+                     id="ident-check-markdown"),
+    ])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        # the file is never read: the parser rejects the flag first
+        subs = {"{csv}": str(tmp_path / "absent.csv"), "{out}": str(tmp_path / "sim.csv")}
+        assert cli_main([subs.get(a, a) for a in argv]) == 1
+        assert flag in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         rc = cli_main([

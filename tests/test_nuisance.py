@@ -186,16 +186,17 @@ class TestNuisanceBundle:
         est = fit_nuisance(data, gamma_method="probit")
         assert isinstance(est, NuisanceEstimates)
         assert est.gamma[0] == 1.0
-        assert est.gamma_method == "probit" and est.beta_method == "robinson"
+        assert est.gamma.tobytes() == probit_gamma(data).tobytes()
+        assert est.beta.tobytes() == robinson_beta(data, est.gamma).tobytes()
         assert est.beta.shape == (2,)
 
     def test_normalization_enforced(self):
         from snnselect.nuisance import NuisanceEstimates
 
         with pytest.raises(ValueError):
-            NuisanceEstimates(np.zeros(2), np.array([0.5, 1.0]), "a", "b")
+            NuisanceEstimates(np.zeros(2), np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            NuisanceEstimates(np.array([np.nan]), np.array([1.0]), "a", "b")
+            NuisanceEstimates(np.array([np.nan]), np.array([1.0]))
 
 
 class TestSilverman:
