@@ -33,7 +33,6 @@ from .exceptions import DataError, EstimationError, SnnSelectError
 from .io_csv import CsvSchema, default_schema, load_csv, save_dataset_csv
 from .montecarlo import (
     CellStats,
-    EstimatorConfig,
     MonteCarloReport,
     RateCheckResult,
     TablePlan,
@@ -61,6 +60,7 @@ from .nuisance import (
     silverman_bandwidth,
 )
 from .ranks import eta_hat, index_values
+from .registry import EstimatorConfig
 from .seeding import derive_seed
 
 __version__ = "0.1.0"

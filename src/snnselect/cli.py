@@ -17,17 +17,10 @@ from .dgp import DgpSpec, identification_ratio, simulate
 from .estimator import BandwidthRule
 from .exceptions import DataError, EstimationError
 from .io_csv import CsvSchema, default_schema, load_csv, save_dataset_csv
-from .montecarlo import (
-    DEFAULT_ALPHAS,
-    DEFAULT_RHOS,
-    EstimatorConfig,
-    TablePlan,
-    rate_check,
-    run_table,
-)
+from .montecarlo import DEFAULT_ALPHAS, DEFAULT_RHOS, TablePlan, rate_check, run_table
 from .numerics import epanechnikov, kernel_l2, kernel_moment
-from .nuisance import fit_nuisance
-from .registry import METHODS
+from .nuisance import GAMMA_METHODS
+from .registry import METHODS, EstimatorConfig, fit
 
 __all__ = ["cli_main", "main", "build_parser"]
 
@@ -134,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
         sp.add_argument("--tail-quantile", type=float, default=0.95)
         sp.add_argument("--tau-quantile", type=float, default=0.5)
-        sp.add_argument("--nuisance", choices=("klein-spady", "probit"), default="klein-spady")
+        sp.add_argument("--nuisance", choices=[m.replace("_", "-") for m in GAMMA_METHODS],
+                        default="klein-spady")
 
     sp = sub.add_parser("estimate", help="intercept estimate on a CSV dataset")
     add_data_fit(sp)
@@ -178,15 +172,15 @@ def _schema_from_args(args) -> CsvSchema:
     )
 
 
-def _fit_fields(args) -> dict:
-    """The shared fit options of estimate and decompose as config fields;
-    ``nuisance`` is the gamma method's name in ``fit_nuisance``."""
-    return {
-        "kernel_order": args.kernel_order,
-        "bandwidth": args.bandwidth,
-        "tail": TailRule(args.tail_quantile, args.tau_quantile),
-        "nuisance": args.nuisance.replace("-", "_"),
-    }
+def _fit_config(args) -> EstimatorConfig:
+    """The fit options of estimate and decompose."""
+    return EstimatorConfig(
+        method=args.estimator,
+        kernel_order=args.kernel_order,
+        bandwidth=args.bandwidth,
+        tail=TailRule(args.tail_quantile, args.tau_quantile),
+        nuisance=args.nuisance.replace("-", "_"),
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -257,15 +251,8 @@ def _cmd_rate_check(args) -> int:
 
 def _cmd_estimate(args) -> int:
     data = load_csv(args.data, _schema_from_args(args))
-    fields = _fit_fields(args)
-    gamma_method = fields.pop("nuisance")
-    method = METHODS[args.estimator]
-    beta = gamma = None
-    if method.needs_nuisance:
-        nuis = fit_nuisance(data, gamma_method=gamma_method)
-        beta, gamma = nuis.beta, nuis.gamma
-    config = EstimatorConfig(method=args.estimator, **fields)
-    payload = {**method.report(method.fit(data, beta, gamma, config)), "method": args.estimator}
+    result, _ = fit(data, _fit_config(args))
+    payload = {**METHODS[args.estimator].report(result), "method": args.estimator}
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -275,8 +262,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     data0, data1 = load_csv(args.data, _schema_from_args(args))
-    config = DecompositionConfig(intercept_method=args.estimator, weighting=args.weighting,
-                                 **_fit_fields(args))
+    config = DecompositionConfig(_fit_config(args), args.weighting)
     report = decompose_with_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed)
     if args.format == "json":
         payload = dict(report.quantities())

@@ -7,17 +7,14 @@ the difference in intercepts is the discrimination measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .baselines import TailRule
 from .data import Dataset
-from .estimator import BandwidthRule
 from .exceptions import EstimationError
-from .nuisance import fit_nuisance
-from .registry import METHODS
+from .registry import EstimatorConfig, fit
 from .seeding import derive_seed, generator
 
 __all__ = [
@@ -33,26 +30,18 @@ __all__ = [
 class DecompositionConfig:
     """Pipeline settings for one decomposition run.
 
-    ``intercept_method`` names a method of ``registry.METHODS``.  A method
-    that needs the nuisance gets one fit per group, whose slopes also enter
-    B; OLS and the two-step carry their own slope estimates and fit no
-    nuisance.
+    ``estimator`` is the intercept fit run on each group.  A method that
+    needs the nuisance gets one fit per group (so ``estimator.nuisance``
+    must name a gamma method), whose slopes also enter B; OLS and the
+    two-step carry their own slope estimates and fit no nuisance.
     """
 
-    intercept_method: str = "snn"
-    kernel_order: int = 2
-    bandwidth: BandwidthRule = field(default_factory=BandwidthRule.plug_in)
-    tail: TailRule = field(default_factory=TailRule)
+    estimator: EstimatorConfig = EstimatorConfig(nuisance="klein_spady")
     weighting: str = "group0"
-    nuisance: str = "klein_spady"
 
     def __post_init__(self) -> None:
         if self.weighting not in ("group0", "group1"):
             raise ValueError("weighting must be 'group0' or 'group1'")
-        if self.nuisance not in ("klein_spady", "probit"):
-            raise ValueError("nuisance must be 'klein_spady' or 'probit'")
-        if self.intercept_method not in METHODS:
-            raise ValueError(f"unknown intercept method {self.intercept_method!r}")
 
 
 @dataclass(frozen=True)
@@ -121,15 +110,8 @@ class DecompositionReport:
 
 
 def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
-    method = METHODS[config.intercept_method]
     try:
-        if method.needs_nuisance:
-            nuis = fit_nuisance(data, config.nuisance)
-            beta = nuis.beta
-            theta = method.fit(data, beta, nuis.gamma, config).theta
-        else:
-            fit = method.fit(data, None, None, config)
-            theta, beta = fit.theta, fit.beta
+        result, beta = fit(data, config.estimator)
     except EstimationError as exc:
         raise EstimationError(f"{tag}: {exc}") from exc
     sel = data.selected()
@@ -137,7 +119,7 @@ def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
         raise EstimationError(f"{tag}: insufficient selected observations")
     ybar = float(data.y[sel].mean())
     xbar = data.X[sel].mean(axis=0)
-    return theta, np.asarray(beta, dtype=float), ybar, xbar
+    return result.theta, np.asarray(beta, dtype=float), ybar, xbar
 
 
 def decompose(data0: Dataset, data1: Dataset, config: DecompositionConfig | None = None) -> DecompositionReport:

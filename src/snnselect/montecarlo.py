@@ -6,8 +6,8 @@ scheduled across workers.  The cell label deliberately excludes the
 estimator: every estimator in a table panel sees the same draws, which makes
 cross-estimator comparisons common-random-number comparisons.
 
-Estimators are ``EstimatorConfig`` records naming a method of
-``registry.METHODS``; ``run_cell``, ``run_table`` and ``rate_check`` take
+Estimators are ``registry.EstimatorConfig`` records, each run through
+``registry.fit``; ``run_cell``, ``run_table`` and ``rate_check`` take
 nothing else.  The engine is cell-major: each draw is simulated once and
 every estimator runs on it, and the reps of all cells go to the worker pool
 as contiguous chunks in one dispatch.
@@ -17,21 +17,18 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import TailRule
 from .dgp import DgpSpec, simulate
 from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
-from .nuisance import fit_nuisance
-from .registry import METHODS
+from .registry import EstimatorConfig, fit
 from .seeding import derive_seed
 
 __all__ = [
-    "EstimatorConfig",
     "CellStats",
     "MonteCarloReport",
     "RateCheckResult",
@@ -45,31 +42,6 @@ __all__ = [
 
 DEFAULT_RHOS = (0.0, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_ALPHAS = (2.00, 1.50, 1.25, 1.00)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """How to turn a simulated draw into one intercept estimate.
-
-    ``use_true_nuisance`` pins beta and gamma to their generating values (the
-    simulation design of record); switching it off runs the semiparametric
-    nuisance chain first.  OLS and the two-step estimate their own slopes and
-    never use the nuisance either way.
-    """
-
-    method: str = "snn"
-    kernel_order: int = 2
-    bandwidth: BandwidthRule = field(default_factory=BandwidthRule.plug_in)
-    tail: TailRule = field(default_factory=TailRule)
-    use_true_nuisance: bool = True
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown estimator {self.method!r}; valid: {tuple(METHODS)}")
-
-    @property
-    def label(self) -> str:
-        return METHODS[self.method].label(self)
 
 
 @dataclass(frozen=True)
@@ -161,29 +133,18 @@ def _run_chunk(task):
     """Simulate reps [start, stop) of one cell, each once, and run every
     estimator on each draw.  Returns one (rep, value, ok) list per estimator.
 
-    The Klein-Spady + Robinson nuisance is fitted once per draw if any config
-    uses it; when that fit fails, every such config counts the rep as failed.
+    The configs of a draw share one nuisance fit per gamma method; when that
+    fit fails, every config that uses it counts the rep as failed.
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
-    fits = [not e.use_true_nuisance and METHODS[e.method].needs_nuisance for e in estimators]
     out = [[] for _ in estimators]
     for rep in range(start, stop):
         draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
-        if any(fits):
+        fitted = {None: (draw.beta0, draw.gamma0)}
+        for results, est in zip(out, estimators):
             try:
-                fitted = fit_nuisance(draw.dataset)
-            except EstimationError as exc:
-                fitted = exc
-        for results, est, fit in zip(out, estimators, fits):
-            try:
-                if not fit:
-                    value = METHODS[est.method].fit(draw.dataset, draw.beta0, draw.gamma0, est).theta
-                elif isinstance(fitted, EstimationError):
-                    raise fitted
-                else:
-                    value = METHODS[est.method].fit(draw.dataset, fitted.beta, fitted.gamma, est).theta
-                results.append((rep, float(value), True))
+                results.append((rep, float(fit(draw.dataset, est, fitted)[0].theta), True))
             except EstimationError:
                 results.append((rep, math.nan, False))
     return out

@@ -19,6 +19,7 @@ from .exceptions import EstimationError
 from .ranks import index_values
 
 __all__ = [
+    "GAMMA_METHODS",
     "NuisanceEstimates",
     "fit_nuisance",
     "probit_gamma",
@@ -27,6 +28,9 @@ __all__ = [
     "robinson_beta",
     "silverman_bandwidth",
 ]
+
+# The selection-coefficient fits that fit_nuisance offers, by name.
+GAMMA_METHODS = ("klein_spady", "probit")
 
 _PROB_CLIP = 1e-4
 _KS_MAXITER = 2000
@@ -52,12 +56,9 @@ class NuisanceEstimates:
 def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady") -> NuisanceEstimates:
     """Selection coefficients then Robinson outcome slopes; every nuisance
     fit in the package goes through here."""
-    if gamma_method == "probit":
-        gamma = probit_gamma(data)
-    elif gamma_method == "klein_spady":
-        gamma = klein_spady_gamma(data)
-    else:
-        raise ValueError(f"unknown gamma method {gamma_method!r}")
+    if gamma_method not in GAMMA_METHODS:
+        raise ValueError(f"unknown gamma method {gamma_method!r}; valid: {GAMMA_METHODS}")
+    gamma = probit_gamma(data) if gamma_method == "probit" else klein_spady_gamma(data)
     beta = robinson_beta(data, gamma)
     return NuisanceEstimates(beta=beta, gamma=gamma)
 

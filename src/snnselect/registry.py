@@ -1,22 +1,27 @@
-"""The intercept estimators by name: the one list of valid method names and
-the one table that the Monte Carlo engine, the decomposition and the CLI
-dispatch through.
+"""The intercept estimators by name, how one fit of them is specified, and
+the one function that runs it.
 
-``fit(data, beta, gamma, cfg)`` returns a result with a ``.theta``; ``cfg``
-is any record with ``kernel_order``, ``bandwidth`` and ``tail`` fields.
-Methods whose ``needs_nuisance`` is False (OLS and the two-step) estimate
-their own slopes and ignore ``beta`` and ``gamma``.  The adapters reach the
-estimators through their modules, so that rebinding a module attribute (as
-a profiler does) reaches every call.
+``METHODS`` is the one list of valid method names; ``EstimatorConfig`` the
+one settings record; ``fit`` the one path from data to an estimate, which
+the Monte Carlo engine, the decomposition and the CLI all call.  A method's
+``fit(data, beta, gamma, cfg)`` returns a result with a ``.theta``.  Methods
+whose ``needs_nuisance`` is False (OLS and the two-step) estimate their own
+slopes and ignore ``beta`` and ``gamma``.  The adapters reach the estimators
+and the nuisance fit through their modules, so that rebinding a module
+attribute (as a profiler does) reaches every call.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from . import baselines, estimator
+from . import baselines, estimator, nuisance
+from .baselines import TailRule
+from .estimator import BandwidthRule
+from .exceptions import EstimationError
 from .numerics import epanechnikov
 
-__all__ = ["Method", "METHODS"]
+__all__ = ["Method", "METHODS", "EstimatorConfig", "fit"]
 
 
 class Method(NamedTuple):
@@ -65,3 +70,60 @@ METHODS: dict[str, Method] = {
     "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90")),
     "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98")),
 }
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """How one intercept fit is specified.
+
+    ``nuisance`` is where a method that needs beta and gamma gets them:
+    ``None`` pins them to the generating values a simulated draw carries
+    (the simulation design of record); a name of ``nuisance.GAMMA_METHODS``
+    fits them first.  OLS and the two-step estimate their own slopes and
+    never use the nuisance either way.
+    """
+
+    method: str = "snn"
+    kernel_order: int = 2
+    bandwidth: BandwidthRule = field(default_factory=BandwidthRule.plug_in)
+    tail: TailRule = field(default_factory=TailRule)
+    nuisance: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown estimator {self.method!r}; valid: {tuple(METHODS)}")
+        if self.nuisance is not None and self.nuisance not in nuisance.GAMMA_METHODS:
+            raise ValueError(f"unknown nuisance {self.nuisance!r}; valid: {nuisance.GAMMA_METHODS}")
+
+    @property
+    def label(self) -> str:
+        return METHODS[self.method].label(self)
+
+
+def fit(data, config: EstimatorConfig, fitted: dict | None = None):
+    """Run one intercept fit; returns (the method's result, the slopes it used).
+
+    A method that needs the nuisance takes (beta, gamma) from
+    ``fitted[config.nuisance]``.  A missing entry is fitted and stored there,
+    or the EstimationError its fit raised, so configs that share ``fitted``
+    share one nuisance fit per gamma method, and its failure.  The generating
+    values of ``nuisance=None`` exist only for simulated draws, whose caller
+    puts them in ``fitted[None]``; without them this raises ValueError.
+    """
+    method = METHODS[config.method]
+    if not method.needs_nuisance:
+        result = method.fit(data, None, None, config)
+        return result, result.beta
+    fitted = {} if fitted is None else fitted
+    if config.nuisance not in fitted:
+        if config.nuisance is None:
+            raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
+        try:
+            est = nuisance.fit_nuisance(data, config.nuisance)
+            fitted[config.nuisance] = (est.beta, est.gamma)
+        except EstimationError as exc:
+            fitted[config.nuisance] = exc
+    if isinstance(fitted[config.nuisance], EstimationError):
+        raise fitted[config.nuisance]
+    beta, gamma = fitted[config.nuisance]
+    return method.fit(data, beta, gamma, config), beta

@@ -355,7 +355,7 @@ class TestCriterion8:
             return Dataset(d=dd, y=yy, X=Xg, Z=Zg)
 
         d0, d1 = mk(600, 1.0, 11), mk(600, 1.4, 12)
-        cfg = DecompositionConfig(nuisance="probit")
+        cfg = DecompositionConfig(EstimatorConfig(nuisance="probit"))
         identity_viol = [0.0]
 
         def checked(a, b):

@@ -11,6 +11,7 @@ from snnselect.decompose import (
     decompose_with_se,
 )
 from snnselect.exceptions import EstimationError
+from snnselect.registry import EstimatorConfig
 
 
 def make_data(d, y, X, Z):
@@ -34,7 +35,8 @@ def group_sample(n, theta, seed, rho=0.0, beta=(1.0, -0.5), gamma=(1.0, 0.8, 0.4
     return make_data(d, y, X, Z)
 
 
-FAST = DecompositionConfig(nuisance="probit")
+PROBIT = EstimatorConfig(nuisance="probit")
+FAST = DecompositionConfig(PROBIT)
 # bootstrap SE of the intercept difference in TestBootstrap.test_se_pinned_bitwise
 PINNED_SE = "0.13415521822679896"
 
@@ -53,7 +55,7 @@ class TestDecompose:
         d0 = group_sample(700, 1.0, seed=61)
         d1 = group_sample(650, 1.4, seed=62, x_shift=0.3)
         for weighting in ("group0", "group1"):
-            cfg = DecompositionConfig(nuisance="probit", weighting=weighting)
+            cfg = DecompositionConfig(PROBIT, weighting=weighting)
             rep = decompose(d0, d1, cfg)
             assert rep.gap_overall == pytest.approx(
                 rep.component_A + rep.component_B + rep.component_C, abs=1e-12
@@ -65,8 +67,8 @@ class TestDecompose:
     def test_group_swap_symmetry(self):
         d0 = group_sample(700, 1.0, seed=63)
         d1 = group_sample(750, 1.5, seed=64, x_shift=0.2)
-        a = decompose(d0, d1, DecompositionConfig(nuisance="probit", weighting="group0"))
-        b = decompose(d1, d0, DecompositionConfig(nuisance="probit", weighting="group1"))
+        a = decompose(d0, d1, DecompositionConfig(PROBIT, weighting="group0"))
+        b = decompose(d1, d0, DecompositionConfig(PROBIT, weighting="group1"))
         assert b.gap_overall == pytest.approx(-a.gap_overall, abs=1e-12)
         assert b.intercept_difference == pytest.approx(-a.intercept_difference, abs=1e-12)
         assert b.component_A == pytest.approx(-a.component_A, abs=1e-10)
@@ -84,8 +86,8 @@ class TestDecompose:
         # method swapped B is identical: it depends only on those slopes
         d0 = group_sample(4000, 1.0, seed=67)
         d1 = group_sample(4000, 1.3, seed=68, x_shift=0.1)
-        snn_cfg = DecompositionConfig(nuisance="probit")
-        h90_cfg = DecompositionConfig(nuisance="probit", intercept_method="h90")
+        snn_cfg = DecompositionConfig(PROBIT)
+        h90_cfg = DecompositionConfig(EstimatorConfig("h90", nuisance="probit"))
         a = decompose(d0, d1, snn_cfg)
         b = decompose(d0, d1, h90_cfg)
         assert b.component_B == a.component_B  # bitwise: same betas, same endowments
@@ -177,8 +179,16 @@ class TestConfigValidation:
     def test_bad_nuisance(self):
         for name in ("oracle", "none"):
             with pytest.raises(ValueError):
-                DecompositionConfig(nuisance=name)
+                EstimatorConfig(nuisance=name)
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            DecompositionConfig(intercept_method="magic")
+            EstimatorConfig(method="magic")
+
+    def test_generating_nuisance_needs_a_simulated_draw(self):
+        # observed data carry no generating beta and gamma to pin
+        data = group_sample(300, 1.0, seed=81)
+        with pytest.raises(ValueError, match="generating"):
+            decompose(data, data, DecompositionConfig(EstimatorConfig(nuisance=None)))
+        ols = DecompositionConfig(EstimatorConfig("ols", nuisance=None))
+        assert decompose(data, data, ols).intercept_difference == 0.0

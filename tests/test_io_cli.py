@@ -1,4 +1,3 @@
-import importlib
 import json
 import tempfile
 from pathlib import Path
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import save_csv_cellwise
 
-from snnselect import cli, io_csv
+from snnselect import cli, io_csv, nuisance
 from snnselect.cli import build_parser, cli_main
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
@@ -483,9 +482,8 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("nuisance fitted before --bandwidth was parsed")
 
-        monkeypatch.setattr(cli, "fit_nuisance", never)
-        # the package's ``decompose`` attribute is the function, not the module
-        monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "fit_nuisance", never)
+        # every fit reaches the nuisance through its module
+        monkeypatch.setattr(nuisance, "fit_nuisance", never)
         p = grouped_sim_csv(tmp_path / "small.csv", 80)
         argv = [str(p) if a == "{csv}" else a for a in command]
         assert cli_main(argv + ["--bandwidth", "auto"]) == 1

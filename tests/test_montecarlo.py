@@ -4,7 +4,9 @@ from types import SimpleNamespace
 import pytest
 
 from snnselect import baselines, montecarlo, nuisance
+from snnselect.baselines import TailRule
 from snnselect.dgp import DgpSpec
+from snnselect.estimator import BandwidthRule
 from snnselect.exceptions import EstimationError
 from snnselect.montecarlo import (
     EstimatorConfig,
@@ -25,7 +27,8 @@ def _stub_ols(monkeypatch, theta_of):
     The registry reaches ols_selected through its module at call time, so
     this holds for runs in this process (workers=1).
     """
-    monkeypatch.setattr(baselines, "ols_selected", lambda data: SimpleNamespace(theta=theta_of(data)))
+    monkeypatch.setattr(baselines, "ols_selected",
+                        lambda data: SimpleNamespace(theta=theta_of(data), beta=None))
 
 
 def _fails(data):
@@ -127,8 +130,6 @@ class TestRunTable:
 
     def test_three_bandwidth_panels_full_grid(self):
         # the reference layout: one panel per bandwidth setting, 20 cells each
-        from snnselect.estimator import BandwidthRule
-
         configs = [
             EstimatorConfig(method="snn", bandwidth=BandwidthRule.plug_in(s))
             for s in (1.0, 2 / 3, 3 / 2)
@@ -247,7 +248,7 @@ class TestCellMajorEngine:
 
     def test_nuisance_fitted_once_per_draw(self, monkeypatch):
         configs = [
-            EstimatorConfig(method=m, use_true_nuisance=False) for m in ("snn", "h90")
+            EstimatorConfig(method=m, nuisance="klein_spady") for m in ("snn", "h90")
         ]
         plan = TablePlan("dgp1", 100, configs, rhos=(0.5,), alphas=(2.0,), reps=3)
         spec = DgpSpec("dgp1", 100, rho=0.5, alpha=2.0)
@@ -257,14 +258,34 @@ class TestCellMajorEngine:
         assert len(calls) == 3
         assert [report.panels[c.label][(0.5, 2.0)] for c in configs] == separate
 
+    def test_one_nuisance_fit_per_draw_and_gamma_method(self, monkeypatch):
+        # labels differ by bandwidth or tail quantile, so every panel is kept
+        configs = [
+            EstimatorConfig(method="snn", nuisance=None),
+            EstimatorConfig(method="snn", bandwidth=BandwidthRule.fixed(0.4), nuisance="klein_spady"),
+            EstimatorConfig(method="h90", nuisance="klein_spady"),
+            EstimatorConfig(method="as98", nuisance="probit"),
+            EstimatorConfig(method="h90", tail=TailRule(0.9), nuisance="probit"),
+            EstimatorConfig(method="ols", nuisance="probit"),
+        ]
+        plan = TablePlan("dgp1", 120, configs, rhos=(0.5,), alphas=(2.0,), reps=3)
+        spec = DgpSpec("dgp1", 120, rho=0.5, alpha=2.0)
+        separate = [run_cell(spec, c, reps=3, base_seed=79) for c in configs]
+        calls = self._counting(monkeypatch, nuisance, "fit_nuisance")
+        report = run_table(plan, base_seed=79, workers=1)
+        assert len(calls) == 2 * 3  # klein_spady and probit, once per draw each
+        assert len(report.panels) == len(configs)
+        assert [repr(report.panels[c.label][(0.5, 2.0)]) for c in configs] == [repr(s) for s in separate]
+        assert all(s.reps_ok == 3 for s in separate)
+
     def test_failed_nuisance_fit_fails_every_dependent_estimator(self, monkeypatch):
         def no_convergence(data, *args):
             raise EstimationError("no convergence")
 
         monkeypatch.setattr(nuisance, "klein_spady_gamma", no_convergence)
         configs = [
-            EstimatorConfig(method="snn", use_true_nuisance=False),
-            EstimatorConfig(method="h90", use_true_nuisance=False),
+            EstimatorConfig(method="snn", nuisance="klein_spady"),
+            EstimatorConfig(method="h90", nuisance="klein_spady"),
             EstimatorConfig(method="as98"),
         ]
         plan = TablePlan("dgp1", 60, configs, rhos=(0.5,), alphas=(2.0,), reps=4)
@@ -278,8 +299,8 @@ class TestCellMajorEngine:
     def test_slope_estimating_methods_fit_no_nuisance(self, method):
         # n=60 is below the Klein-Spady minimum, so a nuisance fit would fail
         spec = DgpSpec("dgp1", 60, rho=0.5)
-        fitted = run_cell(spec, EstimatorConfig(method, use_true_nuisance=False), reps=4, base_seed=1)
-        true = run_cell(spec, EstimatorConfig(method, use_true_nuisance=True), reps=4, base_seed=1)
+        fitted = run_cell(spec, EstimatorConfig(method, nuisance="klein_spady"), reps=4, base_seed=1)
+        true = run_cell(spec, EstimatorConfig(method, nuisance=None), reps=4, base_seed=1)
         assert true.reps_ok == 4
         assert repr(fitted) == repr(true)
 

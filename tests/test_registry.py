@@ -6,18 +6,17 @@ import pytest
 import snnselect
 from snnselect import montecarlo, seeding
 from snnselect.cli import build_parser
-from snnselect.decompose import DecompositionConfig
-from snnselect.montecarlo import EstimatorConfig
-from snnselect.registry import METHODS
+from snnselect.nuisance import GAMMA_METHODS
+from snnselect.registry import METHODS, EstimatorConfig
 
 
-def _estimator_choices(parser):
-    """The choices of every --estimator option, per subcommand."""
+def _choices(parser, dest):
+    """The choices of every option stored in ``dest``, per subcommand."""
     subparsers = next(a for a in parser._actions if a.dest == "command")
     out = {}
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
-            if action.dest == "estimator":
+            if action.dest == dest:
                 out[name] = list(action.choices)
     return out
 
@@ -30,17 +29,35 @@ class TestOneNameList:
     def test_configs_accept_exactly_the_registry_keys(self):
         for name in METHODS:
             assert EstimatorConfig(method=name).method == name
-            assert DecompositionConfig(intercept_method=name).intercept_method == name
         for name in ("magic", "SNN", "heckit", ""):
             with pytest.raises(ValueError):
                 EstimatorConfig(method=name)
-            with pytest.raises(ValueError):
-                DecompositionConfig(intercept_method=name)
 
     def test_every_estimator_option_offers_the_registry_keys(self):
-        choices = _estimator_choices(build_parser())
+        choices = _choices(build_parser(), "estimator")
         assert set(choices) == {"mc-table", "rate-check", "estimate", "decompose"}
         assert all(names == list(METHODS) for names in choices.values())
+
+
+class TestOneGammaMethodList:
+    def test_config_accepts_none_and_exactly_the_gamma_methods(self):
+        assert GAMMA_METHODS == ("klein_spady", "probit")
+        for name in (None, *GAMMA_METHODS):
+            assert EstimatorConfig(nuisance=name).nuisance == name
+        for name in ("klein-spady", "oracle", "none", ""):
+            with pytest.raises(ValueError, match="nuisance"):
+                EstimatorConfig(nuisance=name)
+
+    def test_every_nuisance_option_offers_the_gamma_methods(self):
+        choices = _choices(build_parser(), "nuisance")
+        assert set(choices) == {"estimate", "decompose"}
+        assert all(names == ["klein-spady", "probit"] for names in choices.values())
+
+    def test_fit_nuisance_rejects_other_names(self):
+        from snnselect.nuisance import fit_nuisance
+
+        with pytest.raises(ValueError, match="klein_spady"):
+            fit_nuisance(None, "oracle")
 
 
 class TestSeeding:
