@@ -57,11 +57,17 @@ def _replicates(text: str) -> int:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: need comma-separated numbers") from None
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: need comma-separated integers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +277,11 @@ def _cmd_decompose(args) -> int:
         payload["boot_failed"] = report.boot_failed
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        _emit(report.to_text(), args.out)
+        lines = ["quantity,estimate,bootstrap_se"] + [
+            f"{k},{float(v)!r},{report.bootstrap_se[k]!r}" for k, v in report.quantities().items()
+        ]
+        lines.append(f"# bootstrap: B={report.n_boot}, failed={report.boot_failed}")
+        _emit("\n".join(lines), args.out)
     return 0
 
 

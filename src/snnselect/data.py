@@ -5,7 +5,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DataError
+
 __all__ = ["Dataset"]
+
+# Error messages list at most this many rows, then "... and N more rows".
+_MAX_LISTED = 10
+
+
+def _capped(items: list) -> list:
+    if len(items) <= _MAX_LISTED:
+        return items
+    return items[:_MAX_LISTED] + [f"... and {len(items) - _MAX_LISTED} more rows"]
 
 
 def _columns(a) -> np.ndarray:
@@ -24,7 +35,9 @@ class Dataset:
     Z : (n, l) selection covariates
 
     A 1-d ``X`` or ``Z`` is taken as one column; any other shape without n
-    rows raises ValueError.  Nothing is transposed.
+    rows raises ValueError.  Nothing is transposed.  A NaN or infinite
+    value in ``y``, ``X`` or ``Z`` raises DataError naming the array and its
+    first bad rows (0-based), whatever ``d`` is.
     """
 
     d: np.ndarray = field(repr=False)
@@ -43,6 +56,14 @@ class Dataset:
             raise ValueError("inconsistent dataset dimensions")
         if not np.all((d == 0.0) | (d == 1.0)):
             raise ValueError("selection indicator must be 0/1")
+        messages = []
+        for name, a in (("y", y), ("X", X), ("Z", Z)):
+            if not np.isfinite(a).all():
+                rows = np.flatnonzero(~np.isfinite(a.reshape(n, -1)).all(axis=1))
+                listed = ", ".join(_capped([str(i) for i in rows]))
+                messages.append(f"non-finite value in {name} at row {listed}")
+        if messages:
+            raise DataError("; ".join(messages))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)

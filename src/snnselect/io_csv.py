@@ -20,13 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _capped
 from .exceptions import DataError
 
 __all__ = ["CsvSchema", "load_csv", "save_dataset_csv", "default_schema"]
 
-# Error messages list at most this many rows, then "... and N more rows".
-_MAX_LISTED = 10
 # Characters per read of the pre-parse scan; rows per formatted write block.
 _SCAN_CHARS = 1 << 20
 _WRITE_ROWS = 8192
@@ -156,12 +154,6 @@ def _walk_rows(path: Path, schema: CsvSchema):
     if bad:
         raise DataError("; ".join(_capped(bad)))
     return np.asarray(table), np.asarray(groups) if schema.group_column else None
-
-
-def _capped(items: list) -> list:
-    if len(items) <= _MAX_LISTED:
-        return items
-    return items[:_MAX_LISTED] + [f"... and {len(items) - _MAX_LISTED} more rows"]
 
 
 def _check_values(table: np.ndarray, schema: CsvSchema) -> None:

@@ -114,16 +114,17 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     if not method.needs_nuisance:
         result = method.fit(data, None, None, config)
         return result, result.beta
+    key = config.nuisance
     fitted = {} if fitted is None else fitted
-    if config.nuisance not in fitted:
-        if config.nuisance is None:
+    if key not in fitted:
+        if key is None:
             raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
         try:
-            est = nuisance.fit_nuisance(data, config.nuisance)
-            fitted[config.nuisance] = (est.beta, est.gamma)
+            est = nuisance.fit_nuisance(data, key)
+            fitted[key] = (est.beta, est.gamma)
         except EstimationError as exc:
-            fitted[config.nuisance] = exc
-    if isinstance(fitted[config.nuisance], EstimationError):
-        raise fitted[config.nuisance]
-    beta, gamma = fitted[config.nuisance]
+            fitted[key] = exc
+    if isinstance(fitted[key], EstimationError):
+        raise fitted[key]
+    beta, gamma = fitted[key]
     return method.fit(data, beta, gamma, config), beta

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from snnselect.data import Dataset
+from snnselect.dgp import DgpSpec, simulate
+from snnselect.exceptions import DataError
 
 
 def _arrays(n=5, k=3, l=2, seed=0):
@@ -34,3 +36,47 @@ class TestShapes:
             Dataset(d, y, bad, Z)
         with pytest.raises(ValueError, match="inconsistent dataset dimensions"):
             Dataset(d, y, X, bad)
+
+
+class TestNonFinite:
+    """A value no estimator can use is rejected where the sample is built."""
+
+    @staticmethod
+    def _draw():
+        return simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3)).dataset
+
+    def _with(self, field, row, col, value):
+        data = self._draw()
+        arrays = {f: getattr(data, f).copy() for f in ("d", "y", "X", "Z")}
+        if col is None:
+            arrays[field][row] = value
+        else:
+            arrays[field][row, col] = value
+        return arrays
+
+    def test_nan_in_z(self):
+        with pytest.raises(DataError) as exc:
+            Dataset(**self._with("Z", 17, 2, np.nan))
+        assert str(exc.value) == "non-finite value in Z at row 17"
+
+    def test_nan_outcome_of_unselected_row(self):
+        data = self._draw()
+        row = int(np.flatnonzero(data.d == 0.0)[0])
+        with pytest.raises(DataError) as exc:
+            Dataset(**self._with("y", row, None, np.nan))
+        assert str(exc.value) == f"non-finite value in y at row {row}"
+
+    def test_inf_outcome_of_selected_row(self):
+        data = self._draw()
+        row = int(np.flatnonzero(data.d == 1.0)[0])
+        with pytest.raises(DataError, match=f"in y at row {row}$"):
+            Dataset(**self._with("y", row, None, np.inf))
+
+    def test_rows_capped_and_arrays_named(self):
+        arrays = self._with("X", slice(0, 12), 0, -np.inf)
+        arrays["Z"][150] = np.nan
+        with pytest.raises(DataError) as exc:
+            Dataset(**arrays)
+        rows = ", ".join(str(i) for i in range(10))
+        assert str(exc.value) == (f"non-finite value in X at row {rows}, ... and 2 more rows; "
+                                  "non-finite value in Z at row 150")

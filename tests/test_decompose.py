@@ -179,11 +179,11 @@ class TestConfigValidation:
     def test_bad_nuisance(self):
         for name in ("oracle", "none"):
             with pytest.raises(ValueError):
-                EstimatorConfig(nuisance=name)
+                DecompositionConfig(EstimatorConfig(nuisance=name))
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            EstimatorConfig(method="magic")
+            DecompositionConfig(EstimatorConfig(method="magic"))
 
     def test_generating_nuisance_needs_a_simulated_draw(self):
         # observed data carry no generating beta and gamma to pin

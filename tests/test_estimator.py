@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import mse_optimal_bandwidth, snn_bruteforce
 from snnselect import estimator
@@ -279,3 +281,51 @@ class TestBandwidthRule:
             BandwidthRule.plug_in(0.0)
         with pytest.raises(ValueError):
             BandwidthRule("adaptive", 1.0)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_DESIGNS = st.sampled_from(["dgp1", "dgp2"])
+_RHOS = st.sampled_from([0.0, 0.5, 0.95])
+_RULES = st.sampled_from([BandwidthRule.plug_in(), BandwidthRule.fixed(0.4)])
+
+
+def _property_draw(family, rho, seed):
+    return simulate(DgpSpec(family, 300, rho=rho, seed=seed))
+
+
+class TestSnnProperties:
+    """Invariances of the estimator that hold on every sample."""
+
+    @given(family=_DESIGNS, rho=_RHOS, seed=_SEEDS, perm_seed=_SEEDS, rule=_RULES)
+    @settings(max_examples=40, deadline=None)
+    def test_row_permutation(self, family, rho, seed, perm_seed, rule):
+        draw = _property_draw(family, rho, seed)
+        rows = np.random.default_rng(perm_seed).permutation(draw.dataset.n)
+        a = snn_intercept(draw.dataset, draw.beta0, draw.gamma0, rule=rule)
+        b = snn_intercept(draw.dataset.take(rows), draw.beta0, draw.gamma0, rule=rule)
+        assert abs(b.theta - a.theta) <= 1e-12 * max(1.0, abs(a.theta))
+
+    @given(family=_DESIGNS, rho=_RHOS, seed=_SEEDS, rule=_RULES)
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_outcome_and_slopes(self, family, rho, seed, rule):
+        # doubling is exact in floating point, so theta doubles exactly
+        draw = _property_draw(family, rho, seed)
+        data = draw.dataset
+        doubled = Dataset(data.d, 2.0 * data.y, data.X, data.Z)
+        a = snn_intercept(data, draw.beta0, draw.gamma0, rule=rule)
+        b = snn_intercept(doubled, 2.0 * draw.beta0, draw.gamma0, rule=rule)
+        assert b.bandwidth == a.bandwidth
+        assert b.theta == 2.0 * a.theta
+
+    @given(rho=_RHOS, seed=_SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_increasing_transform_of_the_index(self, rho, seed):
+        # dgp2's index is its last Z column; cubing it keeps every rank
+        draw = _property_draw("dgp2", rho, seed)
+        data = draw.dataset
+        Z = data.Z.copy()
+        Z[:, -1] = Z[:, -1] ** 3
+        rule = BandwidthRule.fixed(0.4)
+        a = snn_intercept(data, draw.beta0, draw.gamma0, rule=rule)
+        b = snn_intercept(Dataset(data.d, data.y, data.X, Z), draw.beta0, draw.gamma0, rule=rule)
+        assert b.theta == a.theta

@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -464,6 +465,33 @@ class TestCli:
         identity = payload["component_A"] + payload["component_B"] + payload["component_C"]
         assert payload["gap_overall"] == pytest.approx(identity, abs=1e-12)
         assert payload["n_boot"] == 12
+
+    def test_decompose_csv_is_csv_of_the_json_values(self, tmp_path):
+        p = grouped_sim_csv(tmp_path / "sim.csv", 400)
+        argv = ["decompose", str(p), *_SIM_COLUMNS, "--group-col", "g", "--estimator", "ols",
+                "--bootstrap", "5", "--seed", "2"]
+        assert cli_main(argv + ["--format", "json", "--out", str(tmp_path / "d.json")]) == 0
+        assert cli_main(argv + ["--format", "csv", "--out", str(tmp_path / "d.csv")]) == 0
+        payload = json.loads((tmp_path / "d.json").read_text())
+        *table, tail = (tmp_path / "d.csv").read_text().splitlines()
+        header, *rows = list(csv.reader(table))
+        assert header == ["quantity", "estimate", "bootstrap_se"]
+        assert [r[0] for r in rows] == list(payload["bootstrap_se"])
+        for name, estimate, se in rows:
+            assert float(estimate) == payload[name]
+            assert float(se) == payload["bootstrap_se"][name]
+        assert tail == f"# bootstrap: B={payload['n_boot']}, failed={payload['boot_failed']}"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mc-table", "--rho", "0,abc"], "--rho"),
+        (["mc-table", "--alpha", "2;1"], "--alpha"),
+        (["rate-check", "--ns", "100,2e2,400"], "--ns"),
+    ])
+    def test_bad_list_value_is_readable_usage_error(self, capsys, argv, flag):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "comma-separated" in err
+        assert "_list" not in err
 
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["mc-table", "--estimator", "magic"]) == 1

@@ -247,18 +247,6 @@ class TestCellMajorEngine:
                 assert repr(st) == repr(run_cell(spec, config, reps=20, base_seed=67))
 
     def test_nuisance_fitted_once_per_draw(self, monkeypatch):
-        configs = [
-            EstimatorConfig(method=m, nuisance="klein_spady") for m in ("snn", "h90")
-        ]
-        plan = TablePlan("dgp1", 100, configs, rhos=(0.5,), alphas=(2.0,), reps=3)
-        spec = DgpSpec("dgp1", 100, rho=0.5, alpha=2.0)
-        separate = [run_cell(spec, c, reps=3, base_seed=71) for c in configs]
-        calls = self._counting(monkeypatch, nuisance, "klein_spady_gamma")
-        report = run_table(plan, base_seed=71, workers=1)
-        assert len(calls) == 3
-        assert [report.panels[c.label][(0.5, 2.0)] for c in configs] == separate
-
-    def test_one_nuisance_fit_per_draw_and_gamma_method(self, monkeypatch):
         # labels differ by bandwidth or tail quantile, so every panel is kept
         configs = [
             EstimatorConfig(method="snn", nuisance=None),
