@@ -41,8 +41,6 @@ from .montecarlo import (
     run_table,
 )
 from .numerics import (
-    KernelSpec,
-    epanechnikov,
     eval_kernel,
     inverse_mills,
     kernel_l2,

@@ -13,12 +13,12 @@ import numpy as np
 
 from .baselines import TailRule
 from .decompose import DecompositionConfig, decompose_with_se
-from .dgp import DgpSpec, identification_ratio, simulate
+from .dgp import FAMILIES, DgpSpec, identification_ratio, simulate
 from .estimator import BandwidthRule
 from .exceptions import DataError, EstimationError
 from .io_csv import CsvSchema, default_schema, load_csv, save_dataset_csv
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_RHOS, TablePlan, rate_check, run_table
-from .numerics import epanechnikov, kernel_l2, kernel_moment
+from .numerics import KERNEL_ORDERS, kernel_l2, kernel_moment
 from .nuisance import GAMMA_METHODS
 from .registry import METHODS, EstimatorConfig, fit
 
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=formats, default="csv")
 
     sp = sub.add_parser("simulate", help="draw one simulated sample to CSV")
-    sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
+    sp.add_argument("--dgp", choices=FAMILIES, default="dgp1")
     sp.add_argument("--n", type=int, default=200)
     sp.add_argument("--rho", type=float, default=0.0)
     sp.add_argument("--alpha", type=float, default=2.0)
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp, formats=(), seed=True)
 
     sp = sub.add_parser("mc-table", help="Monte Carlo grid over (rho, alpha)")
-    sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
+    sp.add_argument("--dgp", choices=FAMILIES, default="dgp1")
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--rho", type=_float_list, default=list(DEFAULT_RHOS), metavar="R1,R2,...")
@@ -101,21 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
                     help="repeatable; default snn")
     sp.add_argument("--bandwidth", type=_parse_bandwidth, action="append", default=None,
                     help="for snn panels; repeatable; fixed:H or plugin[:SCALE]")
-    sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
+    sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
     sp.add_argument("--tau-quantile", type=float, default=0.5)
     sp.add_argument("--workers", type=int, default=1)
     add_output(sp, ("csv", "json", "markdown"), seed=True)
 
     sp = sub.add_parser("rate-check", help="log-log RMSE slope under the rate-optimal schedule")
-    sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
+    sp.add_argument("--dgp", choices=FAMILIES, default="dgp1")
     sp.add_argument("--ns", type=_int_list, default=[200, 400, 800, 1600], metavar="N1,N2,...")
     sp.add_argument("--rho", type=float, default=0.5)
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--reps", type=int, default=400)
     sp.add_argument("--c", type=float, default=0.5, help="bandwidth constant c*n^(-1/(2p+1))")
     sp.add_argument("--estimator", choices=METHODS, default="snn")
-    sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
+    sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
     sp.add_argument("--workers", type=int, default=1)
     add_output(sp, seed=True)
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--group-col", required=True)
         sp.add_argument("--estimator", choices=METHODS, default="snn")
         sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
-        sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
+        sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
         sp.add_argument("--tail-quantile", type=float, default=0.95)
         sp.add_argument("--tau-quantile", type=float, default=0.5)
         sp.add_argument("--nuisance", choices=[m.replace("_", "-") for m in GAMMA_METHODS],
@@ -147,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp, seed=True)
 
     sp = sub.add_parser("kernel-check", help="kernel moment diagnostics")
-    sp.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
+    sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
     add_output(sp)
 
     sp = sub.add_parser("ident-check", help="identification-ratio profile over q")
-    sp.add_argument("--dgp", choices=("dgp1", "dgp2"), default="dgp1")
+    sp.add_argument("--dgp", choices=FAMILIES, default="dgp1")
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--q-min", type=float, default=0.01)
     sp.add_argument("--q-max", type=float, default=0.999)
@@ -161,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+def _render(args, payload, lines) -> str:
+    """The text of a csv|json command: ``payload`` as JSON or the CSV ``lines``."""
+    if args.format == "json":
+        return json.dumps(payload, indent=2)
+    return "\n".join(lines)
 
 
 def _schema_from_args(args) -> CsvSchema:
@@ -189,14 +189,13 @@ def _fit_config(args) -> EstimatorConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     if args.out is None:
         raise _UsageError("simulate requires --out")
     spec = DgpSpec(args.dgp, args.n, rho=args.rho, alpha=args.alpha,
                    theta0=args.theta0, seed=args.seed)
     draw = simulate(spec)
     save_dataset_csv(args.out, draw.dataset, default_schema(spec.k, spec.l))
-    return 0
 
 
 def _estimator_configs(args) -> list[EstimatorConfig]:
@@ -217,7 +216,7 @@ def _estimator_configs(args) -> list[EstimatorConfig]:
     return configs
 
 
-def _cmd_mc_table(args) -> int:
+def _cmd_mc_table(args) -> str:
     plan = TablePlan(
         family=args.dgp,
         n=args.n,
@@ -227,16 +226,11 @@ def _cmd_mc_table(args) -> int:
         reps=args.reps,
     )
     report = run_table(plan, base_seed=args.seed, workers=args.workers)
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    elif args.format == "markdown":
-        _emit(report.to_markdown(), args.out)
-    else:
-        _emit(report.to_csv(), args.out)
-    return 0
+    writers = {"csv": report.to_csv, "json": report.to_json, "markdown": report.to_markdown}
+    return writers[args.format]()
 
 
-def _cmd_rate_check(args) -> int:
+def _cmd_rate_check(args) -> str:
     config = EstimatorConfig(method=args.estimator, kernel_order=args.kernel_order)
     spec = DgpSpec(args.dgp, max(args.ns), rho=args.rho, alpha=args.alpha)
     result = rate_check(args.ns, spec, config, c=args.c, reps=args.reps,
@@ -246,69 +240,46 @@ def _cmd_rate_check(args) -> int:
         "ns": list(result.ns),
         "rmse": list(result.rmse),
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["n,rmse"] + [f"{n},{r:.6g}" for n, r in zip(result.ns, result.rmse)]
-        lines.append(f"# slope of log RMSE on log n: {result.slope:.4f}")
-        _emit("\n".join(lines), args.out)
-    return 0
+    lines = ["n,rmse"] + [f"{n},{r:.6g}" for n, r in zip(result.ns, result.rmse)]
+    lines.append(f"# slope of log RMSE on log n: {result.slope:.4f}")
+    return _render(args, payload, lines)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     data = load_csv(args.data, _schema_from_args(args))
     result, _ = fit(data, _fit_config(args))
     payload = {**METHODS[args.estimator].report(result), "method": args.estimator}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit("\n".join(f"{k},{v}" for k, v in payload.items()), args.out)
-    return 0
+    return _render(args, payload, [f"{k},{v}" for k, v in payload.items()])
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> str:
     data0, data1 = load_csv(args.data, _schema_from_args(args))
     config = DecompositionConfig(_fit_config(args), args.weighting)
     report = decompose_with_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed)
-    if args.format == "json":
-        payload = dict(report.quantities())
-        payload["bootstrap_se"] = dict(report.bootstrap_se or {})
-        payload["n_boot"] = report.n_boot
-        payload["boot_failed"] = report.boot_failed
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["quantity,estimate,bootstrap_se"] + [
-            f"{k},{float(v)!r},{report.bootstrap_se[k]!r}" for k, v in report.quantities().items()
-        ]
-        lines.append(f"# bootstrap: B={report.n_boot}, failed={report.boot_failed}")
-        _emit("\n".join(lines), args.out)
-    return 0
+    payload = dict(report.quantities())
+    payload["bootstrap_se"] = dict(report.bootstrap_se or {})
+    payload["n_boot"] = report.n_boot
+    payload["boot_failed"] = report.boot_failed
+    lines = ["quantity,estimate,bootstrap_se"] + [
+        f"{k},{float(v)!r},{report.bootstrap_se[k]!r}" for k, v in report.quantities().items()
+    ]
+    lines.append(f"# bootstrap: B={report.n_boot}, failed={report.boot_failed}")
+    return _render(args, payload, lines)
 
 
-def _cmd_kernel_check(args) -> int:
-    kern = epanechnikov(args.kernel_order)
-    moments = {f"moment_{j}": kernel_moment(kern, j) for j in range(2 * kern.order + 1)}
-    payload = {"family": kern.family, "order": kern.order, "l2": kernel_l2(kern), **moments}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [
-            f"{k},{v:.12g}" if isinstance(v, float) else f"{k},{v}"
-            for k, v in payload.items()
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+def _cmd_kernel_check(args) -> str:
+    p = args.kernel_order
+    moments = {f"moment_{j}": kernel_moment(p, j) for j in range(2 * p + 1)}
+    payload = {"family": f"epanechnikov{p}", "order": p, "l2": kernel_l2(p), **moments}
+    lines = [f"{k},{v:.12g}" if isinstance(v, float) else f"{k},{v}" for k, v in payload.items()]
+    return _render(args, payload, lines)
 
 
-def _cmd_ident_check(args) -> int:
+def _cmd_ident_check(args) -> str:
     qs = np.linspace(args.q_min, args.q_max, args.points)
     vals = [identification_ratio(args.dgp, args.alpha, float(q)) for q in qs]
-    if args.format == "json":
-        _emit(json.dumps({"q": qs.tolist(), "ratio": vals}, indent=2), args.out)
-    else:
-        lines = ["q,ratio"] + [f"{q:.6g},{v:.6g}" for q, v in zip(qs, vals)]
-        _emit("\n".join(lines), args.out)
-    return 0
+    lines = ["q,ratio"] + [f"{q:.6g},{v:.6g}" for q, v in zip(qs, vals)]
+    return _render(args, {"q": qs.tolist(), "ratio": vals}, lines)
 
 
 _COMMANDS = {
@@ -323,10 +294,11 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
+    """Run one command and write the text it returns, once, to stdout or --out."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -339,6 +311,13 @@ def cli_main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if text is not None:  # None: the command wrote its own file
+        text = text if text.endswith("\n") else text + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.write_text(text, encoding="utf-8")
+    return 0
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ the difference in intercepts is the discrimination measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -73,40 +73,29 @@ class DecompositionReport:
 
     def to_text(self) -> str:
         se = self.bootstrap_se or {}
-
-        def fmt(name: str, value: float) -> str:
-            line = f"{name:<28s} {value:10.4f}"
-            if name_to_key[name] in se:
-                line += f"   ({se[name_to_key[name]]:.4f})"
-            return line
-
-        name_to_key = {
-            "Gap (overall)": "gap_overall",
-            "Wage structure (A)": "component_A",
-            "Endowments (B)": "component_B",
-            "Selection (C, residual)": "component_C",
-            "Gap (selection-corrected)": "gap_selection_corrected",
-            "Intercept, group 0": "theta_group0",
-            "Intercept, group 1": "theta_group1",
-            "Difference in intercepts": "intercept_difference",
-        }
-        rows = [fmt(n, v) for n, v in zip(
-            name_to_key,
-            [
-                self.gap_overall,
-                self.component_A,
-                self.component_B,
-                self.component_C,
-                self.gap_selection_corrected,
-                self.theta_by_group[0],
-                self.theta_by_group[1],
-                self.intercept_difference,
-            ],
-        )]
+        rows = []
+        for key, value in self.quantities().items():
+            line = f"{_TEXT_LABELS[key]:<28s} {value:10.4f}"
+            if key in se:
+                line += f"   ({se[key]:.4f})"
+            rows.append(line)
         head = f"Decomposition ({self.weighting} weighting)"
         if self.n_boot:
             head += f"; bootstrap SEs in parentheses, B={self.n_boot}, failed={self.boot_failed}"
         return "\n".join([head, "-" * len(head), *rows])
+
+
+# The row label of each quantity in DecompositionReport.to_text.
+_TEXT_LABELS = {
+    "gap_overall": "Gap (overall)",
+    "component_A": "Wage structure (A)",
+    "component_B": "Endowments (B)",
+    "component_C": "Selection (C, residual)",
+    "gap_selection_corrected": "Gap (selection-corrected)",
+    "theta_group0": "Intercept, group 0",
+    "theta_group1": "Intercept, group 1",
+    "intercept_difference": "Difference in intercepts",
+}
 
 
 def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
@@ -208,6 +197,4 @@ def decompose_with_se(
     """Point decomposition plus bootstrap SEs in one report."""
     report = decompose(data0, data1, config)
     summary = bootstrap_se(data0, data1, config, n_boot, seed)
-    return DecompositionReport(
-        **{**report.__dict__, "bootstrap_se": summary.ses, "n_boot": n_boot, "boot_failed": summary.n_failed}
-    )
+    return replace(report, bootstrap_se=summary.ses, n_boot=n_boot, boot_failed=summary.n_failed)

@@ -18,6 +18,7 @@ from .numerics import normal_quantile
 from .seeding import generator
 
 __all__ = [
+    "FAMILIES",
     "DgpSpec",
     "LatentDraw",
     "simulate",
@@ -26,7 +27,12 @@ __all__ = [
     "identification_ratio",
 ]
 
-_FAMILIES = ("dgp1", "dgp2")
+FAMILIES = ("dgp1", "dgp2")
+
+# dgp2 draws its Pareto selection error as (1 - r) ** (-1 / alpha), and 1 - r
+# can be as small as 2^-53, so the draw is 2^(53 / alpha) at worst.  That
+# overflows once 53 / alpha reaches 1024, the largest double exponent.
+_DGP2_ALPHA_MIN = 53 / 1024
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class DgpSpec:
     k: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown DGP family: {self.family!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
@@ -58,6 +64,9 @@ class DgpSpec:
             raise ValueError("rho must lie in [-1, 1]")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
+        if self.family == "dgp2" and self.alpha <= _DGP2_ALPHA_MIN:
+            raise ValueError(f"dgp2 needs alpha > 53/1024 = {_DGP2_ALPHA_MIN}; "
+                             "a smaller alpha overflows the Pareto selection error")
 
     def with_seed(self, seed: int) -> "DgpSpec":
         return replace(self, seed=int(seed))
@@ -150,7 +159,7 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
     Finiteness of the ratio as q -> 1 is the identification diagnostic:
     it diverges for alpha < 1 under both families.
     """
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(f"unknown DGP family: {family!r}")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")

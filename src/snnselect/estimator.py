@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import EstimationError
-from .numerics import KernelSpec, epanechnikov, eval_kernel, kernel_l2, kernel_moment
+from .numerics import eval_kernel, kernel_l2, kernel_moment
 from .ranks import eta_hat, index_values
 
 __all__ = [
@@ -128,7 +128,7 @@ def snn_intercept(
     data: Dataset,
     beta: np.ndarray,
     gamma: np.ndarray,
-    kernel: KernelSpec | None = None,
+    kernel_order: int = 2,
     rule: BandwidthRule | None = None,
 ) -> InterceptEstimate:
     """Locally linear boundary estimate of the outcome intercept.
@@ -138,18 +138,18 @@ def snn_intercept(
     error is sqrt(sigma2(1) * sum(w_i^2)) with w the equivalent intercept
     weights and sigma2(1) the kernel-weighted mean squared residual of the
     local fit; for h -> 0 this is the finite-sample version of
-    sigma2(1) * Int K^2 / (n h).
+    sigma2(1) * Int K^2 / (n h).  ``kernel_order`` is one of
+    ``numerics.KERNEL_ORDERS``.
     """
-    kernel = kernel or epanechnikov(2)
     rule = rule or BandwidthRule.plug_in()
     t = eta_hat(data.Z, gamma) - 1.0
     W = residualized_outcome(data, beta)
     if rule.kind == "fixed":
         h = rule.value
     else:
-        h = _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel, rule.value)
+        h = _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel_order, rule.value)
     h = _window_bandwidth(t, h)
-    K = eval_kernel(kernel, t / h)
+    K = eval_kernel(kernel_order, t / h)
     theta, slope, w = _local_linear_solve(t, K, W)
     resid = W - (theta + slope * t)
     ksum = float(K.sum())
@@ -199,12 +199,12 @@ def _plug_in_from_ranks(
     t: np.ndarray,
     idx: np.ndarray,
     W: np.ndarray,
-    kernel: KernelSpec,
+    p: int,
     scale: float,
 ) -> float:
     """Estimated MSE-optimal bandwidth for the boundary locally linear fit,
     from the centred ranks t = eta_hat - 1, the index values and W, which
-    snn_intercept computes once and shares.
+    snn_intercept computes once and shares, and the kernel order p.
 
     The rule evaluates
 
@@ -232,14 +232,13 @@ def _plug_in_from_ranks(
     lo, hi = BANDWIDTH_CLAMP
     if not _upper_tail_ratio(idx) <= _TAIL_RATIO_MAX:  # a NaN ratio fails too
         return hi
-    p = kernel.order
     coef, sigma2, se_top = _polynomial_pilot(t, W, p)
     c_top = float(coef[p])
     if not (math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > _CURVATURE_Z * se_top):
         return hi
     m_p = math.factorial(p) * c_top
-    kappa = kernel_moment(kernel, p)
-    rk = kernel_l2(kernel)
+    kappa = kernel_moment(p, p)
+    rk = kernel_l2(p)
     num = (math.factorial(p) ** 2) * max(sigma2, 0.0) * rk
     den = 2.0 * p * kappa * kappa * m_p * m_p * n
     if den <= 0.0 or num <= 0.0:

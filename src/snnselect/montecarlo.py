@@ -221,6 +221,13 @@ class TablePlan:
     def __post_init__(self) -> None:
         if not self.estimators or not self.rhos or not self.alphas:
             raise ValueError("table plan must be nonempty")
+        # The report keys its panels by label, so configs that share one
+        # (say, differing only in nuisance or kernel order) would overwrite
+        # each other's panel.
+        labels = [config.label for config in self.estimators]
+        shared = [label for label in dict.fromkeys(labels) if labels.count(label) > 1]
+        if shared:
+            raise ValueError(f"estimators share a panel label: {', '.join(map(repr, shared))}")
 
 
 def run_table(plan: TablePlan, base_seed: int, workers: int = 1) -> MonteCarloReport:

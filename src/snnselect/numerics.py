@@ -6,15 +6,13 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "KernelSpec",
-    "epanechnikov",
+    "KERNEL_ORDERS",
     "eval_kernel",
     "kernel_moment",
     "kernel_l2",
@@ -30,42 +28,23 @@ __all__ = [
 _EPAN4_A = 15.0 / 8.0
 _EPAN4_B = -35.0 / 8.0
 
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A compactly supported smoothing kernel of even order ``order``.
-
-    ``family`` is either ``"epanechnikov2"`` (the standard second-order
-    Epanechnikov weight) or ``"epanechnikov4"`` (the same weight times a
-    degree-2 polynomial chosen so the second moment vanishes).  Support is
-    [-1, 1] in both cases.
-    """
-
-    family: str = "epanechnikov2"
-
-    def __post_init__(self) -> None:
-        if self.family not in ("epanechnikov2", "epanechnikov4"):
-            raise ValueError(f"unknown kernel family: {self.family!r}")
-
-    @property
-    def order(self) -> int:
-        return 2 if self.family == "epanechnikov2" else 4
+# A kernel is named by its order alone: order 2 is the Epanechnikov weight
+# (3/4)(1 - u^2) on [-1, 1], order 4 that weight times _EPAN4_A + _EPAN4_B u^2.
+KERNEL_ORDERS = (2, 4)
 
 
-def epanechnikov(order: int = 2) -> KernelSpec:
-    """Convenience constructor; ``order`` must be 2 or 4."""
-    if order == 2:
-        return KernelSpec("epanechnikov2")
-    if order == 4:
-        return KernelSpec("epanechnikov4")
-    raise ValueError("kernel order must be 2 or 4")
+def _check_order(order: int) -> None:
+    if order not in KERNEL_ORDERS:
+        raise ValueError("kernel order must be 2 or 4")
 
 
-def eval_kernel(spec: KernelSpec, u):
-    """Evaluate the kernel at ``u`` (scalar or array); zero outside [-1, 1]."""
+def eval_kernel(order: int, u):
+    """Evaluate the kernel of ``order`` at ``u`` (scalar or array); zero
+    outside [-1, 1]."""
+    _check_order(order)
     u = np.asarray(u, dtype=float)
     base = 0.75 * (1.0 - u * u)
-    if spec.order == 4:
+    if order == 4:
         base = base * (_EPAN4_A + _EPAN4_B * u * u)
     out = np.where(np.abs(u) <= 1.0, base, 0.0)
     if out.ndim == 0:
@@ -81,10 +60,11 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _kernel_coefficients(spec: KernelSpec) -> list[Fraction]:
+def _kernel_coefficients(order: int) -> list[Fraction]:
     """Exact power-series coefficients c_k of K(u) = sum c_k u^k on [-1, 1]."""
+    _check_order(order)
     coef = [Fraction(3, 4), Fraction(0), Fraction(-3, 4)]
-    if spec.order == 4:
+    if order == 4:
         coef = _poly_mul(coef, [Fraction(_EPAN4_A), Fraction(0), Fraction(_EPAN4_B)])
     return coef
 
@@ -94,16 +74,16 @@ def _integral(coef: list[Fraction], j: int = 0) -> Fraction:
     return sum(2 * c / (j + k + 1) for k, c in enumerate(coef) if (j + k) % 2 == 0)
 
 
-def kernel_moment(spec: KernelSpec, j: int) -> float:
+def kernel_moment(order: int, j: int) -> float:
     """∫ u^j K(u) du over [-1, 1], the correctly rounded exact value."""
     if j < 0:
         raise ValueError("moment order must be nonnegative")
-    return float(_integral(_kernel_coefficients(spec), j))
+    return float(_integral(_kernel_coefficients(order), j))
 
 
-def kernel_l2(spec: KernelSpec) -> float:
+def kernel_l2(order: int) -> float:
     """∫ K(u)^2 du, the variance constant of the kernel, correctly rounded."""
-    coef = _kernel_coefficients(spec)
+    coef = _kernel_coefficients(order)
     return float(_integral(_poly_mul(coef, coef)))
 
 

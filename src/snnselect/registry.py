@@ -19,7 +19,7 @@ from . import baselines, estimator, nuisance
 from .baselines import TailRule
 from .estimator import BandwidthRule
 from .exceptions import EstimationError
-from .numerics import epanechnikov
+from .numerics import KERNEL_ORDERS
 
 __all__ = ["Method", "METHODS", "EstimatorConfig", "fit"]
 
@@ -32,7 +32,7 @@ class Method(NamedTuple):
 
 
 def _snn(data, beta, gamma, cfg):
-    return estimator.snn_intercept(data, beta, gamma, epanechnikov(cfg.kernel_order), cfg.bandwidth)
+    return estimator.snn_intercept(data, beta, gamma, cfg.kernel_order, cfg.bandwidth)
 
 
 def _h90(data, beta, gamma, cfg):
@@ -92,6 +92,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown estimator {self.method!r}; valid: {tuple(METHODS)}")
+        if self.kernel_order not in KERNEL_ORDERS:
+            raise ValueError("kernel order must be 2 or 4")
         if self.nuisance is not None and self.nuisance not in nuisance.GAMMA_METHODS:
             raise ValueError(f"unknown nuisance {self.nuisance!r}; valid: {nuisance.GAMMA_METHODS}")
 

@@ -17,7 +17,7 @@ from snnselect.decompose import DecompositionConfig, bootstrap_se, decompose
 from snnselect.dgp import DgpSpec, identification_ratio
 from snnselect.estimator import BandwidthRule, snn_intercept
 from snnselect.montecarlo import EstimatorConfig, TablePlan, rate_check, run_cell, run_table
-from snnselect.numerics import epanechnikov, inverse_mills, kernel_l2, kernel_moment
+from snnselect.numerics import inverse_mills, kernel_l2, kernel_moment
 from snnselect.nuisance import robinson_beta
 from snnselect.ranks import eta_hat
 
@@ -300,7 +300,7 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_analytic_micro_checks(self):
-        k2, k4 = epanechnikov(2), epanechnikov(4)
+        k2, k4 = 2, 4
         checks = {
             "moment0": abs(kernel_moment(k2, 0) - 1.0) <= 1e-8,
             "moment1": abs(kernel_moment(k2, 1)) <= 1e-8,

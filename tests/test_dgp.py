@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snnselect import dgp
 from snnselect.dgp import DgpSpec, identification_ratio, simulate, true_gamma
 from snnselect.exceptions import EstimationError
 
@@ -24,6 +25,31 @@ class TestSpecValidation:
     def test_rho_one_allowed_but_degenerate(self):
         draw = simulate(DgpSpec("dgp1", 1000, rho=1.0, seed=5))
         assert np.allclose(draw.u, draw.v, atol=1e-12)
+
+
+    def test_dgp2_alpha_bound(self):
+        # 53/1024 = 0.0517578125: below it the Pareto draw 2^(53/alpha) overflows
+        with pytest.raises(ValueError, match="53/1024"):
+            DgpSpec("dgp2", 100, alpha=0.05)
+        with pytest.raises(ValueError, match="53/1024"):
+            DgpSpec("dgp2", 100, alpha=dgp._DGP2_ALPHA_MIN)
+        assert dgp._DGP2_ALPHA_MIN == 53 / 1024
+        DgpSpec("dgp1", 100, alpha=0.01)  # dgp1's normal draws have no such bound
+
+    def test_worst_case_dgp2_draw_is_finite_at_the_smallest_alpha(self, monkeypatch):
+        # every uniform at its largest value, 1 - 2^-53: the Pareto error is
+        # then at its largest, and so is every Cauchy covariate
+        class Largest:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(dgp, "generator", lambda seed: Largest())
+        alpha = np.nextafter(dgp._DGP2_ALPHA_MIN, 1.0)
+        for rho in (-1.0, 0.5, 1.0):
+            draw = simulate(DgpSpec("dgp2", 20, rho=rho, alpha=alpha))
+            assert draw.v.max() > 1e308
+            for values in (draw.u, draw.v, draw.index, draw.dataset.y):
+                assert np.all(np.isfinite(values))
 
 
 class TestSimulate:

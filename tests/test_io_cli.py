@@ -545,6 +545,32 @@ class TestCli:
             written[fmt] = out.read_bytes()
         assert len(set(written.values())) == len(written) >= 2
 
+    @pytest.mark.parametrize("command, fmt", [
+        (command, fmt) for command in sorted(_FORMAT_RUNS) for fmt in format_choices()[command]
+    ])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsysbinary, command, fmt):
+        p = grouped_sim_csv(tmp_path / "sim.csv", 400)
+        argv = [command, *[str(p) if a == "{csv}" else a for a in _FORMAT_RUNS[command]],
+                "--format", fmt]
+        assert cli_main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out.txt"
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == stdout
+        assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")
+
+    def test_shared_panel_labels_exit_1_and_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        argv = ["mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "3", "--estimator", "ols",
+                "--estimator", "ols", "--estimator", "snn", "--estimator", "snn"]
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "share a panel label: 'ols', 'snn (plugin x1)'" in captured.err
+
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["estimate", "{csv}", *_SIM_COLUMNS, "--seed", "1"], "--seed",
                      id="estimate-seed"),

@@ -8,6 +8,7 @@ from snnselect.baselines import TailRule
 from snnselect.dgp import DgpSpec
 from snnselect.estimator import BandwidthRule
 from snnselect.exceptions import EstimationError
+from snnselect.registry import METHODS
 from snnselect.montecarlo import (
     EstimatorConfig,
     TablePlan,
@@ -127,6 +128,17 @@ class TestRunTable:
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
             TablePlan("dgp1", 50, [], reps=10)
+
+    def test_shared_panel_labels_rejected(self):
+        # snn configs that differ only in nuisance or kernel order share the
+        # label "snn (plugin x1)", and would overwrite each other's panel
+        configs = [EstimatorConfig("snn"), EstimatorConfig("snn", nuisance="probit"),
+                   EstimatorConfig("snn", kernel_order=4)]
+        with pytest.raises(ValueError, match=r"share a panel label: 'snn \(plugin x1\)'$"):
+            TablePlan("dgp1", 120, configs, reps=3)
+        # one config per registered method, as the benchmark's table plan has
+        plan = TablePlan("dgp2", 200, [EstimatorConfig(method=m) for m in METHODS], reps=3)
+        assert len({config.label for config in plan.estimators}) == len(METHODS) == 5
 
     def test_three_bandwidth_panels_full_grid(self):
         # the reference layout: one panel per bandwidth setting, 20 cells each

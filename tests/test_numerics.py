@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnselect.numerics import (
-    KernelSpec,
-    epanechnikov,
+    KERNEL_ORDERS,
     eval_kernel,
     inverse_mills,
     kernel_l2,
@@ -16,6 +15,7 @@ from snnselect.numerics import (
     normal_cdf,
     normal_pdf,
 )
+from snnselect.registry import EstimatorConfig
 
 # Closed forms on [-1, 1]: order 2 is (3/4)(1 - u^2); order 4 multiplies it by
 # (15 - 35 u^2)/8.  Even moments of (1 - u^2) u^j are 2/(j+1) - 2/(j+3).
@@ -32,32 +32,31 @@ EXACT_L2 = {2: Fraction(3, 5), 4: Fraction(5, 4)}
 
 class TestKernels:
     def test_epanechnikov2_peak(self):
-        assert eval_kernel(epanechnikov(2), 0.0) == 0.75
+        assert eval_kernel(2, 0.0) == 0.75
 
     def test_outside_support_is_zero(self):
-        for fam in (2, 4):
-            k = epanechnikov(fam)
+        for k in (2, 4):
             assert eval_kernel(k, 1.5) == 0.0
             assert eval_kernel(k, -1.0001) == 0.0
 
     def test_epanechnikov4_closed_form_point(self):
         # (15/8 - 35/8 u^2)(3/4)(1 - u^2) at u = 0.5
         expected = (15 / 8 - 35 / 32) * 0.75 * 0.75
-        assert eval_kernel(epanechnikov(4), 0.5) == pytest.approx(expected, abs=1e-15)
+        assert eval_kernel(4, 0.5) == pytest.approx(expected, abs=1e-15)
 
     def test_moment_normalization(self):
-        assert kernel_moment(epanechnikov(2), 0) == pytest.approx(1.0, abs=1e-8)
-        assert kernel_moment(epanechnikov(4), 0) == pytest.approx(1.0, abs=1e-8)
+        assert kernel_moment(2, 0) == pytest.approx(1.0, abs=1e-8)
+        assert kernel_moment(4, 0) == pytest.approx(1.0, abs=1e-8)
 
     def test_moment_symmetry(self):
-        assert kernel_moment(epanechnikov(2), 1) == pytest.approx(0.0, abs=1e-8)
+        assert kernel_moment(2, 1) == pytest.approx(0.0, abs=1e-8)
 
     def test_moment_second_analytic(self):
         # ∫ u^2 (3/4)(1-u^2) du = 0.2 exactly
-        assert kernel_moment(epanechnikov(2), 2) == pytest.approx(0.2, abs=1e-8)
+        assert kernel_moment(2, 2) == pytest.approx(0.2, abs=1e-8)
 
     def test_fourth_order_moment_conditions(self):
-        k4 = epanechnikov(4)
+        k4 = 4
         for j in range(1, 4):
             assert kernel_moment(k4, j) == pytest.approx(0.0, abs=1e-8)
         m4 = kernel_moment(k4, 4)
@@ -66,11 +65,11 @@ class TestKernels:
 
     def test_l2_analytic(self):
         # ∫ (9/16)(1-u^2)^2 du = 0.6 exactly
-        assert kernel_l2(epanechnikov(2)) == pytest.approx(0.6, abs=1e-8)
+        assert kernel_l2(2) == pytest.approx(0.6, abs=1e-8)
 
     @pytest.mark.parametrize("order, j", [(2, j) for j in range(5)] + [(4, j) for j in range(9)])
     def test_moments_and_l2_exact(self, order, j):
-        k = epanechnikov(order)
+        k = order
         expected = EXACT_MOMENTS[order](j) if j % 2 == 0 else Fraction(0)
         assert kernel_moment(k, j) == float(expected)
         assert kernel_l2(k) == float(EXACT_L2[order])
@@ -78,15 +77,16 @@ class TestKernels:
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=200)
     def test_evenness(self, u):
-        for fam in (2, 4):
-            k = epanechnikov(fam)
+        for k in (2, 4):
             assert eval_kernel(k, u) == pytest.approx(eval_kernel(k, -u), abs=1e-15)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec("tricube")
-        with pytest.raises(ValueError):
-            epanechnikov(6)
+    def test_unknown_order_rejected(self):
+        assert KERNEL_ORDERS == (2, 4)
+        for order in (0, 3, 6):
+            for reject in (lambda: eval_kernel(order, 0.0), lambda: kernel_moment(order, 0),
+                           lambda: kernel_l2(order), lambda: EstimatorConfig(kernel_order=order)):
+                with pytest.raises(ValueError, match="kernel order must be 2 or 4"):
+                    reject()
 
 
 class TestGaussian:

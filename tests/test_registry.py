@@ -6,6 +6,8 @@ import pytest
 import snnselect
 from snnselect import montecarlo, seeding
 from snnselect.cli import build_parser
+from snnselect.dgp import FAMILIES
+from snnselect.numerics import KERNEL_ORDERS
 from snnselect.nuisance import GAMMA_METHODS
 from snnselect.registry import METHODS, EstimatorConfig
 
@@ -37,6 +39,18 @@ class TestOneNameList:
         choices = _choices(build_parser(), "estimator")
         assert set(choices) == {"mc-table", "rate-check", "estimate", "decompose"}
         assert all(names == list(METHODS) for names in choices.values())
+
+
+class TestChoiceListsFromTheirOwners:
+    @pytest.mark.parametrize("dest, owner, commands", [
+        ("kernel_order", KERNEL_ORDERS,
+         {"mc-table", "rate-check", "estimate", "decompose", "kernel-check"}),
+        ("dgp", FAMILIES, {"simulate", "mc-table", "rate-check", "ident-check"}),
+    ])
+    def test_every_option_offers_its_owners_list(self, dest, owner, commands):
+        choices = _choices(build_parser(), dest)
+        assert set(choices) == commands
+        assert all(names == list(owner) for names in choices.values())
 
 
 class TestOneGammaMethodList:
