@@ -71,32 +71,6 @@ class DecompositionReport:
             "intercept_difference": self.intercept_difference,
         }
 
-    def to_text(self) -> str:
-        se = self.bootstrap_se or {}
-        rows = []
-        for key, value in self.quantities().items():
-            line = f"{_TEXT_LABELS[key]:<28s} {value:10.4f}"
-            if key in se:
-                line += f"   ({se[key]:.4f})"
-            rows.append(line)
-        head = f"Decomposition ({self.weighting} weighting)"
-        if self.n_boot:
-            head += f"; bootstrap SEs in parentheses, B={self.n_boot}, failed={self.boot_failed}"
-        return "\n".join([head, "-" * len(head), *rows])
-
-
-# The row label of each quantity in DecompositionReport.to_text.
-_TEXT_LABELS = {
-    "gap_overall": "Gap (overall)",
-    "component_A": "Wage structure (A)",
-    "component_B": "Endowments (B)",
-    "component_C": "Selection (C, residual)",
-    "gap_selection_corrected": "Gap (selection-corrected)",
-    "theta_group0": "Intercept, group 0",
-    "theta_group1": "Intercept, group 1",
-    "intercept_difference": "Difference in intercepts",
-}
-
 
 def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
     try:

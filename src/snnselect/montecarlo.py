@@ -8,16 +8,17 @@ cross-estimator comparisons common-random-number comparisons.
 
 Estimators are ``registry.EstimatorConfig`` records, each run through
 ``registry.fit``; ``run_cell``, ``run_table`` and ``rate_check`` take
-nothing else.  The engine is cell-major: each draw is simulated once and
-every estimator runs on it, and the reps of all cells go to the worker pool
-as contiguous chunks in one dispatch.
+nothing else, and each is one dispatch of its cells.  The engine is
+cell-major: each draw is simulated once and every estimator of its cell runs
+on it, and the reps of all cells go to the worker pool as contiguous chunks
+in one map.
 """
 from __future__ import annotations
 
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -72,18 +73,7 @@ class MonteCarloReport:
             "rhos": list(self.rhos),
             "alphas": list(self.alphas),
             "panels": {
-                label: [
-                    {
-                        "rho": rho,
-                        "alpha": alpha,
-                        "sq_bias": st.sq_bias,
-                        "sd": st.sd,
-                        "rmse_scaled": st.rmse_scaled,
-                        "reps_ok": st.reps_ok,
-                        "reps_failed": st.reps_failed,
-                    }
-                    for (rho, alpha), st in cells.items()
-                ]
+                label: [{"rho": rho, "alpha": alpha, **asdict(st)} for (rho, alpha), st in cells.items()]
                 for label, cells in self.panels.items()
             },
         }
@@ -131,29 +121,31 @@ def _cell_label(spec: DgpSpec) -> str:
 
 def _run_chunk(task):
     """Simulate reps [start, stop) of one cell, each once, and run every
-    estimator on each draw.  Returns one (rep, value, ok) list per estimator.
+    estimator on each draw.  Returns the (estimators, reps) array of
+    estimates in rep order, NaN where a fit raised EstimationError.
 
     The configs of a draw share one nuisance fit per gamma method; when that
     fit fails, every config that uses it counts the rep as failed.
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
-    out = [[] for _ in estimators]
-    for rep in range(start, stop):
+    out = np.full((len(estimators), stop - start), math.nan)
+    for r, rep in enumerate(range(start, stop)):
         draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
         fitted = {None: (draw.beta0, draw.gamma0)}
-        for results, est in zip(out, estimators):
+        for e, est in enumerate(estimators):
             try:
-                results.append((rep, float(fit(draw.dataset, est, fitted)[0].theta), True))
+                out[e, r] = fit(draw.dataset, est, fitted)[0].theta
             except EstimationError:
-                results.append((rep, math.nan, False))
+                pass
     return out
 
 
-def _collect(results, theta0: float, n: int) -> CellStats:
-    results = sorted(results, key=lambda t: t[0])
-    vals = np.array([v for _, v, ok in results if ok], dtype=float)
-    failed = sum(1 for _, _, ok in results if not ok)
+def _collect(values: np.ndarray, theta0: float, n: int) -> CellStats:
+    """CellStats of one estimator's per-rep estimates; NaN marks a failed rep
+    (``registry.fit`` never returns a non-finite theta)."""
+    vals = values[~np.isnan(values)]
+    failed = values.size - vals.size
     if vals.size == 0:
         return CellStats(math.nan, math.nan, math.nan, 0, failed)
     mean = float(vals.mean())
@@ -163,19 +155,19 @@ def _collect(results, theta0: float, n: int) -> CellStats:
     return CellStats(sq_bias, sd, rmse_scaled, int(vals.size), failed)
 
 
-def _run_cells(specs, estimators, reps, base_seed, workers):
-    """CellStats of every (cell, estimator) pair, as ``stats[cell][estimator]``.
+def _run_cells(cells, reps, base_seed, workers):
+    """CellStats of every (spec, estimators) cell, as ``stats[cell][estimator]``.
 
     Each cell's reps are split into contiguous chunks, about 4 tasks per
-    worker over the whole plan, and all chunks go out in one map on a pool of
+    worker over all cells, and all chunks go out in one map on a pool of
     ``workers`` processes, or run in this process when ``workers`` is 1.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    per_cell = min(reps, -(-4 * max(workers, 1) // len(specs)))
+    per_cell = min(reps, -(-4 * max(workers, 1) // len(cells)))
     tasks = [
         (spec, tuple(estimators), base_seed, int(c[0]), int(c[-1]) + 1)
-        for spec in specs
+        for spec, estimators in cells
         for c in np.array_split(np.arange(reps), per_cell)
     ]
     if workers > 1:
@@ -183,14 +175,11 @@ def _run_cells(specs, estimators, reps, base_seed, workers):
             chunks = list(pool.map(_run_chunk, tasks))
     else:
         chunks = [_run_chunk(t) for t in tasks]
-    stats = []
-    for c, spec in enumerate(specs):
-        mine = chunks[c * per_cell:(c + 1) * per_cell]
-        stats.append([
-            _collect([item for chunk in mine for item in chunk[e]], spec.theta0, spec.n)
-            for e in range(len(estimators))
-        ])
-    return stats
+    return [
+        [_collect(row, spec.theta0, spec.n)
+         for row in np.hstack(chunks[c * per_cell:(c + 1) * per_cell])]
+        for c, (spec, _) in enumerate(cells)
+    ]
 
 
 def run_cell(
@@ -206,7 +195,7 @@ def run_cell(
     order is fixed by replication index, so results do not depend on worker
     scheduling.
     """
-    return _run_cells([spec], [estimator], reps, base_seed, workers)[0][0]
+    return _run_cells([(spec, [estimator])], reps, base_seed, workers)[0][0]
 
 
 @dataclass(frozen=True)
@@ -237,8 +226,9 @@ def run_table(plan: TablePlan, base_seed: int, workers: int = 1) -> MonteCarloRe
     runs on it; the whole table is one dispatch to the worker pool.
     """
     keys = [(rho, alpha) for rho in plan.rhos for alpha in plan.alphas]
-    specs = [DgpSpec(plan.family, plan.n, rho=rho, alpha=alpha) for rho, alpha in keys]
-    stats = _run_cells(specs, plan.estimators, plan.reps, base_seed, workers)
+    cells = [(DgpSpec(plan.family, plan.n, rho=rho, alpha=alpha), plan.estimators)
+             for rho, alpha in keys]
+    stats = _run_cells(cells, plan.reps, base_seed, workers)
     panels = {
         config.label: {key: stats[c][e] for c, key in enumerate(keys)}
         for e, config in enumerate(plan.estimators)
@@ -259,7 +249,6 @@ class RateCheckResult:
     slope: float
     ns: tuple
     rmse: tuple
-    cells: tuple  # CellStats per n
 
 
 def rate_check(
@@ -275,27 +264,26 @@ def rate_check(
     bandwidth schedule h_n = c * n^(-1/(2p+1)).
 
     For snn the bandwidth is re-derived at each n; every other method keeps
-    its own tuning.  Needs at least 3 distinct sample sizes.
+    its own tuning.  Needs at least 3 distinct sample sizes.  All sizes are
+    one dispatch, as a table is.
     """
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 3:
         raise ValueError("need at least 3 distinct sample sizes")
-    rmses = []
     cells = []
     for n in ns:
-        spec = replace(spec_template, n=n)
         est = estimator
         if estimator.method == "snn":
             h = undersmoothing_bandwidth(n, estimator.kernel_order, c)
             est = replace(estimator, bandwidth=BandwidthRule.fixed(h))
-        stats = run_cell(spec, est, reps, base_seed, workers)
-        if stats.reps_ok == 0:
+        cells.append((replace(spec_template, n=n), [est]))
+    stats = [cell[0] for cell in _run_cells(cells, reps, base_seed, workers)]
+    for n, st in zip(ns, stats):
+        if st.reps_ok == 0:
             raise EstimationError(f"rate check cell n={n} failed entirely")
-        rmse = math.sqrt(stats.sq_bias + stats.sd**2)
-        rmses.append(rmse)
-        cells.append(stats)
+    rmses = [math.sqrt(st.sq_bias + st.sd**2) for st in stats]
     logn = np.log(np.asarray(ns, dtype=float))
     logr = np.log(np.asarray(rmses, dtype=float))
     A = np.column_stack([np.ones(len(ns)), logn])
     coef, *_ = np.linalg.lstsq(A, logr, rcond=None)
-    return RateCheckResult(slope=float(coef[1]), ns=tuple(ns), rmse=tuple(rmses), cells=tuple(cells))
+    return RateCheckResult(slope=float(coef[1]), ns=tuple(ns), rmse=tuple(rmses))

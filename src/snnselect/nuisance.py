@@ -33,6 +33,7 @@ __all__ = [
 GAMMA_METHODS = ("klein_spady", "probit")
 
 _PROB_CLIP = 1e-4
+_SILVERMAN_C = 1.06
 _KS_MAXITER = 2000
 _KS_TOL = 1e-8
 
@@ -63,15 +64,15 @@ def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady") -> NuisanceEs
     return NuisanceEstimates(beta=beta, gamma=gamma)
 
 
-def silverman_bandwidth(index: np.ndarray, c: float = 1.06) -> float:
-    """Rule-of-thumb pilot c * scale * n^(-1/5), robust scale via the IQR."""
+def silverman_bandwidth(index: np.ndarray) -> float:
+    """Rule-of-thumb pilot 1.06 * scale * n^(-1/5), robust scale via the IQR."""
     index = np.asarray(index, dtype=float)
     n = index.shape[0]
     iqr = float(np.quantile(index, 0.75) - np.quantile(index, 0.25))
     scale = min(float(index.std()), iqr / 1.349) if iqr > 0 else float(index.std())
     if scale <= 0.0:
         raise EstimationError("degenerate index")
-    return c * scale * n ** (-0.2)
+    return _SILVERMAN_C * scale * n ** (-0.2)
 
 
 def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
@@ -140,20 +141,21 @@ def klein_spady_objective(
     return float(data.d @ np.log(p) + (1.0 - data.d) @ np.log(1.0 - p))
 
 
-def klein_spady_gamma(data: Dataset, pilot_bandwidth: float | None = None) -> np.ndarray:
+def klein_spady_gamma(data: Dataset) -> np.ndarray:
     """Maximizer of the leave-one-out quasi-likelihood over {gamma: gamma_1 = 1}.
 
-    Derivative-free simplex search started at the normalized probit estimate.
+    Derivative-free simplex search started at the normalized probit estimate,
+    with the Silverman pilot bandwidth of the probit index.  With one
+    selection covariate gamma is the normalization alone.
     """
     if data.d.min() == data.d.max():
         raise EstimationError("degenerate outcome")
     if data.n < 100:
         raise EstimationError("insufficient sample")
     start = probit_gamma(data)
-    if pilot_bandwidth is None:
-        pilot_bandwidth = silverman_bandwidth(index_values(data.Z, start))
     if data.l == 1:
         return start
+    pilot_bandwidth = silverman_bandwidth(index_values(data.Z, start))
 
     def negloglik(free: np.ndarray) -> float:
         gamma = np.concatenate([[1.0], free])

@@ -12,8 +12,11 @@ attribute (as a profiler does) reaches every call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import baselines, estimator, nuisance
 from .baselines import TailRule
@@ -111,22 +114,30 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     share one nuisance fit per gamma method, and its failure.  The generating
     values of ``nuisance=None`` exist only for simulated draws, whose caller
     puts them in ``fitted[None]``; without them this raises ValueError.
+
+    A theta or standard error that overflowed to inf or NaN raises
+    EstimationError("non-finite <quantity>"); no fit returns one.
     """
     method = METHODS[config.method]
-    if not method.needs_nuisance:
-        result = method.fit(data, None, None, config)
-        return result, result.beta
-    key = config.nuisance
-    fitted = {} if fitted is None else fitted
-    if key not in fitted:
-        if key is None:
-            raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
-        try:
-            est = nuisance.fit_nuisance(data, key)
-            fitted[key] = (est.beta, est.gamma)
-        except EstimationError as exc:
-            fitted[key] = exc
-    if isinstance(fitted[key], EstimationError):
-        raise fitted[key]
-    beta, gamma = fitted[key]
-    return method.fit(data, beta, gamma, config), beta
+    beta = gamma = None
+    if method.needs_nuisance:
+        key = config.nuisance
+        fitted = {} if fitted is None else fitted
+        if key not in fitted:
+            if key is None:
+                raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
+            try:
+                est = nuisance.fit_nuisance(data, key)
+                fitted[key] = (est.beta, est.gamma)
+            except EstimationError as exc:
+                fitted[key] = exc
+        if isinstance(fitted[key], EstimationError):
+            raise fitted[key]
+        beta, gamma = fitted[key]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = method.fit(data, beta, gamma, config)
+    for name in ("theta", "std_error", "std_errors"):
+        value = getattr(result, name, 0.0)
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            raise EstimationError(f"non-finite {name}")
+    return result, (beta if method.needs_nuisance else result.beta)

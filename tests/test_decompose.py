@@ -6,7 +6,6 @@ import pytest
 from snnselect.data import Dataset
 from snnselect.decompose import (
     DecompositionConfig,
-    DecompositionReport,
     bootstrap_se,
     decompose,
     decompose_with_se,
@@ -168,49 +167,6 @@ class TestBootstrap:
         assert rep.n_boot == 15
         assert set(rep.bootstrap_se) == set(rep.quantities())
         assert all(v >= 0 for v in rep.bootstrap_se.values())
-        text = rep.to_text()
-        assert "Difference in intercepts" in text
-
-
-class TestText:
-    """Exact to_text of hand-built reports, with and without bootstrap SEs."""
-
-    @staticmethod
-    def _report(**kwargs):
-        return DecompositionReport(-0.5, 0.25, -1.125, 0.375, -0.875, (1.0, 1.25), 0.25,
-                                   (np.zeros(1), np.zeros(1)), **kwargs)
-
-    def test_without_ses(self):
-        assert self._report(weighting="group1").to_text() == "\n".join([
-            "Decomposition (group1 weighting)",
-            "--------------------------------",
-            "Gap (overall)                   -0.5000",
-            "Wage structure (A)               0.2500",
-            "Endowments (B)                  -1.1250",
-            "Selection (C, residual)          0.3750",
-            "Gap (selection-corrected)       -0.8750",
-            "Intercept, group 0               1.0000",
-            "Intercept, group 1               1.2500",
-            "Difference in intercepts         0.2500",
-        ])
-
-    def test_with_ses(self):
-        ses = dict(zip(self._report(weighting="group0").quantities(),
-                       [0.0625, 0.125, 0.03125, 0.5, 0.25, 0.1875, 0.375, 1.0]))
-        report = self._report(weighting="group0", bootstrap_se=ses, n_boot=50, boot_failed=2)
-        head = "Decomposition (group0 weighting); bootstrap SEs in parentheses, B=50, failed=2"
-        assert report.to_text() == "\n".join([
-            head,
-            "-" * len(head),
-            "Gap (overall)                   -0.5000   (0.0625)",
-            "Wage structure (A)               0.2500   (0.1250)",
-            "Endowments (B)                  -1.1250   (0.0312)",
-            "Selection (C, residual)          0.3750   (0.5000)",
-            "Gap (selection-corrected)       -0.8750   (0.2500)",
-            "Intercept, group 0               1.0000   (0.1875)",
-            "Intercept, group 1               1.2500   (0.3750)",
-            "Difference in intercepts         0.2500   (1.0000)",
-        ])
 
 
 class TestConfigValidation:

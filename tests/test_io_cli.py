@@ -368,6 +368,19 @@ class TestCli:
             thetas.append(json.loads(out.read_text())["theta"])
         assert thetas[0] == thetas[1]
 
+    def test_estimate_non_finite_standard_error_exits_2(self, tmp_path, capsys):
+        # outcomes near 1e200 overflow the squared residuals of the OLS SEs;
+        # the fit raises rather than print std_error inf
+        data = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3)).dataset
+        p = tmp_path / "huge.csv"
+        save_dataset_csv(p, Dataset(d=data.d, y=data.y * 1e200, X=data.X, Z=data.Z),
+                         default_schema(4, 7))
+        out = tmp_path / "est.csv"
+        assert cli_main(["estimate", str(p), *_SIM_COLUMNS, "--estimator", "ols",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numerical failure: non-finite std_errors\n"
+        assert not out.exists()
+
     def test_mc_table_deterministic_across_workers(self, tmp_path):
         args = [
             "mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "12",

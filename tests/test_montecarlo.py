@@ -330,6 +330,25 @@ class TestRateCheck:
         with pytest.raises(EstimationError, match="n=100"):
             rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=3, base_seed=1)
 
+    def test_one_pool_for_all_sizes(self, monkeypatch):
+        pools = []
+        real = montecarlo.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            pools.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counted)
+        rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=4, base_seed=5, workers=2)
+        assert len(pools) == 1
+
+    def test_worker_count_does_not_change_results(self):
+        spec = DgpSpec("dgp1", 100, rho=0.5)
+        config = EstimatorConfig(method="snn")
+        a = rate_check([100, 200, 400], spec, config, reps=6, base_seed=71, workers=1)
+        b = rate_check([100, 200, 400], spec, config, reps=6, base_seed=71, workers=2)
+        assert a == b  # bitwise equality of the slope and every rmse
+
     def test_snn_uses_undersmoothing_schedule(self):
         config = EstimatorConfig(method="snn")
         spec = DgpSpec("dgp1", 100, rho=0.0, alpha=2.0)

@@ -95,8 +95,8 @@ class TestKleinSpady:
     def test_objective_dominates_probit_start(self):
         data = selection_sample(400, [1.0, -0.6, 0.4], seed=43)
         start = probit_gamma(data)
-        h = silverman_bandwidth(data.Z @ start)
-        g = klein_spady_gamma(data, h)
+        h = silverman_bandwidth(data.Z @ start)  # the pilot klein_spady_gamma fits at
+        g = klein_spady_gamma(data)
         assert klein_spady_objective(data, g, h) >= klein_spady_objective(data, start, h) - 1e-8
 
     def test_degenerate_outcome(self):
@@ -116,9 +116,8 @@ class TestKleinSpady:
         rng = np.random.default_rng(47)
         perm = rng.permutation(data.n)
         data_p = make_data(data.d[perm], data.y[perm], data.X[perm], data.Z[perm])
-        h = 0.4
-        g1 = klein_spady_gamma(data, h)
-        g2 = klein_spady_gamma(data_p, h)
+        g1 = klein_spady_gamma(data)
+        g2 = klein_spady_gamma(data_p)
         assert np.allclose(g1, g2, atol=1e-6)
 
 

@@ -1,15 +1,18 @@
+import dataclasses
 import importlib
 import pkgutil
+import warnings
 
 import pytest
 
 import snnselect
 from snnselect import montecarlo, seeding
 from snnselect.cli import build_parser
-from snnselect.dgp import FAMILIES
+from snnselect.dgp import FAMILIES, DgpSpec, simulate
+from snnselect.exceptions import EstimationError
 from snnselect.numerics import KERNEL_ORDERS
 from snnselect.nuisance import GAMMA_METHODS
-from snnselect.registry import METHODS, EstimatorConfig
+from snnselect.registry import METHODS, EstimatorConfig, fit
 
 
 def _choices(parser, dest):
@@ -94,3 +97,32 @@ class TestPublicNames:
         missing = [f"{module.__name__}.{name}" for module in modules
                    for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert len(modules) >= 14 and not missing
+
+
+class TestNonFiniteOutput:
+    @staticmethod
+    def _overflowing_draw():
+        """A dgp1 draw whose outcomes and slopes are scaled by 1e200: every
+        theta stays finite, but snn and OLS square residuals to inf and the
+        tail-mean SEs become NaN."""
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
+        return dataclasses.replace(draw.dataset, y=draw.dataset.y * 1e200), draw.beta0 * 1e200, draw.gamma0
+
+    @pytest.mark.parametrize("method, quantity", [
+        ("snn", "std_error"), ("ols", "std_errors"), ("h90", "std_error"), ("as98", "std_error"),
+    ])
+    def test_named_error_under_warnings_as_errors(self, method, quantity):
+        # as CI runs the suite, with -W error::RuntimeWarning: the overflow
+        # must surface as the named error, not as a bare RuntimeWarning
+        data, beta, gamma = self._overflowing_draw()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match=f"^non-finite {quantity}$"):
+                fit(data, EstimatorConfig(method), {None: (beta, gamma)})
+
+    def test_finite_fits_pass_through(self):
+        data, beta, gamma = self._overflowing_draw()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result, _ = fit(data, EstimatorConfig("heckman"), {None: (beta, gamma)})
+        assert abs(result.theta) < float("inf")
