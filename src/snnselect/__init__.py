@@ -18,7 +18,6 @@ from .decompose import (
     DecompositionReport,
     bootstrap_se,
     decompose,
-    decompose_with_se,
 )
 from .dgp import DgpSpec, LatentDraw, identification_ratio, simulate, true_beta, true_gamma
 from .estimator import (

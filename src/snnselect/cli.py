@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import TailRule
-from .decompose import DecompositionConfig, decompose_with_se
+from .decompose import WEIGHTINGS, DecompositionConfig, bootstrap_se, decompose
 from .dgp import FAMILIES, DgpSpec, identification_ratio, simulate
 from .estimator import BandwidthRule
 from .exceptions import DataError, EstimationError
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="two-group decomposition with bootstrap SEs")
     add_data_fit(sp, group=True)
-    sp.add_argument("--weighting", choices=("group0", "group1"), default="group0")
+    sp.add_argument("--weighting", choices=WEIGHTINGS, default="group0")
     sp.add_argument("--bootstrap", type=_replicates, default=200, metavar="B")
     add_output(sp, seed=True)
 
@@ -255,15 +255,14 @@ def _cmd_estimate(args) -> str:
 def _cmd_decompose(args) -> str:
     data0, data1 = load_csv(args.data, _schema_from_args(args))
     config = DecompositionConfig(_fit_config(args), args.weighting)
-    report = decompose_with_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed)
-    payload = dict(report.quantities())
-    payload["bootstrap_se"] = dict(report.bootstrap_se or {})
-    payload["n_boot"] = report.n_boot
-    payload["boot_failed"] = report.boot_failed
+    quantities = decompose(data0, data1, config).quantities()
+    boot = bootstrap_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed)
+    payload = {**quantities, "bootstrap_se": dict(boot.ses),
+               "n_boot": args.bootstrap, "boot_failed": boot.n_failed}
     lines = ["quantity,estimate,bootstrap_se"] + [
-        f"{k},{float(v)!r},{report.bootstrap_se[k]!r}" for k, v in report.quantities().items()
+        f"{k},{float(v)!r},{boot.ses[k]!r}" for k, v in quantities.items()
     ]
-    lines.append(f"# bootstrap: B={report.n_boot}, failed={report.boot_failed}")
+    lines.append(f"# bootstrap: B={args.bootstrap}, failed={boot.n_failed}")
     return _render(args, payload, lines)
 
 

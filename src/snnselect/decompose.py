@@ -7,7 +7,7 @@ the difference in intercepts is the discrimination measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -23,8 +23,9 @@ __all__ = [
     "BootstrapSummary",
     "decompose",
     "bootstrap_se",
-    "decompose_with_se",
 ]
+
+WEIGHTINGS = ("group0", "group1")
 
 @dataclass(frozen=True)
 class DecompositionConfig:
@@ -40,36 +41,25 @@ class DecompositionConfig:
     weighting: str = "group0"
 
     def __post_init__(self) -> None:
-        if self.weighting not in ("group0", "group1"):
+        if self.weighting not in WEIGHTINGS:
             raise ValueError("weighting must be 'group0' or 'group1'")
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """The reported quantities, in the order the CLI prints them."""
+
     gap_overall: float
     component_A: float
     component_B: float
     component_C: float
     gap_selection_corrected: float
-    theta_by_group: tuple
+    theta_group0: float
+    theta_group1: float
     intercept_difference: float
-    beta_by_group: tuple
-    weighting: str
-    bootstrap_se: Mapping[str, float] | None = None
-    n_boot: int = 0
-    boot_failed: int = 0
 
     def quantities(self) -> dict:
-        return {
-            "gap_overall": self.gap_overall,
-            "component_A": self.component_A,
-            "component_B": self.component_B,
-            "component_C": self.component_C,
-            "gap_selection_corrected": self.gap_selection_corrected,
-            "theta_group0": self.theta_by_group[0],
-            "theta_group1": self.theta_by_group[1],
-            "intercept_difference": self.intercept_difference,
-        }
+        return asdict(self)
 
 
 def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
@@ -104,10 +94,9 @@ def decompose(data0: Dataset, data1: Dataset, config: DecompositionConfig | None
         component_B=B,
         component_C=C,
         gap_selection_corrected=A + B,
-        theta_by_group=(th0, th1),
+        theta_group0=th0,
+        theta_group1=th1,
         intercept_difference=th1 - th0,
-        beta_by_group=(b0, b1),
-        weighting=config.weighting,
     )
 
 
@@ -159,16 +148,3 @@ def bootstrap_se(
         raise EstimationError("bootstrap failed")
     ses = {k: float(np.std(np.asarray(v), ddof=1)) for k, v in draws.items()}
     return BootstrapSummary(ses=ses, n_ok=n_ok, n_failed=failed)
-
-
-def decompose_with_se(
-    data0: Dataset,
-    data1: Dataset,
-    config: DecompositionConfig | None = None,
-    n_boot: int = 200,
-    seed: int = 0,
-) -> DecompositionReport:
-    """Point decomposition plus bootstrap SEs in one report."""
-    report = decompose(data0, data1, config)
-    summary = bootstrap_se(data0, data1, config, n_boot, seed)
-    return replace(report, bootstrap_se=summary.ses, n_boot=n_boot, boot_failed=summary.n_failed)

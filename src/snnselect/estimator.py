@@ -109,17 +109,17 @@ def _local_linear_solve(t: np.ndarray, K: np.ndarray, W: np.ndarray):
 
 
 def _window_bandwidth(t: np.ndarray, h: float) -> float:
-    """Widen h by 1.5x (up to the cap) until >= 2 distinct ranks have weight."""
+    """Widen h by 1.5x (up to the cap) until >= 2 distinct ranks have weight.
+
+    A rank has weight when t / h > -1, the kernel's open support; the top
+    rank has t = 0, so the window is never empty.
+    """
     cap = BANDWIDTH_CLAMP[1]
     while True:
-        inside = t >= -h
-        if np.any(inside):
-            window = t[inside]
-            if window.max() > window.min():
-                return h
+        window = t[t / h > -1.0]
+        if window.max() > window.min():
+            return h
         if h >= cap:
-            if not np.any(inside):
-                raise EstimationError("no effective observations")
             raise EstimationError("degenerate local design")
         h = min(h * _WIDEN_FACTOR, cap)
 

@@ -52,7 +52,9 @@ def _fields(*names):
 
 def _snn_label(cfg) -> str:
     bw = cfg.bandwidth
-    return f"snn (h={bw.value:g})" if bw.kind == "fixed" else f"snn (plugin x{bw.value:g})"
+    rule = f"h={bw.value:g}" if bw.kind == "fixed" else f"plugin x{bw.value:g}"
+    order = f", order {cfg.kernel_order}" if cfg.kernel_order != 2 else ""
+    return f"snn ({rule}{order})"
 
 
 def _tail_label(name: str):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from snnselect.data import Dataset
-from snnselect.decompose import (
-    DecompositionConfig,
-    bootstrap_se,
-    decompose,
-    decompose_with_se,
-)
+from snnselect.decompose import DecompositionConfig, bootstrap_se, decompose
 from snnselect.exceptions import EstimationError
 from snnselect.registry import EstimatorConfig
 
@@ -93,6 +88,14 @@ class TestDecompose:
         assert b.component_B == a.component_B  # bitwise: same betas, same endowments
         assert abs(a.component_A - b.component_A) <= 0.2
 
+    def test_quantities_in_cli_row_order(self):
+        d0 = group_sample(600, 1.0, seed=83)
+        d1 = group_sample(600, 1.2, seed=84)
+        assert list(decompose(d0, d1, FAST).quantities()) == [
+            "gap_overall", "component_A", "component_B", "component_C",
+            "gap_selection_corrected", "theta_group0", "theta_group1", "intercept_difference",
+        ]
+
     def test_error_carries_group_tag(self):
         good = group_sample(600, 1.0, seed=69)
         bad = make_data(np.zeros(600), np.zeros(600), good.X, good.Z)
@@ -160,13 +163,13 @@ class TestBootstrap:
         assert summary.n_ok == 8
         assert repr(summary.ses["intercept_difference"]) == PINNED_SE
 
-    def test_decompose_with_se_attaches_ses(self):
+    def test_default_statistic_covers_every_quantity(self):
         d0 = group_sample(500, 1.0, seed=79)
         d1 = group_sample(500, 1.3, seed=80)
-        rep = decompose_with_se(d0, d1, FAST, n_boot=15, seed=10)
-        assert rep.n_boot == 15
-        assert set(rep.bootstrap_se) == set(rep.quantities())
-        assert all(v >= 0 for v in rep.bootstrap_se.values())
+        summary = bootstrap_se(d0, d1, FAST, n_boot=15, seed=10)
+        assert summary.n_ok + summary.n_failed == 15
+        assert list(summary.ses) == list(decompose(d0, d1, FAST).quantities())
+        assert all(v >= 0 for v in summary.ses.values())
 
 
 class TestConfigValidation:

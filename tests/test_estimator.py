@@ -174,6 +174,16 @@ class TestSnnIntercept:
         assert est.effective_n >= 2
         assert est.bandwidth > 0.001
 
+    def test_rank_on_window_edge_has_no_weight(self):
+        # ranks (0.5, 1): at h = 0.5 the lower rank sits at u = -1, where the
+        # kernel is 0, so the window widens once to h = 0.75
+        data = make_data([1, 1], [1.0, 2.0], np.zeros((2, 1)), [[0.0], [1.0]])
+        est = snn_intercept(data, np.zeros(1), np.array([1.0]),
+                            rule=BandwidthRule.fixed(0.5))
+        assert est.bandwidth == 0.75
+        assert est.theta == pytest.approx(2.0, abs=1e-12)
+        assert est.effective_n == 2
+
 
 class TestUndersmoothingBandwidth:
     def test_n_one(self):

@@ -529,6 +529,24 @@ class TestCli:
         argv = [str(p) if a == "{csv}" else a for a in command]
         assert cli_main(argv + ["--bandwidth", "auto"]) == 1
 
+    def test_bandwidth_rules_name_their_panels(self, capsys):
+        argv = ["mc-table", "--dgp", "dgp1", "--n", "100", "--reps", "2", "--rho", "0",
+                "--alpha", "2", "--bandwidth", "fixed:0.3", "--bandwidth", "plugin:0.667",
+                "--format", "json"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["panels"]) == ["snn (h=0.3)", "snn (plugin x0.667)"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("fixed:3", "fixed bandwidth outside supported range"),
+        ("plugin:-1", "must be positive"),
+        ("wide", "use fixed:H or plugin[:SCALE]"),
+    ])
+    def test_bad_bandwidth_value_names_the_problem(self, capsys, text, message):
+        assert cli_main(["mc-table", "--n", "50", "--reps", "2", "--bandwidth", text]) == 1
+        err = capsys.readouterr().err
+        assert "argument --bandwidth: " in err and message in err
+
     @pytest.mark.parametrize("boot", ["0", "1"])
     def test_bootstrap_below_two_is_usage_error(self, tmp_path, monkeypatch, capsys, boot):
         # rejected by the parser, before any CSV is read

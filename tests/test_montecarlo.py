@@ -130,8 +130,9 @@ class TestRunTable:
             TablePlan("dgp1", 50, [], reps=10)
 
     def test_shared_panel_labels_rejected(self):
-        # snn configs that differ only in nuisance or kernel order share the
-        # label "snn (plugin x1)", and would overwrite each other's panel
+        # snn configs that differ only in nuisance share the label
+        # "snn (plugin x1)", and would overwrite each other's panel; the
+        # order-4 config has a label of its own
         configs = [EstimatorConfig("snn"), EstimatorConfig("snn", nuisance="probit"),
                    EstimatorConfig("snn", kernel_order=4)]
         with pytest.raises(ValueError, match=r"share a panel label: 'snn \(plugin x1\)'$"):
@@ -139,6 +140,12 @@ class TestRunTable:
         # one config per registered method, as the benchmark's table plan has
         plan = TablePlan("dgp2", 200, [EstimatorConfig(method=m) for m in METHODS], reps=3)
         assert len({config.label for config in plan.estimators}) == len(METHODS) == 5
+
+    def test_kernel_orders_get_separate_panels(self):
+        configs = [EstimatorConfig("snn"), EstimatorConfig("snn", kernel_order=4)]
+        plan = TablePlan("dgp1", 60, configs, rhos=(0.0,), alphas=(2.0,), reps=2)
+        report = run_table(plan, base_seed=3)
+        assert list(report.panels) == ["snn (plugin x1)", "snn (plugin x1, order 4)"]
 
     def test_three_bandwidth_panels_full_grid(self):
         # the reference layout: one panel per bandwidth setting, 20 cells each
