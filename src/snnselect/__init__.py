@@ -19,7 +19,7 @@ from .decompose import (
     bootstrap_se,
     decompose,
 )
-from .dgp import DgpSpec, LatentDraw, identification_ratio, simulate, true_beta, true_gamma
+from .dgp import DgpSpec, LatentDraw, identification_ratio, simulate, true_gamma
 from .estimator import (
     BANDWIDTH_CLAMP,
     BandwidthRule,
@@ -44,7 +44,6 @@ from .numerics import (
     inverse_mills,
     kernel_l2,
     kernel_moment,
-    normal_cdf,
     normal_pdf,
 )
 from .nuisance import (
@@ -56,7 +55,7 @@ from .nuisance import (
     robinson_beta,
     silverman_bandwidth,
 )
-from .ranks import eta_hat, index_values
+from .ranks import eta_hat
 from .registry import EstimatorConfig
 from .seeding import derive_seed
 

@@ -11,8 +11,7 @@ from scipy import special
 from .data import Dataset
 from .estimator import InterceptEstimate, residualized_outcome
 from .exceptions import EstimationError
-from .numerics import inverse_mills, normal_cdf, normal_pdf
-from .ranks import index_values
+from .numerics import inverse_mills, normal_pdf
 
 __all__ = [
     "TailRule",
@@ -62,7 +61,6 @@ class TwoStepFit:
     theta: float
     beta: np.ndarray
     lambda_coef: float
-    gamma: np.ndarray
 
 
 def _lstsq_full_rank(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,7 +107,7 @@ def probit_mle(d: np.ndarray, Z: np.ndarray) -> np.ndarray:
     g = np.zeros(Z.shape[1])
     for _ in range(_PROBIT_MAX_ITER):
         xb = Z @ g
-        cdf = np.clip(normal_cdf(xb), 1e-300, 1.0 - 1e-16)
+        cdf = np.clip(special.ndtr(xb), 1e-300, 1.0 - 1e-16)
         pdf = normal_pdf(xb)
         lam1 = pdf / cdf
         lam0 = pdf / np.clip(1.0 - cdf, 1e-300, None)
@@ -138,7 +136,7 @@ def heckman_two_step(data: Dataset) -> TwoStepFit:
     """Two-step correction: probit of d on Z, then least squares of y on
     (1, X, lambda(Z'gamma)) over the selected subsample."""
     gamma = probit_mle(data.d, data.Z)
-    lam = inverse_mills(index_values(data.Z, gamma))
+    lam = inverse_mills(data.Z @ gamma)
     sel = data.selected()
     m = int(sel.sum())
     if m <= data.k + 2:
@@ -149,12 +147,18 @@ def heckman_two_step(data: Dataset) -> TwoStepFit:
         theta=float(coef[0]),
         beta=coef[1:-1],
         lambda_coef=float(coef[-1]),
-        gamma=gamma,
     )
 
 
-def _tail_estimate(W: np.ndarray, d: np.ndarray, weights: np.ndarray, h: float) -> InterceptEstimate:
-    wd = d * weights
+def _tail_mean(
+    data: Dataset, beta: np.ndarray, idx: np.ndarray, rule: TailRule, tau: float
+) -> InterceptEstimate:
+    """Mean of the selection-masked residuals weighted by s(index - b_n), the
+    ramp of span ``tau`` (tau = 0 gives the hard threshold 1{index > b_n}),
+    with b_n the ``rule.quantile`` sample quantile of the index."""
+    b_n = float(np.quantile(idx, rule.quantile))
+    W = residualized_outcome(data, beta)
+    wd = data.d * smooth_tail_weight(idx - b_n, tau)
     total = float(wd.sum())
     if total <= 0.0:
         raise EstimationError("empty tail")
@@ -166,7 +170,7 @@ def _tail_estimate(W: np.ndarray, d: np.ndarray, weights: np.ndarray, h: float) 
     return InterceptEstimate(
         theta=theta,
         std_error=math.sqrt(max(var, 0.0)),
-        bandwidth=h,
+        bandwidth=1.0 - rule.quantile,
         effective_n=int(np.count_nonzero(wd > 0.0)),
     )
 
@@ -175,12 +179,9 @@ def h90_intercept(
     data: Dataset, beta: np.ndarray, gamma: np.ndarray, rule: TailRule | None = None
 ) -> InterceptEstimate:
     """Mean of the selection-masked residuals over the selected upper tail
-    of the index (hard threshold at the ``rule.quantile`` sample quantile)."""
-    rule = rule or TailRule()
-    idx = index_values(data.Z, gamma)
-    b_n = float(np.quantile(idx, rule.quantile))
-    W = residualized_outcome(data, beta)
-    return _tail_estimate(W, data.d, (idx > b_n).astype(float), 1.0 - rule.quantile)
+    of the index (hard threshold at the ``rule.quantile`` sample quantile):
+    the tau = 0 case of ``as98_intercept``'s weighting."""
+    return _tail_mean(data, beta, data.Z @ gamma, rule or TailRule(), 0.0)
 
 
 def smooth_tail_weight(u, tau: float):
@@ -211,12 +212,8 @@ def as98_intercept(
     over the selected subsample (only selected observations carry weight).
     tau <= 0 reduces to the hard-threshold tail mean."""
     rule = rule or TailRule()
-    idx = index_values(data.Z, gamma)
-    b_n = float(np.quantile(idx, rule.quantile))
+    idx = data.Z @ gamma
     sel = data.selected()
     if not np.any(sel):
         raise EstimationError("empty tail")
-    tau = float(np.quantile(idx[sel], rule.tau_quantile))
-    W = residualized_outcome(data, beta)
-    s = smooth_tail_weight(idx - b_n, tau)
-    return _tail_estimate(W, data.d, np.asarray(s), 1.0 - rule.quantile)
+    return _tail_mean(data, beta, idx, rule, float(np.quantile(idx[sel], rule.tau_quantile)))

@@ -26,15 +26,12 @@ __all__ = ["cli_main", "main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
+    """argparse variant whose usage errors raise ValueError, so that they
+    exit 1 (not 2) through cli_main."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _parse_bandwidth(text: str) -> BandwidthRule:
@@ -191,7 +188,7 @@ def _fit_config(args) -> EstimatorConfig:
 
 def _cmd_simulate(args) -> None:
     if args.out is None:
-        raise _UsageError("simulate requires --out")
+        raise ValueError("simulate requires --out")
     spec = DgpSpec(args.dgp, args.n, rho=args.rho, alpha=args.alpha,
                    theta0=args.theta0, seed=args.seed)
     draw = simulate(spec)
@@ -298,9 +295,6 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text = _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ the difference in intercepts is the discrimination measure.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -103,7 +103,6 @@ def decompose(data0: Dataset, data1: Dataset, config: DecompositionConfig | None
 @dataclass(frozen=True)
 class BootstrapSummary:
     ses: Mapping[str, float]
-    n_ok: int
     n_failed: int
 
 
@@ -118,33 +117,28 @@ def bootstrap_se(
     config: DecompositionConfig | None = None,
     n_boot: int = 200,
     seed: int = 0,
-    statistic: Callable[[Dataset, Dataset], Mapping[str, float]] | None = None,
 ) -> BootstrapSummary:
     """Row-resampling bootstrap, independent within each group.
 
     SEs are sample standard deviations of each reported quantity over the
     successful replications; failed replications are counted and excluded.
-    ``statistic`` substitutes a custom (data0, data1) -> {name: value} map
-    for the default decomposition quantities.
     """
     if n_boot < 2:
         raise EstimationError("bootstrap failed")
     config = config or DecompositionConfig()
-    stat = statistic or (lambda a, b: decompose(a, b, config).quantities())
     draws: dict[str, list] = {}
     failed = 0
     for b in range(n_boot):
         r0 = _resample(data0, derive_seed(seed, "bootstrap:group0", b))
         r1 = _resample(data1, derive_seed(seed, "bootstrap:group1", b))
         try:
-            values = stat(r0, r1)
+            values = decompose(r0, r1, config).quantities()
         except EstimationError:
             failed += 1
             continue
         for key, value in values.items():
             draws.setdefault(key, []).append(float(value))
-    n_ok = n_boot - failed
-    if n_ok < 2:
+    if n_boot - failed < 2:
         raise EstimationError("bootstrap failed")
     ses = {k: float(np.std(np.asarray(v), ddof=1)) for k, v in draws.items()}
-    return BootstrapSummary(ses=ses, n_ok=n_ok, n_failed=failed)
+    return BootstrapSummary(ses=ses, n_failed=failed)

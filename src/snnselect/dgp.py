@@ -11,10 +11,10 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
+from scipy import special
 
 from .data import Dataset
 from .exceptions import EstimationError
-from .numerics import normal_quantile
 from .seeding import generator
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "LatentDraw",
     "simulate",
     "true_gamma",
-    "true_beta",
     "identification_ratio",
 ]
 
@@ -62,6 +61,9 @@ class DgpSpec:
             raise ValueError("n must be at least 2")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
+        for name in ("alpha", "theta0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.family == "dgp2" and self.alpha <= _DGP2_ALPHA_MIN:
@@ -82,7 +84,6 @@ class LatentDraw:
     index: np.ndarray
     gamma0: np.ndarray
     beta0: np.ndarray
-    theta0: float
 
 
 def _standard_normal(g: np.random.Generator, n: int) -> np.ndarray:
@@ -111,10 +112,6 @@ def true_gamma(spec: DgpSpec) -> np.ndarray:
     return g
 
 
-def true_beta(spec: DgpSpec) -> np.ndarray:
-    return np.ones(spec.k)
-
-
 def simulate(spec: DgpSpec) -> LatentDraw:
     """Draw one sample; a deterministic function of the spec (incl. seed).
 
@@ -135,7 +132,7 @@ def simulate(spec: DgpSpec) -> LatentDraw:
     u = spec.rho * v + e
 
     gamma0 = true_gamma(spec)
-    beta0 = true_beta(spec)
+    beta0 = np.ones(k)
     index = Z @ gamma0
     d = (index >= v).astype(float)
     X = Z[:, :k]
@@ -147,7 +144,6 @@ def simulate(spec: DgpSpec) -> LatentDraw:
         index=index,
         gamma0=gamma0,
         beta0=beta0,
-        theta0=spec.theta0,
     )
 
 
@@ -171,7 +167,7 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
         try:
             if family == "dgp1":
                 s = math.sqrt(alpha)
-                x = s * normal_quantile(q_arr)
+                x = s * special.ndtri(q_arr)
                 # phi(x)/phi(x/s) written as one exponential to dodge underflow
                 out = s * np.exp(-0.5 * x * x * (1.0 - 1.0 / alpha))
             else:

@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import EstimationError
 from .numerics import eval_kernel, kernel_l2, kernel_moment
-from .ranks import eta_hat, index_values
+from .ranks import eta_hat
 
 __all__ = [
     "BandwidthRule",
@@ -147,7 +147,7 @@ def snn_intercept(
     if rule.kind == "fixed":
         h = rule.value
     else:
-        h = _plug_in_from_ranks(t, index_values(data.Z, gamma), W, kernel_order, rule.value)
+        h = _plug_in_from_ranks(t, data.Z @ gamma, W, kernel_order, rule.value)
     h = _window_bandwidth(t, h)
     K = eval_kernel(kernel_order, t / h)
     theta, slope, w = _local_linear_solve(t, K, W)

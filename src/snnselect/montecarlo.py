@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
@@ -160,7 +161,8 @@ def _run_cells(cells, reps, base_seed, workers):
 
     Each cell's reps are split into contiguous chunks, about 4 tasks per
     worker over all cells, and all chunks go out in one map on a pool of
-    ``workers`` processes, or run in this process when ``workers`` is 1.
+    ``workers`` processes (fewer if there are fewer tasks or usable CPUs),
+    or run in this process when ``workers`` is 1.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
@@ -171,7 +173,8 @@ def _run_cells(cells, reps, base_seed, workers):
         for c in np.array_split(np.arange(reps), per_cell)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus or 1)) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     else:
         chunks = [_run_chunk(t) for t in tasks]

@@ -16,7 +16,6 @@ from scipy import optimize
 from .baselines import probit_mle
 from .data import Dataset
 from .exceptions import EstimationError
-from .ranks import index_values
 
 __all__ = [
     "GAMMA_METHODS",
@@ -132,7 +131,7 @@ def klein_spady_objective(
     data: Dataset, gamma: np.ndarray, bandwidth: float
 ) -> float:
     """Leave-one-out quasi-log-likelihood of the single-index binary choice."""
-    idx = index_values(data.Z, gamma)
+    idx = data.Z @ gamma
     p_hat, valid = _loo_epanechnikov(idx, data.d[:, None], bandwidth)
     p = p_hat[:, 0]
     fallback = float(np.clip(data.d.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
@@ -155,7 +154,7 @@ def klein_spady_gamma(data: Dataset) -> np.ndarray:
     start = probit_gamma(data)
     if data.l == 1:
         return start
-    pilot_bandwidth = silverman_bandwidth(index_values(data.Z, start))
+    pilot_bandwidth = silverman_bandwidth(data.Z @ start)
 
     def negloglik(free: np.ndarray) -> float:
         gamma = np.concatenate([[1.0], free])
@@ -194,7 +193,7 @@ def robinson_beta(
     m = int(sel.sum())
     if m < data.k + 10:
         raise EstimationError("insufficient selected observations")
-    idx = index_values(data.Z, gamma)[sel]
+    idx = (data.Z @ gamma)[sel]
     if bandwidth is None:
         bandwidth = silverman_bandwidth(idx)
     cols = np.column_stack([data.y[sel], data.X[sel]])

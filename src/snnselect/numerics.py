@@ -16,9 +16,7 @@ __all__ = [
     "eval_kernel",
     "kernel_moment",
     "kernel_l2",
-    "normal_cdf",
     "normal_pdf",
-    "normal_quantile",
     "inverse_mills",
 ]
 
@@ -87,22 +85,12 @@ def kernel_l2(order: int) -> float:
     return float(_integral(_poly_mul(coef, coef)))
 
 
-def normal_cdf(x):
-    """Standard normal CDF via the erfc-based ``ndtr`` (rel. error < 1e-12)."""
-    return special.ndtr(x)
-
-
 def normal_pdf(x):
     x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def normal_quantile(p):
-    """Inverse standard normal CDF."""
-    return special.ndtri(p)
 
 
 def inverse_mills(t):

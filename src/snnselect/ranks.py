@@ -9,16 +9,7 @@ import numpy as np
 
 from .exceptions import EstimationError
 
-__all__ = ["index_values", "eta_hat"]
-
-
-def index_values(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Selection indices Z @ gamma as a 1-d float array."""
-    Z = np.asarray(Z, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    return Z @ gamma
+__all__ = ["eta_hat"]
 
 
 def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -32,6 +23,6 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         raise EstimationError("insufficient sample")
     if not np.any(np.asarray(gamma, dtype=float) != 0.0):
         raise EstimationError("degenerate index")
-    idx = index_values(Z, gamma)
+    idx = np.asarray(Z, dtype=float) @ np.asarray(gamma, dtype=float)
     order = np.sort(idx)
     return np.searchsorted(order, idx, side="right") / idx.shape[0]

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from oracles import as98_bruteforce, h90_bruteforce, ols_bruteforce
 from snnselect.baselines import (
@@ -14,9 +17,10 @@ from snnselect.baselines import (
     smooth_tail_weight,
 )
 from snnselect.data import Dataset
+from snnselect.dgp import DgpSpec, simulate
 from snnselect.estimator import residualized_outcome
 from snnselect.exceptions import EstimationError
-from snnselect.numerics import inverse_mills, normal_cdf
+from snnselect.numerics import inverse_mills
 
 
 def make_data(d, y, X, Z):
@@ -284,5 +288,35 @@ class TestNormalCdfUse:
     def test_probit_fit_probabilities_in_range(self):
         data = probit_sample(1000, [1.0, 2.0], seed=35)
         g = probit_mle(data.d, data.Z)
-        p = normal_cdf(data.Z @ g)
+        p = ndtr(data.Z @ g)
         assert np.all((p > 0) & (p < 1))
+
+
+_SHIFT_FITS = {
+    "ols": lambda data, draw: ols_selected(data).theta,
+    "heckman": lambda data, draw: heckman_two_step(data).theta,
+    "h90": lambda data, draw: h90_intercept(data, draw.beta0, draw.gamma0).theta,
+    "as98": lambda data, draw: as98_intercept(data, draw.beta0, draw.gamma0).theta,
+}
+
+
+class TestShiftProperty:
+    @given(method=st.sampled_from(sorted(_SHIFT_FITS)), family=st.sampled_from(["dgp1", "dgp2"]),
+           rho=st.sampled_from([0.0, 0.5, 0.95]), seed=st.integers(0, 2**32 - 1),
+           c=st.floats(-100.0, 100.0))
+    @settings(max_examples=60, deadline=None)
+    def test_outcome_shift_on_selected_rows_moves_theta_by_c(self, method, family, rho, seed, c):
+        # y + c*d adds c to every selected outcome, and each of these fits
+        # reads y only through the selected rows
+        draw = simulate(DgpSpec(family, 300, rho=rho, seed=seed))
+        data = draw.dataset
+        shifted = Dataset(data.d, data.y + c * data.d, data.X, data.Z)
+        fit = _SHIFT_FITS[method]
+        try:
+            a = fit(data, draw)
+        except EstimationError:  # failures depend on d, X and Z alone
+            with pytest.raises(EstimationError):
+                fit(shifted, draw)
+            return
+        b = fit(shifted, draw)
+        assert abs(b - (a + c)) <= 1e-9 * (1.0 + abs(c) + abs(a))

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -104,28 +105,18 @@ class TestDecompose:
 
 
 class TestBootstrap:
-    def test_degenerate_statistic_gives_zero_ses(self):
-        d0 = group_sample(300, 1.0, seed=70)
-        d1 = group_sample(300, 1.2, seed=71)
-        summary = bootstrap_se(d0, d1, n_boot=25, seed=5,
-                               statistic=lambda a, b: {"theta": 3.0})
-        assert summary.ses["theta"] == 0.0
-        assert summary.n_ok == 25
-
     def test_mean_difference_matches_analytic_se(self):
-        rng = np.random.default_rng(72)
+        # gap_overall is the difference of the groups' selected-sample means
         n = 500
         mk = lambda mu, seed: group_sample(n, mu, seed=seed)
         d0, d1 = mk(1.0, 73), mk(1.5, 74)
-
-        def mean_diff(a, b):
-            return {"diff": b.y[b.selected()].mean() - a.y[a.selected()].mean()}
-
-        summary = bootstrap_se(d0, d1, n_boot=200, seed=6, statistic=mean_diff)
+        summary = bootstrap_se(d0, d1, DecompositionConfig(EstimatorConfig("ols")),
+                               n_boot=200, seed=6)
+        assert summary.n_failed == 0
         s0 = d0.y[d0.selected()]
         s1 = d1.y[d1.selected()]
         analytic = math.sqrt(s0.var(ddof=1) / len(s0) + s1.var(ddof=1) / len(s1))
-        assert abs(summary.ses["diff"] - analytic) <= 0.25 * analytic
+        assert abs(summary.ses["gap_overall"] - analytic) <= 0.25 * analytic
 
     def test_single_replication_rejected(self):
         d0 = group_sample(200, 1.0, seed=75)
@@ -133,41 +124,48 @@ class TestBootstrap:
             bootstrap_se(d0, d0, n_boot=1, seed=7)
 
     def test_all_failures_is_bootstrap_failed(self):
+        # two selected rows: a resample's OLS design (1, x1, x2) has at most
+        # two distinct rows, so every replicate raises
         d0 = group_sample(200, 1.0, seed=76)
-
-        def broken(a, b):
-            raise EstimationError("x")
-
+        d = np.zeros(d0.n)
+        d[np.flatnonzero(d0.d)[:2]] = 1.0
+        sparse = make_data(d, d0.y * d, d0.X, d0.Z)
+        ols = DecompositionConfig(EstimatorConfig("ols"))
         with pytest.raises(EstimationError, match="bootstrap failed"):
-            bootstrap_se(d0, d0, n_boot=5, seed=8, statistic=broken)
+            bootstrap_se(sparse, d0, ols, n_boot=5, seed=8)
 
-    def test_identity_holds_in_every_replication(self):
+    def test_identity_holds_in_every_replication(self, monkeypatch):
         d0 = group_sample(500, 1.0, seed=77)
         d1 = group_sample(500, 1.2, seed=78)
+        reports = []
 
-        def identity_check(a, b):
-            rep = decompose(a, b, FAST)
+        # bootstrap_se looks decompose up at call time, so this sees every replicate
+        def checked(a, b, config):
+            rep = decompose(a, b, config)
             assert rep.gap_overall == pytest.approx(
                 rep.component_A + rep.component_B + rep.component_C, abs=1e-12
             )
-            return rep.quantities()
+            reports.append(rep)
+            return rep
 
-        summary = bootstrap_se(d0, d1, n_boot=12, seed=9, statistic=identity_check)
-        assert summary.n_ok == 12
+        monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "decompose", checked)
+        summary = bootstrap_se(d0, d1, FAST, n_boot=12, seed=9)
+        assert summary.n_failed == 0
+        assert len(reports) == 12
 
     def test_se_pinned_bitwise(self):
         # pins the resampling streams: the Philox draws of every replicate
         d0 = group_sample(400, 1.0, seed=81, rho=0.5)
         d1 = group_sample(400, 1.3, seed=82, rho=0.25)
         summary = bootstrap_se(d0, d1, FAST, n_boot=8, seed=9)
-        assert summary.n_ok == 8
+        assert summary.n_failed == 0
         assert repr(summary.ses["intercept_difference"]) == PINNED_SE
 
     def test_default_statistic_covers_every_quantity(self):
         d0 = group_sample(500, 1.0, seed=79)
         d1 = group_sample(500, 1.3, seed=80)
         summary = bootstrap_se(d0, d1, FAST, n_boot=15, seed=10)
-        assert summary.n_ok + summary.n_failed == 15
+        assert summary.n_failed == 0
         assert list(summary.ses) == list(decompose(d0, d1, FAST).quantities())
         assert all(v >= 0 for v in summary.ses.values())
 

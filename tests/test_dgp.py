@@ -27,6 +27,17 @@ class TestSpecValidation:
         assert np.allclose(draw.u, draw.v, atol=1e-12)
 
 
+    def test_non_finite_alpha(self):
+        for family in ("dgp1", "dgp2"):
+            for alpha in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match="alpha must be finite"):
+                    DgpSpec(family, 100, alpha=alpha)
+
+    def test_non_finite_theta0(self):
+        for theta0 in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="theta0 must be finite"):
+                DgpSpec("dgp1", 100, theta0=theta0)
+
     def test_dgp2_alpha_bound(self):
         # 53/1024 = 0.0517578125: below it the Pareto draw 2^(53/alpha) overflows
         with pytest.raises(ValueError, match="53/1024"):
@@ -67,12 +78,15 @@ class TestSimulate:
         assert not np.array_equal(a.dataset.Z, b.dataset.Z)
 
     def test_structural_identities(self):
-        for family in ("dgp1", "dgp2"):
-            draw = simulate(DgpSpec(family, 400, rho=0.3, alpha=1.25, seed=7))
+        assert DgpSpec("dgp1", 400).theta0 == 1.0
+        for family, theta0 in (("dgp1", 1.0), ("dgp2", 1.0), ("dgp1", 0.0), ("dgp2", -2.5)):
+            spec = DgpSpec(family, 400, rho=0.3, alpha=1.25, theta0=theta0, seed=7)
+            draw = simulate(spec)
             ds = draw.dataset
             assert np.array_equal(ds.d, (draw.index >= draw.v).astype(float))
-            y_expected = ds.d * (draw.theta0 + ds.X @ draw.beta0 + draw.u)
+            y_expected = ds.d * (spec.theta0 + ds.X @ draw.beta0 + draw.u)
             assert np.array_equal(ds.y, y_expected)
+            assert np.array_equal(draw.beta0, np.ones(ds.k))
             assert np.array_equal(ds.X, ds.Z[:, : ds.k])
             assert np.array_equal(draw.index, ds.Z @ draw.gamma0)
 
@@ -116,14 +130,6 @@ class TestSimulate:
 
 
 class TestTrueIntercept:
-    def test_default(self):
-        spec = DgpSpec("dgp1", 100)
-        assert spec.theta0 == 1.0 and simulate(spec).theta0 == spec.theta0
-
-    def test_zero_and_negative(self):
-        for spec in (DgpSpec("dgp1", 100, theta0=0.0), DgpSpec("dgp2", 100, theta0=-2.5)):
-            assert simulate(spec).theta0 == spec.theta0
-
     def test_true_gamma_shapes(self):
         g1 = true_gamma(DgpSpec("dgp1", 100, alpha=2.0))
         assert np.allclose(g1, np.full(7, np.sqrt(2.0 / 7.0)))

@@ -339,3 +339,18 @@ class TestSnnProperties:
         a = snn_intercept(data, draw.beta0, draw.gamma0, rule=rule)
         b = snn_intercept(Dataset(data.d, data.y, data.X, Z), draw.beta0, draw.gamma0, rule=rule)
         assert b.theta == a.theta
+
+    @given(family=_DESIGNS, rho=_RHOS, seed=_SEEDS, c=st.floats(-100.0, 100.0))
+    @settings(max_examples=40, deadline=None)
+    def test_shift_when_every_row_is_selected(self, family, rho, seed, c):
+        # the local fit weights unselected rows too (W = 0 there), so y + c*d
+        # shifts theta by exactly c only when every row is selected
+        draw = _property_draw(family, rho, seed)
+        data = draw.dataset
+        y = 1.0 + data.X @ draw.beta0 + draw.u
+        full = Dataset(np.ones(data.n), y, data.X, data.Z)
+        shifted = Dataset(full.d, y + c * full.d, data.X, data.Z)
+        rule = BandwidthRule.fixed(0.4)
+        a = snn_intercept(full, draw.beta0, draw.gamma0, rule=rule)
+        b = snn_intercept(shifted, draw.beta0, draw.gamma0, rule=rule)
+        assert abs(b.theta - (a.theta + c)) <= 1e-9 * (1.0 + abs(c) + abs(a.theta))

@@ -1,4 +1,5 @@
 import math
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -348,6 +349,36 @@ class TestRateCheck:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counted)
         rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=4, base_seed=5, workers=2)
         assert len(pools) == 1
+
+    def test_pool_size_capped_by_tasks_and_cpus(self, monkeypatch):
+        # 3 sizes x 4 reps make 12 tasks; the fake pool maps in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        run = lambda workers: rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS,
+                                         reps=4, base_seed=5, workers=workers)
+        serial = run(1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
+        assert run(64) == serial
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert run(64) == serial
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert run(64) == serial
+        assert sizes == [12, 3, 5]
 
     def test_worker_count_does_not_change_results(self):
         spec = DgpSpec("dgp1", 100, rho=0.5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from oracles import loo_nw_bruteforce
 from snnselect.data import Dataset
@@ -119,6 +120,33 @@ class TestKleinSpady:
         g1 = klein_spady_gamma(data)
         g2 = klein_spady_gamma(data_p)
         assert np.allclose(g1, g2, atol=1e-6)
+
+    def test_one_selection_covariate_is_the_probit_normalization(self):
+        data = selection_sample(300, [1.0], seed=48, k=1)
+        assert klein_spady_gamma(data).tobytes() == probit_gamma(data).tobytes()
+
+    def test_optimizer_failure_raises(self, monkeypatch):
+        data = selection_sample(300, [1.0, 0.5], seed=49)
+
+        def failing(fun, x0, **kwargs):
+            return optimize.OptimizeResult(x=x0, fun=fun(x0), success=False)
+
+        monkeypatch.setattr(optimize, "minimize", failing)
+        with pytest.raises(EstimationError, match="no convergence"):
+            klein_spady_gamma(data)
+
+    def test_never_worse_than_the_start(self, monkeypatch):
+        data = selection_sample(300, [1.0, 0.5], seed=50)
+        tried = []
+
+        def worse(fun, x0, **kwargs):
+            x = x0 + 5.0  # far from the probit start
+            tried.append(fun(x) > fun(x0))  # fun is the negative quasi-likelihood
+            return optimize.OptimizeResult(x=x, fun=fun(x), success=True)
+
+        monkeypatch.setattr(optimize, "minimize", worse)
+        assert klein_spady_gamma(data).tobytes() == probit_gamma(data).tobytes()
+        assert tried == [True]
 
 
 class TestRobinson:

@@ -70,3 +70,16 @@ class TestEtaHat:
         g = np.array([1.0])
         assert np.array_equal(eta_hat(Z, g), eta_hat(Z, c * g))
 
+
+    @given(st.data(), st.integers(2, 30), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_ties_share_the_count_of_indices_weakly_below(self, data, n, ell):
+        # small integers make ties common and every index exact in floating point
+        small = st.integers(-3, 3)
+        Z = data.draw(hnp.arrays(np.int64, (n, ell), elements=small)).astype(float)
+        g = data.draw(hnp.arrays(np.int64, ell, elements=small).filter(np.any)).astype(float)
+        idx = Z @ g
+        out = eta_hat(Z, g)
+        for i in range(n):
+            assert out[i] == np.count_nonzero(idx <= idx[i]) / n
+            assert np.all(out[idx == idx[i]] == out[i])
