@@ -78,9 +78,8 @@ class TestSimulate:
         assert not np.array_equal(a.dataset.Z, b.dataset.Z)
 
     def test_structural_identities(self):
-        assert DgpSpec("dgp1", 400).theta0 == 1.0
-        for family, theta0 in (("dgp1", 1.0), ("dgp2", 1.0), ("dgp1", 0.0), ("dgp2", -2.5)):
-            spec = DgpSpec(family, 400, rho=0.3, alpha=1.25, theta0=theta0, seed=7)
+        for family in ("dgp1", "dgp2"):
+            spec = DgpSpec(family, 400, rho=0.3, alpha=1.25, seed=7)
             draw = simulate(spec)
             ds = draw.dataset
             assert np.array_equal(ds.d, (draw.index >= draw.v).astype(float))
@@ -129,7 +128,24 @@ class TestSimulate:
         assert np.corrcoef(draw.u, draw.v)[0, 1] == pytest.approx(0.75, abs=0.02)
 
 
+def _outcome_at(spec):
+    draw = simulate(spec)
+    ds = draw.dataset
+    return ds.y, ds.d * (spec.theta0 + ds.X @ draw.beta0 + draw.u)
+
+
 class TestTrueIntercept:
+    def test_default(self):
+        spec = DgpSpec("dgp1", 100)
+        assert spec.theta0 == 1.0
+        y, y_expected = _outcome_at(spec)
+        assert np.array_equal(y, y_expected)
+
+    def test_zero_and_negative(self):
+        for spec in (DgpSpec("dgp1", 100, theta0=0.0), DgpSpec("dgp2", 100, theta0=-2.5)):
+            y, y_expected = _outcome_at(spec)
+            assert np.array_equal(y, y_expected)
+
     def test_true_gamma_shapes(self):
         g1 = true_gamma(DgpSpec("dgp1", 100, alpha=2.0))
         assert np.allclose(g1, np.full(7, np.sqrt(2.0 / 7.0)))
