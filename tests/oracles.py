@@ -114,6 +114,50 @@ def loo_nw_bruteforce(index, values, h: float):
     return est, valid
 
 
+def ks_loglik_bruteforce(d, Z, gamma, h: float, clip: float = 1e-4):
+    """Klein-Spady leave-one-out quasi-log-likelihood and its gradient in
+    gamma[1:] by double loop, differentiating each kernel weight directly.
+
+    A row whose window holds no other point takes the clipped sample mean, a
+    probability outside [clip, 1 - clip] is clipped; both add 0 to the
+    gradient.
+    """
+    d = np.asarray(d, dtype=float)
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    x = Z @ np.asarray(gamma, dtype=float)
+    n, l = Z.shape
+    fallback = min(max(float(d.mean()), clip), 1.0 - clip)
+    value = 0.0
+    grad = np.zeros(l - 1)
+    for i in range(n):
+        num = den = 0.0
+        dnum = np.zeros(l - 1)
+        dden = np.zeros(l - 1)
+        for j in range(n):
+            if j == i:
+                continue
+            u = (x[j] - x[i]) / h
+            k = 0.75 * (1.0 - u * u)
+            if k > 0.0:
+                dk = -1.5 * u / h * (Z[j, 1:] - Z[i, 1:])
+                num += k * d[j]
+                den += k
+                dnum += dk * d[j]
+                dden += dk
+        if den > 1e-10:
+            p = num / den
+            dp = (dnum - p * dden) / den
+        else:
+            p = fallback
+            dp = np.zeros(l - 1)
+        if not clip < p < 1.0 - clip:
+            p = min(max(p, clip), 1.0 - clip)
+            dp = np.zeros(l - 1)
+        value += d[i] * math.log(p) + (1.0 - d[i]) * math.log(1.0 - p)
+        grad += (d[i] / p - (1.0 - d[i]) / (1.0 - p)) * dp
+    return value, grad
+
+
 def save_csv_cellwise(path, data, schema) -> None:
     """Dataset to CSV one cell at a time: ``format(x, ".17g")`` through csv.writer."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

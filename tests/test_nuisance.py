@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from oracles import loo_nw_bruteforce
+from oracles import ks_loglik_bruteforce, loo_nw_bruteforce
 from snnselect.data import Dataset
+from snnselect.dgp import DgpSpec, simulate
 from snnselect.exceptions import EstimationError
 from snnselect.nuisance import (
+    _PROB_CLIP,
+    _ks_loglik_and_grad,
     _loo_epanechnikov,
     klein_spady_gamma,
     klein_spady_objective,
@@ -147,6 +150,67 @@ class TestKleinSpady:
         monkeypatch.setattr(optimize, "minimize", worse)
         assert klein_spady_gamma(data).tobytes() == probit_gamma(data).tobytes()
         assert tried == [True]
+
+    # Nelder-Mead used up its 2000 evaluations and raised on each of these
+    @pytest.mark.parametrize("spec", [
+        DgpSpec("dgp1", 600, rho=0.5, seed=11),
+        DgpSpec("dgp1", 1500, rho=0.5, seed=21),
+        DgpSpec("dgp1", 400, rho=0.3, theta0=1.5, seed=13),
+    ])
+    def test_fits_samples_nelder_mead_could_not(self, spec):
+        data = simulate(spec).dataset
+        g = klein_spady_gamma(data)
+        start = probit_gamma(data)
+        h = silverman_bandwidth(data.Z @ start)
+        assert g[0] == 1.0
+        assert klein_spady_objective(data, g, h) > klein_spady_objective(data, start, h)
+
+    def test_every_seeded_dgp1_draw_fits(self):
+        for seed in range(40):
+            data = simulate(DgpSpec("dgp1", 400, rho=0.5, seed=seed)).dataset
+            assert np.all(np.isfinite(klein_spady_gamma(data))), seed
+
+
+def _ks_sample(n, seed, far_row=False, separated=False):
+    """A selection sample and a random gamma (first component 1) near the
+    generating one."""
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(n, 3))
+    gamma = np.concatenate([[1.0], rng.normal(size=2)])
+    if far_row:
+        Z[0, 0] = 100.0  # its window holds no other row: the fallback
+    v = 0.0 if separated else rng.normal(size=n)
+    d = (Z @ gamma >= v).astype(float)  # separated: many p_hat clip at 0 or 1
+    gamma[1:] += 0.2 * rng.normal(size=2)
+    return make_data(d, d, Z[:, :1], Z), gamma
+
+
+class TestKleinSpadyGradient:
+    """The fast value and gradient against a double loop that differentiates
+    each kernel weight; central differences are no oracle on this kinked
+    surface."""
+
+    @pytest.mark.parametrize("n,seed,far_row,separated", [
+        (15, 60, False, False),
+        (60, 61, False, False),
+        (300, 62, False, False),
+        (60, 63, True, False),
+        (300, 64, False, True),
+    ])
+    def test_matches_bruteforce(self, n, seed, far_row, separated):
+        data, gamma = _ks_sample(n, seed, far_row, separated)
+        h = 0.8 if n == 15 else 0.5
+        value, grad = _ks_loglik_and_grad(data, gamma, h)
+        ovalue, ograd = ks_loglik_bruteforce(data.d, data.Z, gamma, h)
+        assert abs(value - ovalue) <= 1e-9 * abs(ovalue)
+        assert np.all(np.abs(grad - ograd) <= 1e-9 * np.maximum(1.0, np.abs(ograd)))
+        assert klein_spady_objective(data, gamma, h) == value
+        p, valid = _loo_epanechnikov(data.Z @ gamma, data.d[:, None], h)
+        if far_row:
+            assert not valid[0]
+        if separated:
+            clipped = (p[valid, 0] <= _PROB_CLIP) | (p[valid, 0] >= 1.0 - _PROB_CLIP)
+            assert 0 < clipped.sum() < valid.sum()
 
 
 class TestRobinson:
