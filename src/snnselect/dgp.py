@@ -157,6 +157,8 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown DGP family: {family!r}")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     scalar = np.ndim(q) == 0

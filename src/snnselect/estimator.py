@@ -52,6 +52,8 @@ class BandwidthRule:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "plugin"):
             raise ValueError(f"unknown bandwidth rule: {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError("bandwidth value/scale must be finite")
         if self.value <= 0.0:
             raise ValueError("bandwidth value/scale must be positive")
         if self.kind == "fixed" and self.value > BANDWIDTH_CLAMP[1]:
@@ -84,6 +86,8 @@ def undersmoothing_bandwidth(n: int, p: int = 2, c: float = 0.5) -> float:
     """Rate-optimal schedule c * n^(-1/(2p+1)) used by the rate checker."""
     if n < 1:
         raise ValueError("n must be positive")
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     if c <= 0:
         raise ValueError("c must be positive")
     return c * float(n) ** (-1.0 / (2 * p + 1))

@@ -2,9 +2,9 @@
 
 Selection coefficients come from a probit fit (parametric) or a
 semiparametric binary-choice quasi-likelihood; outcome slopes come from the
-double-residual (partially linear) regression.  All smoothing is
-leave-one-out with Epanechnikov weights, computed in O(n log n) via prefix
-sums over the sorted index.
+double-residual (partially linear) regression.  Both smooth on one
+leave-one-out Epanechnikov engine, O(n log n) over the sorted index:
+``_sorted_windows``, ``_loo_kernel_sums`` and ``_loo_ratio``.
 """
 from __future__ import annotations
 
@@ -72,47 +72,61 @@ def silverman_bandwidth(index: np.ndarray) -> float:
     return _SILVERMAN_C * scale * n ** (-0.2)
 
 
+def _sorted_windows(index: np.ndarray, h: float):
+    """Median-centre and stable-sort ``index`` and bound each row's window
+    |x_j - x_i| <= h.  Returns (order, xs, window_sums), where
+    ``window_sums(cols)`` sums each column of a stack (last axis: sorted
+    rows) over every row's window, from one cumsum over the whole stack.
+    """
+    x = np.asarray(index, dtype=float)
+    x = x - np.median(x)  # limits cancellation in the x^2 prefix sums
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    lo = np.searchsorted(xs, xs - h, side="left")
+    hi = np.searchsorted(xs, xs + h, side="right")
+
+    def window_sums(cols: np.ndarray) -> np.ndarray:
+        c = np.zeros(cols.shape[:-1] + (xs.shape[0] + 1,))
+        np.cumsum(cols, axis=-1, out=c[..., 1:])
+        return np.take(c, hi, axis=-1) - np.take(c, lo, axis=-1)
+
+    return order, xs, window_sums
+
+
+def _loo_kernel_sums(xs: np.ndarray, h: float, s0, s1, s2, b) -> np.ndarray:
+    """sum_{j != i} K((x_j - x_i)/h) b_j from the window sums s0, s1, s2 of
+    b, x b and x^2 b: the Epanechnikov polynomial expanded, the self term
+    K(0) b_i dropped."""
+    hh = h * h
+    return 0.75 * ((1.0 - xs * xs / hh) * s0 + (2.0 * xs / hh) * s1 - s2 / hh) - 0.75 * b
+
+
+def _loo_ratio(kern: np.ndarray):
+    """Rows 1.. of the (nb, n) kernel sums over row 0, the sums for b = 1,
+    and the rows whose window holds another observation with positive
+    weight (ratio 0 elsewhere)."""
+    valid = kern[0] > 1e-10
+    ratio = np.zeros((kern.shape[0] - 1, kern.shape[1]))
+    ratio[:, valid] = kern[1:, valid] / kern[0, valid]
+    return ratio, valid
+
+
 def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
     """Leave-one-out Nadaraya-Watson smooth of each column of the (n, m)
     array ``values`` on the (n,) ``index``.
 
     Returns (estimates, valid) where ``valid`` flags rows whose window holds
-    at least one other observation with positive weight.  Expanding the
-    kernel polynomial lets window sums come from prefix sums of x^0, x^1,
-    x^2 times the smoothed columns.
+    at least one other observation with positive weight.
     """
-    x = np.asarray(index, dtype=float)
-    V = np.asarray(values, dtype=float)
-    n = x.shape[0]
-    x = x - np.median(x)  # limits cancellation in the x^2 prefix sums
-
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    Vs = V[order]
-    lo = np.searchsorted(xs, xs - h, side="left")
-    hi = np.searchsorted(xs, xs + h, side="right")
-
-    def window_sum(col: np.ndarray) -> np.ndarray:
-        c0 = np.concatenate([[0.0], np.cumsum(col)])
-        c1 = np.concatenate([[0.0], np.cumsum(col * xs)])
-        c2 = np.concatenate([[0.0], np.cumsum(col * xs * xs)])
-        s0 = c0[hi] - c0[lo]
-        s1 = c1[hi] - c1[lo]
-        s2 = c2[hi] - c2[lo]
-        return 0.75 * ((1.0 - xs * xs / (h * h)) * s0 + (2.0 * xs / (h * h)) * s1 - s2 / (h * h))
-
-    den = window_sum(np.ones(n)) - 0.75  # drop the self term K(0)
-    num = np.empty((n, V.shape[1]))
-    for j in range(V.shape[1]):
-        num[:, j] = window_sum(Vs[:, j]) - 0.75 * Vs[:, j]
-
-    valid_s = den > 1e-10
-    est_s = np.zeros_like(num)
-    est_s[valid_s] = num[valid_s] / den[valid_s, None]
-
-    est = np.empty_like(est_s)
-    valid = np.empty(n, dtype=bool)
-    est[order] = est_s
+    order, xs, window_sums = _sorted_windows(index, h)
+    b = np.vstack([np.ones(xs.shape[0]), np.asarray(values, dtype=float)[order].T])
+    # column by column, so the window sums held at once stay 3 x n
+    ratio, valid_s = _loo_ratio(np.stack([
+        _loo_kernel_sums(xs, h, *window_sums(np.stack([c, c * xs, c * xs * xs])), c) for c in b
+    ]))
+    est = np.empty(ratio.T.shape)
+    valid = np.empty_like(valid_s)
+    est[order] = ratio.T
     valid[order] = valid_s
     return est, valid
 
@@ -130,26 +144,19 @@ def _ks_loglik_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Leave-one-out quasi-log-likelihood and its exact gradient in gamma[1:].
 
-    One sorted pass of prefix sums gives the value (the smooth of
-    ``_loo_epanechnikov``, same arithmetic) and the gradient.  K'(u) = -1.5u
+    Runs on ``_loo_epanechnikov``'s engine: p_i is its smooth of d, from
+    the ``_sorted_windows`` sums that also give the gradient.  K'(u) = -1.5u
     is linear, so dN_i/dgamma_k = -(1.5/h^2) sum_window (x_j - x_i)(z_jk -
     z_ik) d_j expands into window sums of b, x b, z_k b and x z_k b for
-    b = d (numerator) and b = 1 (denominator).  Clipped rows and rows on the
-    empty-window fallback contribute 0 to the gradient.
+    b = d (numerator) and b = 1 (denominator).  Clipped and empty-window
+    fallback rows contribute 0 to the gradient.
     """
-    d = data.d
-    n = data.n
-    x = data.Z @ gamma
-    x = x - np.median(x)  # limits cancellation in the prefix sums
-
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+    d, n = data.d, data.n
+    order, xs, window_sums = _sorted_windows(data.Z @ gamma, h)
     ds = d[order]
     Zs = data.Z[order, 1:].T
     Zs = Zs - Zs.mean(axis=1, keepdims=True)  # differences z_j - z_i unchanged
     m = Zs.shape[0]
-    lo = np.searchsorted(xs, xs - h, side="left")
-    hi = np.searchsorted(xs, xs + h, side="right")
 
     # columns b, x b, x^2 b, z_k b, x z_k b for b = 1 (row 0) and b = d (row 1)
     cols = np.empty((2, 3 + 2 * m, n))
@@ -159,22 +166,13 @@ def _ks_loglik_and_grad(
     cols[:, 2] = cols[:, 1] * xs
     cols[:, 3 : 3 + m] = cols[:, None, 0] * Zs
     cols[:, 3 + m :] = cols[:, None, 1] * Zs
-    c = np.zeros((2, 3 + 2 * m, n + 1))
-    np.cumsum(cols, axis=2, out=c[:, :, 1:])
-    W = np.take(c, hi, axis=2) - np.take(c, lo, axis=2)  # window sums of every column
-    s0, s1, s2 = W[:, 0], W[:, 1], W[:, 2]
-    sz, sxz = W[:, 3 : 3 + m], W[:, 3 + m :]
-
-    hh = h * h
-    kern = 0.75 * ((1.0 - xs * xs / hh) * s0 + (2.0 * xs / hh) * s1 - s2 / hh)
-    den = kern[0] - 0.75  # drop the self term K(0)
-    num = kern[1] - 0.75 * ds
-    valid = den > 1e-10
-    p_s = np.zeros(n)
-    p_s[valid] = num[valid] / den[valid]
+    W = window_sums(cols)
+    s0, s1, sz, sxz = W[:, 0], W[:, 1], W[:, 3 : 3 + m], W[:, 3 + m :]
+    kern = _loo_kernel_sums(xs, h, s0, s1, W[:, 2], cols[:, 0])
+    ratio, valid = _loo_ratio(kern)
 
     fallback = float(np.clip(d.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
-    p_s = np.where(valid, p_s, fallback)
+    p_s = np.where(valid, ratio[0], fallback)
     active = valid & (p_s > _PROB_CLIP) & (p_s < 1.0 - _PROB_CLIP)
     p_s = np.clip(p_s, _PROB_CLIP, 1.0 - _PROB_CLIP)
     p = np.empty(n)
@@ -186,7 +184,7 @@ def _ks_loglik_and_grad(
     # dp_i = -(1.5/h^2) (cross_d - p_i cross_1) / D_i, weighted by dloglik/dp_i
     weight = np.zeros(n)
     pa, da = p_s[active], ds[active]
-    weight[active] = (da / pa - (1.0 - da) / (1.0 - pa)) * (-1.5 / hh) / den[active]
+    weight[active] = (da / pa - (1.0 - da) / (1.0 - pa)) * (-1.5 / (h * h)) / kern[0, active]
     return value, (cross[1] - p_s * cross[0]) @ weight
 
 

@@ -167,6 +167,12 @@ class TestIdentificationRatio:
         assert identification_ratio("dgp2", 0.5, 1 - 1e-7) > 1e3
         assert identification_ratio("dgp2", 0.5, 1 - 1e-7) > identification_ratio("dgp2", 0.5, 1 - 1e-6) > identification_ratio("dgp2", 0.5, 1 - 1e-5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha(self, alpha):
+        for family in ("dgp1", "dgp2"):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                identification_ratio(family, alpha, 0.5)
+
     def test_dgp1_alpha_above_one_vanishes_in_tail(self):
         assert identification_ratio("dgp1", 2.0, 1 - 1e-9) < 1e-6
 

@@ -201,6 +201,9 @@ class TestUndersmoothingBandwidth:
             undersmoothing_bandwidth(0, 2, 1.0)
         with pytest.raises(ValueError):
             undersmoothing_bandwidth(10, 2, -1.0)
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="c must be finite"):
+                undersmoothing_bandwidth(10, 2, c)
 
 
 class TestPlugInBandwidth:
@@ -291,6 +294,10 @@ class TestBandwidthRule:
             BandwidthRule.plug_in(0.0)
         with pytest.raises(ValueError):
             BandwidthRule("adaptive", 1.0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            for make in (BandwidthRule.fixed, BandwidthRule.plug_in):
+                with pytest.raises(ValueError, match="must be finite"):
+                    make(value)
 
 
 _SEEDS = st.integers(0, 2**32 - 1)

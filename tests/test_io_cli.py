@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -453,6 +454,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert all(abs(v - 1.0) < 1e-9 for v in payload["ratio"])
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_ident_check_non_finite_alpha(self, capsys, alpha):
+        # a usage error naming alpha, not a numerical failure (exit 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["ident-check", "--alpha", alpha]) == 1
+        assert "error: alpha must be finite" in capsys.readouterr().err
+
+    def test_rate_check_non_finite_c(self, capsys):
+        assert cli_main(["rate-check", "--ns", "50,100,200", "--reps", "2", "--c", "nan"]) == 1
+        assert "error: c must be finite" in capsys.readouterr().err
+
     def test_decompose_cli(self, tmp_path):
         rng = np.random.default_rng(103)
         rows = ["d,y,x1,z1,z2,g"]
@@ -541,6 +554,8 @@ class TestCli:
         ("fixed:3", "fixed bandwidth outside supported range"),
         ("plugin:-1", "must be positive"),
         ("wide", "use fixed:H or plugin[:SCALE]"),
+        ("fixed:nan", "must be finite"),
+        ("plugin:inf", "must be finite"),
     ])
     def test_bad_bandwidth_value_names_the_problem(self, capsys, text, message):
         assert cli_main(["mc-table", "--n", "50", "--reps", "2", "--bandwidth", text]) == 1

@@ -206,6 +206,10 @@ class TestKleinSpadyGradient:
         assert np.all(np.abs(grad - ograd) <= 1e-9 * np.maximum(1.0, np.abs(ograd)))
         assert klein_spady_objective(data, gamma, h) == value
         p, valid = _loo_epanechnikov(data.Z @ gamma, data.d[:, None], h)
+        # the objective is the log-likelihood of Robinson's smooth of d, bit for bit
+        fallback = float(np.clip(data.d.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
+        q = np.clip(np.where(valid, p[:, 0], fallback), _PROB_CLIP, 1.0 - _PROB_CLIP)
+        assert value == float(data.d @ np.log(q) + (1.0 - data.d) @ np.log(1.0 - q))
         if far_row:
             assert not valid[0]
         if separated:

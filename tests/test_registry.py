@@ -112,8 +112,8 @@ class TestNonFiniteOutput:
         ("snn", "std_error"), ("ols", "std_errors"), ("h90", "std_error"), ("as98", "std_error"),
     ])
     def test_named_error_under_warnings_as_errors(self, method, quantity):
-        # as CI runs the suite, with -W error::RuntimeWarning: the overflow
-        # must surface as the named error, not as a bare RuntimeWarning
+        # as CI runs the suite, with -X dev -W error: the overflow must
+        # surface as the named error, not as a bare RuntimeWarning
         data, beta, gamma = self._overflowing_draw()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
