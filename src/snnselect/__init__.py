@@ -9,6 +9,7 @@ from .baselines import (
     heckman_two_step,
     ols_selected,
     probit_mle,
+    probit_mle_stack,
     smooth_tail_weight,
 )
 from .data import Dataset

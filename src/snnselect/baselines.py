@@ -19,6 +19,7 @@ __all__ = [
     "TwoStepFit",
     "ols_selected",
     "probit_mle",
+    "probit_mle_stack",
     "heckman_two_step",
     "h90_intercept",
     "as98_intercept",
@@ -28,6 +29,8 @@ __all__ = [
 _PROBIT_MAX_ITER = 100
 _PROBIT_GTOL = 1e-10
 _PROBIT_DIVERGENCE = 1e4
+# A row with a signed margin below this proves the sample is not separated.
+_SEPARATION_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -85,57 +88,137 @@ def ols_selected(data: Dataset) -> OlsFit:
     return OlsFit(theta=float(coef[0]), beta=coef[1:], std_errors=np.sqrt(np.diag(cov)))
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row of A, each bitwise ``np.linalg.norm(row)``
+    (one dot product per row, as ``norm`` takes for a vector)."""
+    return np.sqrt(np.vecdot(A, A))
+
+
+def _solve_each(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve H[i] x = b[i] for every i; returns (x, singular), x zero in a
+    singular row.  The stacked solve raises when any H[i] is singular; that
+    one call is then redone a problem at a time to find which."""
+    try:
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0], np.zeros(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros(b.shape)
+        singular = np.zeros(len(H), dtype=bool)
+        for i in range(len(H)):
+            try:
+                x[i] = np.linalg.solve(H[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
+
+
+def _separated(d: np.ndarray, xb: np.ndarray) -> bool:
+    """Whether the fit classifies every row perfectly: an essentially-zero
+    deviance, i.e. a log-likelihood above -1e-6.  Every term of that sum is
+    <= 0, so one row whose signed margin (xb where d = 1, -xb where d = 0)
+    is below 4 already puts it below log Phi(4) = -3.2e-5; only a sample
+    without such a row needs the sum."""
+    if np.any(np.where(d == 1.0, xb, -xb) < _SEPARATION_MARGIN):
+        return False
+    loglik = float(d @ special.log_ndtr(xb) + (1.0 - d) @ special.log_ndtr(-xb))
+    return loglik > -1e-6
+
+
+def _probit_newton(D: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probit MLE of each row of D (R, n) on its Z (R, n, l): Newton with the
+    analytic Hessian, the R problems stacked into each step's products.
+
+    Returns (G, failed), G of shape (R, l), NaN in a failed row.  A problem
+    fails on a constant outcome, a singular Hessian, divergence (a
+    non-finite coefficient or norm > 1e4), a score norm still >= 1e-6 after
+    the last step, or separation.  A problem leaves the arithmetic once it
+    has converged or failed, and each step does the same per-problem
+    products as for R = 1, so a row does not depend on the rest of its
+    stack.
+    """
+    # the separation test's short-circuit holds for 0/1 outcomes only
+    if not np.all((D == 0.0) | (D == 1.0)):
+        raise ValueError("probit outcome must be 0/1")
+    R, _, l = Z.shape
+    G = np.zeros((R, l))
+    failed = D.min(axis=1) == D.max(axis=1)
+    act = np.flatnonzero(~failed)  # the problems still iterating; g is theirs
+    Da, Za = (D, Z) if act.size == R else (D[act], Z[act])
+    g = G[act]
+    for _ in range(_PROBIT_MAX_ITER):
+        if act.size == 0:
+            break
+        xb = (Za @ g[:, :, None])[:, :, 0]
+        # np.maximum/np.minimum clip as np.clip does, at less call overhead
+        cdf = np.minimum(np.maximum(special.ndtr(xb), 1e-300), 1.0 - 1e-16)
+        pdf = normal_pdf(xb)
+        lam1 = pdf / cdf
+        lam0 = pdf / np.maximum(1.0 - cdf, 1e-300)
+        score = (Za.swapaxes(1, 2) @ (Da * lam1 - (1.0 - Da) * lam0)[:, :, None])[:, :, 0]
+        wdiag = Da * lam1 * (xb + lam1) + (1.0 - Da) * lam0 * (lam0 - xb)
+        H = (Za * np.maximum(wdiag, 1e-300)[:, :, None]).swapaxes(1, 2) @ Za
+        step, diverged = _solve_each(H, score)
+        g = g + step
+        diverged |= ~np.isfinite(g).all(axis=1) | (_row_norms(g) > _PROBIT_DIVERGENCE)
+        score_norm = _row_norms(score)
+        stop = diverged | (score_norm < _PROBIT_GTOL)
+        if stop.any():
+            G[act[stop]] = g[stop]
+            failed[act[diverged]] = True
+            act, g, score_norm = act[~stop], g[~stop], score_norm[~stop]
+            Da, Za = D[act], Z[act]
+    else:
+        # out of steps: fail unless the score is in the flat tail
+        G[act] = g
+        failed[act[score_norm >= 1e-6]] = True
+    # a perfectly classifying fit means the MLE does not exist
+    ok = np.flatnonzero(~failed)
+    Do, Zo = (D, Z) if ok.size == R else (D[ok], Z[ok])
+    xb = (Zo @ G[ok][:, :, None])[:, :, 0]
+    for i, r in enumerate(ok):
+        failed[r] = _separated(Do[i], xb[i])
+    G[failed] = np.nan
+    return G, failed
+
+
 def probit_mle(d: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Probit MLE of d on Z (no added constant; a 1-d Z is one column), Newton
-    with analytic Hessian.
+    """Probit MLE of d (0/1) on Z (no added constant; a 1-d Z is one
+    column), Newton with analytic Hessian.
 
     Raises "probit failed" on divergence (coefficient norm > 1e4), separation
-    or a degenerate outcome.
+    or a degenerate outcome, and ValueError for a d that is not 0/1.
     """
     d = np.asarray(d, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
-    if d.min() == d.max():
+    G, failed = _probit_newton(d[None], Z[None])
+    if failed[0]:
         raise EstimationError("probit failed")
-
-    def separated(xb: np.ndarray) -> bool:
-        # essentially-zero deviance means a perfectly classifying fit
-        loglik = float(d @ special.log_ndtr(xb) + (1.0 - d) @ special.log_ndtr(-xb))
-        return loglik > -1e-6
-
-    g = np.zeros(Z.shape[1])
-    for _ in range(_PROBIT_MAX_ITER):
-        xb = Z @ g
-        cdf = np.clip(special.ndtr(xb), 1e-300, 1.0 - 1e-16)
-        pdf = normal_pdf(xb)
-        lam1 = pdf / cdf
-        lam0 = pdf / np.clip(1.0 - cdf, 1e-300, None)
-        score = Z.T @ (d * lam1 - (1.0 - d) * lam0)
-        wdiag = d * lam1 * (xb + lam1) + (1.0 - d) * lam0 * (lam0 - xb)
-        H = (Z * np.clip(wdiag, 1e-300, None)[:, None]).T @ Z
-        try:
-            step = np.linalg.solve(H, score)
-        except np.linalg.LinAlgError:
-            raise EstimationError("probit failed") from None
-        g = g + step
-        if not np.all(np.isfinite(g)) or np.linalg.norm(g) > _PROBIT_DIVERGENCE:
-            raise EstimationError("probit failed")
-        if np.linalg.norm(score) < _PROBIT_GTOL:
-            break
-    else:
-        if np.linalg.norm(score) >= 1e-6:  # not even in the flat tail
-            raise EstimationError("probit failed")
-    # a perfectly classifying fit means the MLE does not exist
-    if separated(Z @ g):
-        raise EstimationError("probit failed")
-    return g
+    return G[0]
 
 
-def heckman_two_step(data: Dataset) -> TwoStepFit:
+def probit_mle_stack(D: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``probit_mle`` of each row of D (R, n) on its Z (R, n, l), in one
+    stacked Newton solve.
+
+    Returns (G, failed): G (R, l) holds each problem's coefficients, bitwise
+    what ``probit_mle`` returns for that problem alone, and NaN in a row
+    where ``failed`` (R,) is set, i.e. where ``probit_mle`` would raise.
+    """
+    D = np.asarray(D, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if D.ndim != 2 or Z.ndim != 3 or Z.shape[:2] != D.shape:
+        raise ValueError("need D of shape (R, n) and Z of shape (R, n, l)")
+    return _probit_newton(D, Z)
+
+
+def heckman_two_step(data: Dataset, gamma: np.ndarray | None = None) -> TwoStepFit:
     """Two-step correction: probit of d on Z, then least squares of y on
-    (1, X, lambda(Z'gamma)) over the selected subsample."""
-    gamma = probit_mle(data.d, data.Z)
+    (1, X, lambda(Z'gamma)) over the selected subsample.  A given ``gamma``
+    is taken as the probit's estimate on this sample, and the probit is not
+    run again."""
+    if gamma is None:
+        gamma = probit_mle(data.d, data.Z)
     lam = inverse_mills(data.Z @ gamma)
     sel = data.selected()
     m = int(sel.sum())

@@ -47,10 +47,17 @@ def _parse_bandwidth(text: str) -> BandwidthRule:
     raise argparse.ArgumentTypeError(f"bad value {text!r}; use fixed:H or plugin[:SCALE]")
 
 
-def _replicates(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"{text!r}: need an integer B >= 2")
-    return int(text)
+def _int_at_least(least: int, name: str = ""):
+    """An argparse type: a decimal integer >= ``least``; ``name`` labels the
+    bound in the message."""
+    bound = f"{name} >= {least}" if name else f">= {least}"
+
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"{text!r}: need an integer {bound}")
+        return int(text)
+
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
     sp.add_argument("--tail-quantile", type=float, default=0.95)
     sp.add_argument("--tau-quantile", type=float, default=0.5)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_int_at_least(1), default=1)
     add_output(sp, ("csv", "json", "markdown"), seed=True)
 
     sp = sub.add_parser("rate-check", help="log-log RMSE slope under the rate-optimal schedule")
@@ -113,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=0.5, help="bandwidth constant c*n^(-1/(2p+1))")
     sp.add_argument("--estimator", choices=METHODS, default="snn")
     sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_int_at_least(1), default=1)
     add_output(sp, seed=True)
 
     def add_data_fit(sp, group: bool = False):
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="two-group decomposition with bootstrap SEs")
     add_data_fit(sp, group=True)
     sp.add_argument("--weighting", choices=WEIGHTINGS, default="group0")
-    sp.add_argument("--bootstrap", type=_replicates, default=200, metavar="B")
+    sp.add_argument("--bootstrap", type=_int_at_least(2, "B"), default=200, metavar="B")
     add_output(sp, seed=True)
 
     sp = sub.add_parser("kernel-check", help="kernel moment diagnostics")
@@ -152,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--q-min", type=float, default=0.01)
     sp.add_argument("--q-max", type=float, default=0.999)
-    sp.add_argument("--points", type=int, default=50)
+    sp.add_argument("--points", type=_int_at_least(1), default=50)
     add_output(sp)
 
     return p
@@ -272,6 +279,8 @@ def _cmd_kernel_check(args) -> str:
 
 
 def _cmd_ident_check(args) -> str:
+    if args.q_min > args.q_max:
+        raise ValueError("--q-min must not exceed --q-max")
     qs = np.linspace(args.q_min, args.q_max, args.points)
     vals = [identification_ratio(args.dgp, args.alpha, float(q)) for q in qs]
     lines = ["q,ratio"] + [f"{q:.6g},{v:.6g}" for q, v in zip(qs, vals)]

@@ -163,6 +163,8 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
         raise ValueError("alpha must be positive")
     scalar = np.ndim(q) == 0
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all(np.isfinite(q_arr)):
+        raise ValueError("q must be finite")
     if np.any(q_arr < 1e-9) or np.any(q_arr > 1.0 - 1e-9):
         raise EstimationError("out of numeric range")
     with np.errstate(over="raise"):

@@ -11,7 +11,9 @@ Estimators are ``registry.EstimatorConfig`` records, each run through
 nothing else, and each is one dispatch of its cells.  The engine is
 cell-major: each draw is simulated once and every estimator of its cell runs
 on it, and the reps of all cells go to the worker pool as contiguous chunks
-in one map.
+in one map.  A chunk runs in blocks of draws, and each estimator sees a
+whole block through ``registry.fit_thetas``, so a stacked first stage (the
+two-step's probit) is one solve per block.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 from .dgp import DgpSpec, simulate
 from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
-from .registry import EstimatorConfig, fit
+from .registry import EstimatorConfig, fit_thetas
 from .seeding import derive_seed
 
 __all__ = [
@@ -44,6 +46,10 @@ __all__ = [
 
 DEFAULT_RHOS = (0.0, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_ALPHAS = (2.00, 1.50, 1.25, 1.00)
+# A block of draws holds at most this many rows (at least one draw), which
+# bounds the memory of a stacked first stage at any n.  No estimate depends
+# on how the draws are blocked.
+_BLOCK_ROWS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -125,20 +131,22 @@ def _run_chunk(task):
     estimator on each draw.  Returns the (estimators, reps) array of
     estimates in rep order, NaN where a fit raised EstimationError.
 
-    The configs of a draw share one nuisance fit per gamma method; when that
-    fit fails, every config that uses it counts the rep as failed.
+    The reps run in blocks of at most ``_BLOCK_ROWS`` rows; each estimator
+    runs over a whole block in one ``fit_thetas`` call.  The configs of a
+    draw share one nuisance fit per gamma method; when that fit fails, every
+    config that uses it counts the rep as failed.
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
+    block = max(1, _BLOCK_ROWS // spec.n)
     out = np.full((len(estimators), stop - start), math.nan)
-    for r, rep in enumerate(range(start, stop)):
-        draw = simulate(spec.with_seed(derive_seed(base_seed, label, rep)))
-        fitted = {None: (draw.beta0, draw.gamma0)}
+    for lo in range(start, stop, block):
+        reps = range(lo, min(lo + block, stop))
+        draws = [simulate(spec.with_seed(derive_seed(base_seed, label, rep))) for rep in reps]
+        datasets = [draw.dataset for draw in draws]
+        fitted = [{None: (draw.beta0, draw.gamma0)} for draw in draws]
         for e, est in enumerate(estimators):
-            try:
-                out[e, r] = fit(draw.dataset, est, fitted)[0].theta
-            except EstimationError:
-                pass
+            out[e, lo - start:lo - start + len(reps)] = fit_thetas(datasets, est, fitted)
     return out
 
 
@@ -166,7 +174,9 @@ def _run_cells(cells, reps, base_seed, workers):
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    per_cell = min(reps, -(-4 * max(workers, 1) // len(cells)))
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    per_cell = min(reps, -(-4 * workers // len(cells)))
     tasks = [
         (spec, tuple(estimators), base_seed, int(c[0]), int(c[-1]) + 1)
         for spec, estimators in cells

@@ -6,9 +6,12 @@ one settings record; ``fit`` the one path from data to an estimate, which
 the Monte Carlo engine, the decomposition and the CLI all call.  A method's
 ``fit(data, beta, gamma, cfg)`` returns a result with a ``.theta``.  Methods
 whose ``needs_nuisance`` is False (OLS and the two-step) estimate their own
-slopes and ignore ``beta`` and ``gamma``.  The adapters reach the estimators
-and the nuisance fit through their modules, so that rebinding a module
-attribute (as a profiler does) reaches every call.
+slopes and ignore ``beta``; the two-step takes a given ``gamma`` as its
+first stage and fits the probit itself when ``gamma`` is None.
+``fit_thetas`` runs one config over many same-shaped datasets, fitting that
+first stage for all of them in one stacked solve.  The adapters reach the
+estimators and the nuisance fit through their modules, so that rebinding a
+module attribute (as a profiler does) reaches every call.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .estimator import BandwidthRule
 from .exceptions import EstimationError
 from .numerics import KERNEL_ORDERS
 
-__all__ = ["Method", "METHODS", "EstimatorConfig", "fit"]
+__all__ = ["Method", "METHODS", "EstimatorConfig", "fit", "fit_thetas"]
 
 
 class Method(NamedTuple):
@@ -32,6 +35,9 @@ class Method(NamedTuple):
     needs_nuisance: bool
     report: Callable  # result -> the estimate command's JSON fields
     label: Callable  # cfg -> Monte Carlo panel label
+    # datasets -> (G, failed): the gamma ``fit`` would find on each dataset,
+    # all in one stacked solve, for a method that fits its own gamma
+    stacked_gamma: Callable | None = None
 
 
 def _snn(data, beta, gamma, cfg):
@@ -44,6 +50,11 @@ def _h90(data, beta, gamma, cfg):
 
 def _as98(data, beta, gamma, cfg):
     return baselines.as98_intercept(data, beta, gamma, cfg.tail)
+
+
+def _probit_stack(datasets):
+    return baselines.probit_mle_stack(np.stack([data.d for data in datasets]),
+                                      np.stack([data.Z for data in datasets]))
 
 
 def _fields(*names):
@@ -69,9 +80,9 @@ METHODS: dict[str, Method] = {
     "ols": Method(lambda data, *_: baselines.ols_selected(data), False,
                   lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
                   lambda cfg: "ols"),
-    "heckman": Method(lambda data, *_: baselines.heckman_two_step(data), False,
-                      lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
-                      lambda cfg: "heckman"),
+    "heckman": Method(lambda data, beta, gamma, cfg: baselines.heckman_two_step(data, gamma),
+                      False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
+                      lambda cfg: "heckman", stacked_gamma=_probit_stack),
     "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90")),
     "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98")),
 }
@@ -136,6 +147,10 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
         if isinstance(fitted[key], EstimationError):
             raise fitted[key]
         beta, gamma = fitted[key]
+    return _checked_fit(method, data, beta, gamma, config)
+
+
+def _checked_fit(method, data, beta, gamma, config):
     with np.errstate(over="ignore", invalid="ignore"):
         result = method.fit(data, beta, gamma, config)
     for name in ("theta", "std_error", "std_errors"):
@@ -143,3 +158,30 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
         if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             raise EstimationError(f"non-finite {name}")
     return result, (beta if method.needs_nuisance else result.beta)
+
+
+def fit_thetas(datasets, config: EstimatorConfig, fitted: list) -> np.ndarray:
+    """``fit(datasets[i], config, fitted[i])[0].theta`` for every i, NaN
+    where that raised EstimationError; the datasets share n and l.
+
+    A method with a ``stacked_gamma`` fits its gamma on all datasets in one
+    stacked solve and then runs each fit with its row, under ``fit``'s
+    finiteness checks.  A dataset whose stacked fit failed runs the plain
+    ``fit``, so it fails as it would alone: with the same reason, raised
+    from the same call.
+    """
+    method = METHODS[config.method]
+    G = None
+    if method.stacked_gamma is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G, failed = method.stacked_gamma(datasets)
+    thetas = np.full(len(datasets), math.nan)
+    for i, data in enumerate(datasets):
+        try:
+            if G is None or failed[i]:
+                thetas[i] = fit(data, config, fitted[i])[0].theta
+            else:
+                thetas[i] = _checked_fit(method, data, None, G[i], config)[0].theta
+        except EstimationError:
+            pass
+    return thetas

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import ndtr
 
 from oracles import as98_bruteforce, h90_bruteforce, ols_bruteforce
@@ -14,6 +15,7 @@ from snnselect.baselines import (
     heckman_two_step,
     ols_selected,
     probit_mle,
+    probit_mle_stack,
     smooth_tail_weight,
 )
 from snnselect.data import Dataset
@@ -106,6 +108,81 @@ class TestProbit:
         assert g.tobytes() == probit_mle(d, z[:, None]).tobytes()
 
 
+def _probit_or_none(d, Z):
+    try:
+        return probit_mle(d, Z)
+    except EstimationError:
+        return None
+
+
+def _mixed_probit_stack():
+    """(names, D, Z): ordinary dgp1 and dgp2 samples at n = 120 beside one
+    problem of each way the probit fails."""
+    names, D, Z = [], [], []
+    for family in ("dgp1", "dgp2"):
+        for seed in range(4):
+            data = simulate(DgpSpec(family, 120, rho=0.5, seed=seed)).dataset
+            names.append(f"{family}-{seed}")
+            D.append(data.d)
+            Z.append(data.Z)
+    z = np.random.default_rng(31).normal(size=(120, 7))
+    separated = (z[:, 0] > 0).astype(float)
+    names += ["constant-d", "separated", "diverging", "singular"]
+    D += [np.ones(120), separated, separated, D[0]]
+    # at 1e-6 the separating coefficient passes 1e4 before the fit converges;
+    # a zero column makes every Hessian singular
+    Z += [z, z, z * 1e-6, np.column_stack([z[:, :6], np.zeros(120)])]
+    return names, np.stack(D), np.stack(Z)
+
+
+class TestProbitStack:
+    def test_every_member_matches_its_scalar_fit(self):
+        names, D, Z = _mixed_probit_stack()
+        scalar = [_probit_or_none(d, z) for d, z in zip(D, Z)]
+        assert [g is None for g in scalar] == [False] * 8 + [True] * 4
+        pieces = [[i] for i in range(len(D))]  # each problem alone
+        reverse = list(range(len(D)))[::-1]
+        for order in (range(len(D)), reverse):
+            order = list(order)
+            for cut in (order, order[:5], order[5:9], order[9:]):
+                pieces.append(cut)
+        for members in pieces:
+            G, failed = probit_mle_stack(D[members], Z[members])
+            for row, i in enumerate(members):
+                if scalar[i] is None:
+                    assert failed[row], names[i]
+                    assert np.isnan(G[row]).all()
+                else:
+                    assert not failed[row], names[i]
+                    assert G[row].tobytes() == scalar[i].tobytes(), names[i]
+
+    def test_malformed_input_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            probit_mle_stack(np.ones((2, 10)), np.ones((2, 9, 3)))
+        z = np.random.default_rng(35).normal(size=(50, 2))
+        with pytest.raises(ValueError, match="0/1"):
+            probit_mle(np.full(50, 0.5), z)
+        with pytest.raises(ValueError, match="0/1"):
+            probit_mle_stack(np.stack([np.ones(50), np.full(50, 2.0)]), np.stack([z, z]))
+
+    def test_separation_verdict_short_circuits(self, monkeypatch):
+        calls = []
+        real = special.log_ndtr
+
+        def counted(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(special, "log_ndtr", counted)
+        data = probit_sample(400, [1.0, -0.5], seed=32)
+        probit_mle(data.d, data.Z)
+        assert calls == []  # some row's margin is below 4: not separated
+        z = np.random.default_rng(33).normal(size=(200, 1))
+        with pytest.raises(EstimationError, match="probit failed"):
+            probit_mle((z[:, 0] > 0).astype(float), z)
+        assert calls
+
+
 class TestHeckmanTwoStep:
     def test_recovers_planted_lambda_structure(self):
         # build y exactly from the step-2 regression at the probit estimate
@@ -129,6 +206,11 @@ class TestHeckmanTwoStep:
         data = make_data(d, y, rng.normal(size=(100, 2)), z)
         with pytest.raises(EstimationError, match="probit failed"):
             heckman_two_step(data)
+
+    def test_given_gamma_is_the_first_stage(self):
+        data = probit_sample(500, [1.0, 0.5], seed=34)
+        gamma = probit_mle(data.d, data.Z)
+        assert repr(heckman_two_step(data, gamma)) == repr(heckman_two_step(data))
 
     def test_lambda_constrained_to_zero_is_ols(self):
         # dropping the correction column reduces step 2 to selected-sample OLS

@@ -173,6 +173,11 @@ class TestIdentificationRatio:
             with pytest.raises(ValueError, match="alpha must be finite"):
                 identification_ratio(family, alpha, 0.5)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), [0.5, float("nan")]])
+    def test_non_finite_q(self, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            identification_ratio("dgp1", 2.0, q)
+
     def test_dgp1_alpha_above_one_vanishes_in_tail(self):
         assert identification_ratio("dgp1", 2.0, 1 - 1e-9) < 1e-6
 

@@ -435,6 +435,34 @@ class TestCli:
         assert cli_main(argv) == 1
         assert "3 distinct sample sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "2", "--rho", "0", "--alpha", "2",
+         "--estimator", "ols"],
+        ["rate-check", "--ns", "50,100,200", "--reps", "2", "--estimator", "ols"],
+    ], ids=["mc-table", "rate-check"])
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exit_1(self, capsys, argv, workers):
+        assert cli_main([*argv, "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers" in captured.err
+
+    def test_ident_check_non_finite_q_exit_1(self, capsys):
+        assert cli_main(["ident-check", "--q-min", "nan"]) == 1
+        assert "error: q must be finite" in capsys.readouterr().err
+
+    def test_ident_check_no_points_exit_1(self, capsys):
+        assert cli_main(["ident-check", "--points", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--points" in captured.err
+
+    def test_ident_check_descending_grid_exit_1(self, capsys):
+        assert cli_main(["ident-check", "--q-min", "0.9", "--q-max", "0.1", "--points", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--q-min must not exceed --q-max" in captured.err
+
     def test_kernel_check(self, capsys):
         rc = cli_main(["kernel-check", "--kernel-order", "2", "--format", "json"])
         assert rc == 0

@@ -2,6 +2,7 @@ import math
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from snnselect import baselines, montecarlo, nuisance
@@ -88,6 +89,11 @@ class TestRunCell:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             run_cell(DgpSpec("dgp1", 40), OLS, reps=1, base_seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_validation(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_cell(DgpSpec("dgp1", 40), OLS, reps=2, base_seed=0, workers=workers)
 
     def test_worker_count_does_not_change_results(self):
         spec = DgpSpec("dgp1", 60, rho=0.25, alpha=1.5)
@@ -265,6 +271,51 @@ class TestCellMajorEngine:
             for (rho, alpha), st in a.panels[config.label].items():
                 spec = DgpSpec("dgp2", 40, rho=rho, alpha=alpha)
                 assert repr(st) == repr(run_cell(spec, config, reps=20, base_seed=67))
+
+    # at n=40 under dgp2 the two-step's probit fails on some draws
+    HECKMAN_PLAN = TablePlan("dgp2", 40, [EstimatorConfig(method=m) for m in ("heckman", "ols")],
+                             rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=30)
+
+    def test_heckman_refusals_worker_invariant(self):
+        plan = self.HECKMAN_PLAN
+        a = run_table(plan, base_seed=83, workers=1)
+        b = run_table(plan, base_seed=83, workers=2)
+        assert repr(a.panels) == repr(b.panels)
+        assert sum(st.reps_failed for st in a.panels["heckman"].values()) > 0
+        for config in plan.estimators:
+            for (rho, alpha), st in a.panels[config.label].items():
+                spec = DgpSpec("dgp2", 40, rho=rho, alpha=alpha)
+                assert repr(st) == repr(run_cell(spec, config, reps=30, base_seed=83))
+
+    def test_blocks_simulate_each_draw_once(self, monkeypatch):
+        # blocks of 4 draws over chunks of 30 reps give the same panels
+        plan = self.HECKMAN_PLAN
+        whole = run_table(plan, base_seed=83, workers=1)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 4 * 40 + 39)
+        calls = self._counting(monkeypatch, montecarlo, "simulate")
+        blocked = run_table(plan, base_seed=83, workers=1)
+        assert len(calls) == 4 * 30
+        assert repr(blocked.panels) == repr(whole.panels)
+
+    def test_failed_stacked_probit_reruns_scalar_fit(self, monkeypatch):
+        plan = self.HECKMAN_PLAN
+        stacked_failures = []
+        real_stack = baselines.probit_mle_stack
+
+        def counted_stack(D, Z):
+            G, failed = real_stack(D, Z)
+            stacked_failures.append(int(failed.sum()))
+            return G, failed
+
+        monkeypatch.setattr(baselines, "probit_mle_stack", counted_stack)
+        scalar = self._counting(monkeypatch, baselines, "probit_mle")
+        report = run_table(plan, base_seed=83, workers=1)
+        assert len(scalar) == sum(stacked_failures) > 0
+        # a stack that fails every problem leaves every draw to the scalar fit
+        monkeypatch.setattr(baselines, "probit_mle_stack",
+                            lambda D, Z: (np.full(D.shape[:1] + Z.shape[2:], np.nan),
+                                          np.ones(len(D), dtype=bool)))
+        assert repr(run_table(plan, base_seed=83, workers=1).panels) == repr(report.panels)
 
     def test_nuisance_fitted_once_per_draw(self, monkeypatch):
         # labels differ by bandwidth or tail quantile, so every panel is kept
