@@ -2,14 +2,14 @@
 parametric correction, and the two tail-mean estimators."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .data import Dataset
-from .estimator import InterceptEstimate, residualized_outcome
+from .estimator import (InterceptEstimate, InterceptRows, _all_rows, _check_rows, _one_row,
+                        residualized_outcome)
 from .exceptions import EstimationError
 from .numerics import inverse_mills, normal_pdf
 
@@ -22,7 +22,9 @@ __all__ = [
     "probit_mle_stack",
     "heckman_two_step",
     "h90_intercept",
+    "h90_intercept_stack",
     "as98_intercept",
+    "as98_intercept_stack",
     "smooth_tail_weight",
 ]
 
@@ -233,29 +235,30 @@ def heckman_two_step(data: Dataset, gamma: np.ndarray | None = None) -> TwoStepF
     )
 
 
-def _tail_mean(
-    data: Dataset, beta: np.ndarray, idx: np.ndarray, rule: TailRule, tau: float
-) -> InterceptEstimate:
+def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, tau: np.ndarray):
     """Mean of the selection-masked residuals weighted by s(index - b_n), the
-    ramp of span ``tau`` (tau = 0 gives the hard threshold 1{index > b_n}),
-    with b_n the ``rule.quantile`` sample quantile of the index."""
-    b_n = float(np.quantile(idx, rule.quantile))
-    W = residualized_outcome(data, beta)
-    wd = data.d * smooth_tail_weight(idx - b_n, tau)
-    total = float(wd.sum())
-    if total <= 0.0:
-        raise EstimationError("empty tail")
-    theta = float(wd @ W) / total
+    ramp of span tau (tau = 0 gives the hard threshold 1{index > b_n}),
+    with b_n the ``rule.quantile`` sample quantile of the index, for each
+    row of the (R, n) arrays and its span in ``tau`` (R,).  Returns
+    (InterceptRows, errors), errors mapping a failed row to its message."""
+    b_n = np.quantile(idx, rule.quantile, axis=1)
+    wd = D * smooth_tail_weight(idx - b_n[:, None], tau[:, None])
+    total = wd.sum(axis=1)
+    empty = total <= 0.0
+    # an empty row divides by 1 instead, so it raises no warning
+    total = np.where(empty, 1.0, total)
+    theta = np.vecdot(wd, W) / total
     # descriptive weighted-subsample standard error; no asymptotic theory
-    resid2 = (W - theta) ** 2
-    neff = total * total / max(float(wd @ wd), 1e-300)
-    var = float(wd @ resid2) / total / max(neff, 1.0)
-    return InterceptEstimate(
+    resid2 = (W - theta[:, None]) ** 2
+    neff = total * total / np.maximum(np.vecdot(wd, wd), 1e-300)
+    var = np.vecdot(wd, resid2) / total / np.maximum(neff, 1.0)
+    rows = InterceptRows(
         theta=theta,
-        std_error=math.sqrt(max(var, 0.0)),
-        bandwidth=1.0 - rule.quantile,
-        effective_n=int(np.count_nonzero(wd > 0.0)),
+        std_error=np.sqrt(np.maximum(var, 0.0)),
+        bandwidth=np.full(len(theta), 1.0 - rule.quantile),
+        effective_n=np.count_nonzero(wd > 0.0, axis=1),
     )
+    return rows, dict.fromkeys(np.flatnonzero(empty), "empty tail")
 
 
 def h90_intercept(
@@ -263,28 +266,77 @@ def h90_intercept(
 ) -> InterceptEstimate:
     """Mean of the selection-masked residuals over the selected upper tail
     of the index (hard threshold at the ``rule.quantile`` sample quantile):
-    the tau = 0 case of ``as98_intercept``'s weighting."""
-    return _tail_mean(data, beta, data.Z @ gamma, rule or TailRule(), 0.0)
+    the tau = 0 case of ``as98_intercept``'s weighting.  This is the one-row
+    call of ``h90_intercept_stack``."""
+    return _one_row(*_tail_rows(data.d[None], (data.Z @ gamma)[None],
+                                residualized_outcome(data, beta)[None], rule or TailRule(), np.zeros(1)))
 
 
-def smooth_tail_weight(u, tau: float):
+def h90_intercept_stack(
+    D: np.ndarray, index: np.ndarray, W: np.ndarray, rule: TailRule | None = None
+) -> InterceptRows:
+    """``h90_intercept`` of R samples of one size n at once, from their
+    (R, n) selection indicators, index values and masked residuals ``W``
+    (``residualized_outcome``).  Each row is bitwise what ``h90_intercept``
+    returns for that sample alone; theta and std_error are NaN in a row
+    where it would raise."""
+    D, index, W = _check_rows(D, index, W)
+    return _all_rows(*_tail_rows(D, index, W, rule or TailRule(), np.zeros(len(D))))
+
+
+def smooth_tail_weight(u, tau):
     """Ramp weight: 0 for u <= 0, 1 - exp(-u/(tau - u)) on (0, tau), 1 above.
 
     For tau <= 0 the ramp interval is empty and the weight degenerates to the
-    hard threshold 1{u > 0}.
+    hard threshold 1{u > 0}.  ``tau`` may be an array broadcasting against
+    ``u``, such as one span per row.
     """
-    u = np.asarray(u, dtype=float)
+    u, tau = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(tau, dtype=float))
     s = np.zeros(u.shape)
-    if tau > 0.0:
-        ramp = (u > 0.0) & (u < tau)
-        ur = u[ramp]
-        s[ramp] = 1.0 - np.exp(-ur / (tau - ur))
-        s[u >= tau] = 1.0
-    else:
-        s[u > 0.0] = 1.0
+    ramp = (u > 0.0) & (u < tau)
+    ur = u[ramp]
+    s[ramp] = 1.0 - np.exp(-ur / (tau[ramp] - ur))
+    s[(u > 0.0) & ~ramp] = 1.0
     if s.ndim == 0:
         return float(s)
     return s
+
+
+def _selected_quantile(values: np.ndarray, keep: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(values[r][keep[r]], q)`` for each row r of the (R, n)
+    arrays, bitwise, and NaN in a row that keeps nothing.
+
+    Each row is sorted with the values it drops set to +inf, so its m kept
+    values come first in order.  The two order statistics around (m - 1) q
+    and the weight between them follow numpy's default 'linear' method,
+    including its lerp from the nearer end.  Past the last kept value both
+    neighbours are that value, and the weight then changes nothing.  A row
+    holding NaN sorts it last and gets NaN, as ``np.quantile`` does.
+    """
+    m = np.count_nonzero(keep, axis=1)
+    ordered = np.sort(np.where(keep, values, np.inf), axis=1)
+    virtual = (m - 1) * q
+    prev = np.floor(virtual)
+    gamma = virtual - prev
+    last = m - 1
+    rows = np.arange(len(m))
+    lo = ordered[rows, np.minimum(prev, last).astype(np.intp)]
+    hi = ordered[rows, np.minimum(prev + 1.0, last).astype(np.intp)]
+    # a row without a quantile interpolates zeros, so it raises no warning
+    void = (m == 0) | np.isnan(ordered[:, -1])
+    lo[void] = hi[void] = 0.0
+    diff = hi - lo
+    out = lo + diff * gamma
+    np.subtract(hi, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    out[void] = np.nan
+    return out
+
+
+def _as98_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule):
+    """as98's fit of each row: the tail mean with tau the ``rule.tau_quantile``
+    quantile of the row's selected index values.  A row without a selected
+    observation has no tau, and its tail is empty."""
+    return _tail_rows(D, idx, W, rule, _selected_quantile(idx, D > 0.5, rule.tau_quantile))
 
 
 def as98_intercept(
@@ -293,10 +345,18 @@ def as98_intercept(
     """Smooth-weighted tail mean: weights s(index - b_n) ramp from 0 to 1
     over a span tau set to the ``rule.tau_quantile`` quantile of the index
     over the selected subsample (only selected observations carry weight).
-    tau <= 0 reduces to the hard-threshold tail mean."""
-    rule = rule or TailRule()
-    idx = data.Z @ gamma
-    sel = data.selected()
-    if not np.any(sel):
-        raise EstimationError("empty tail")
-    return _tail_mean(data, beta, idx, rule, float(np.quantile(idx[sel], rule.tau_quantile)))
+    tau <= 0 reduces to the hard-threshold tail mean.  This is the one-row
+    call of ``as98_intercept_stack``."""
+    return _one_row(*_as98_rows(data.d[None], (data.Z @ gamma)[None],
+                                residualized_outcome(data, beta)[None], rule or TailRule()))
+
+
+def as98_intercept_stack(
+    D: np.ndarray, index: np.ndarray, W: np.ndarray, rule: TailRule | None = None
+) -> InterceptRows:
+    """``as98_intercept`` of R samples of one size n at once, as
+    ``h90_intercept_stack`` takes them.  Each row is bitwise what
+    ``as98_intercept`` returns for that sample alone; theta and std_error
+    are NaN in a row where it would raise."""
+    D, index, W = _check_rows(D, index, W)
+    return _all_rows(*_as98_rows(D, index, W, rule or TailRule()))

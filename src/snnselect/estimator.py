@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .ranks import eta_hat
 __all__ = [
     "BandwidthRule",
     "InterceptEstimate",
+    "InterceptRows",
     "residualized_outcome",
     "snn_intercept",
+    "snn_intercept_stack",
     "undersmoothing_bandwidth",
     "BANDWIDTH_CLAMP",
 ]
@@ -93,39 +96,116 @@ def undersmoothing_bandwidth(n: int, p: int = 2, c: float = 0.5) -> float:
     return c * float(n) ** (-1.0 / (2 * p + 1))
 
 
-def _local_linear_solve(t: np.ndarray, K: np.ndarray, W: np.ndarray):
-    """Weighted 2x2 normal equations for the fit a + b*t around t = 0.
+class InterceptRows(NamedTuple):
+    """The fields of ``InterceptEstimate`` for R fits at once, each an (R,)
+    array; theta and std_error are NaN in a row whose fit failed."""
 
-    Returns (a, b, weights) where ``weights`` are the equivalent linear
-    weights of the intercept: theta = weights @ W.
+    theta: np.ndarray
+    std_error: np.ndarray
+    bandwidth: np.ndarray
+    effective_n: np.ndarray
+
+
+def _one_row(rows: InterceptRows, errors: dict) -> InterceptEstimate:
+    """A stacked body's R = 1 result: its estimate, or its error raised."""
+    if errors:
+        raise EstimationError(errors[0])
+    return InterceptEstimate(
+        theta=float(rows.theta[0]),
+        std_error=float(rows.std_error[0]),
+        bandwidth=float(rows.bandwidth[0]),
+        effective_n=int(rows.effective_n[0]),
+    )
+
+
+def _all_rows(rows: InterceptRows, errors: dict) -> InterceptRows:
+    """A stacked body's result for R rows: theta and std_error NaN where a
+    row failed."""
+    failed = list(errors)
+    rows.theta[failed] = np.nan
+    rows.std_error[failed] = np.nan
+    return rows
+
+
+def _check_rows(*arrays: np.ndarray) -> list[np.ndarray]:
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    if out[0].ndim != 2 or any(a.shape != out[0].shape for a in out):
+        raise ValueError("need arrays of one shape (R, n)")
+    return out
+
+
+def _local_linear_solve(t: np.ndarray, K: np.ndarray, W: np.ndarray):
+    """Weighted 2x2 normal equations for the fit a + b*t around t = 0, one
+    per row of the (R, n) arrays.
+
+    Returns (a, b, weights, degenerate) where ``weights`` are the equivalent
+    linear weights of each intercept, a = weights @ W row by row; a
+    ``degenerate`` row holds no fit.
     """
-    s0 = float(K.sum())
-    s1 = float(K @ t)
-    s2 = float(K @ (t * t))
+    s0 = K.sum(axis=1)
+    s1 = np.vecdot(K, t)
+    s2 = np.vecdot(K, t * t)
     det = s0 * s2 - s1 * s1
-    scale = max(s0 * s2, s1 * s1, 1e-300)
-    if det <= 1e-12 * scale:
-        raise EstimationError("degenerate local design")
-    w = (s2 - s1 * t) * K / det
-    a = float(w @ W)
-    b = float(((s0 * t - s1) * K / det) @ W)
-    return a, b, w
+    scale = np.maximum(np.maximum(s0 * s2, s1 * s1), 1e-300)
+    degenerate = det <= 1e-12 * scale
+    # a degenerate row divides by 1 instead, so it raises no warning
+    det = np.where(degenerate, 1.0, det)[:, None]
+    w = (s2[:, None] - s1[:, None] * t) * K / det
+    a = np.vecdot(w, W)
+    b = np.vecdot((s0[:, None] * t - s1[:, None]) * K / det, W)
+    return a, b, w, degenerate
+
+
+def _two_ranks_weighted(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Whether >= 2 distinct ranks have weight, per row of t = eta - 1 and
+    u = t / h.  A rank has weight when u > -1, the kernel's open support;
+    the top rank has t = 0, so this asks for a weighted rank below it."""
+    return np.any((t < 0.0) & (u > -1.0), axis=-1)
 
 
 def _window_bandwidth(t: np.ndarray, h: float) -> float:
-    """Widen h by 1.5x (up to the cap) until >= 2 distinct ranks have weight.
-
-    A rank has weight when t / h > -1, the kernel's open support; the top
-    rank has t = 0, so the window is never empty.
-    """
+    """Widen h by 1.5x (up to the cap) until >= 2 distinct ranks have
+    weight, for one row t."""
     cap = BANDWIDTH_CLAMP[1]
-    while True:
-        window = t[t / h > -1.0]
-        if window.max() > window.min():
-            return h
+    while not _two_ranks_weighted(t, t / h):
         if h >= cap:
             raise EstimationError("degenerate local design")
         h = min(h * _WIDEN_FACTOR, cap)
+    return h
+
+
+def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
+    """The snn fit of each row of the (R, n) ranks, index values and W;
+    returns (InterceptRows, errors), errors mapping a failed row to its
+    EstimationError message.
+
+    Each row runs the same arithmetic as it would alone: whole-row products
+    are ``vecdot`` and ``sum(axis=1)`` over contiguous rows.  The rare
+    branches run one row at a time: the plug-in's polynomial pilot, where
+    the tail gate passes, and the widening of a window with one rank.
+    """
+    t = eta - 1.0
+    errors = {}
+    if rule.kind == "fixed":
+        h = np.full(t.shape[0], rule.value)
+    else:
+        h = _plug_in_from_ranks(t, idx, W, kernel_order, rule.value)
+    u = t / h[:, None]
+    for r in np.flatnonzero(~_two_ranks_weighted(t, u)):
+        try:
+            h[r] = _window_bandwidth(t[r], h[r])
+        except EstimationError as exc:
+            errors[r] = str(exc)
+        u[r] = t[r] / h[r]
+    K = eval_kernel(kernel_order, u)
+    theta, slope, w, degenerate = _local_linear_solve(t, K, W)
+    for r in np.flatnonzero(degenerate):
+        errors.setdefault(r, "degenerate local design")
+    resid = W - (theta[:, None] + slope[:, None] * t)
+    ksum = np.where(degenerate, 1.0, K.sum(axis=1))
+    sigma2 = np.vecdot(K, resid * resid) / ksum
+    se = np.sqrt(np.maximum(sigma2, 0.0) * np.vecdot(w, w))
+    return InterceptRows(theta, se, h, np.count_nonzero(K > 0.0, axis=1)), errors
 
 
 def snn_intercept(
@@ -143,28 +223,34 @@ def snn_intercept(
     weights and sigma2(1) the kernel-weighted mean squared residual of the
     local fit; for h -> 0 this is the finite-sample version of
     sigma2(1) * Int K^2 / (n h).  ``kernel_order`` is one of
-    ``numerics.KERNEL_ORDERS``.
+    ``numerics.KERNEL_ORDERS``.  This is the one-row call of
+    ``snn_intercept_stack``.
     """
-    rule = rule or BandwidthRule.plug_in()
-    t = eta_hat(data.Z, gamma) - 1.0
+    eta = eta_hat(data.Z, gamma)
+    idx = data.Z @ gamma
     W = residualized_outcome(data, beta)
-    if rule.kind == "fixed":
-        h = rule.value
-    else:
-        h = _plug_in_from_ranks(t, data.Z @ gamma, W, kernel_order, rule.value)
-    h = _window_bandwidth(t, h)
-    K = eval_kernel(kernel_order, t / h)
-    theta, slope, w = _local_linear_solve(t, K, W)
-    resid = W - (theta + slope * t)
-    ksum = float(K.sum())
-    sigma2 = float(K @ (resid * resid)) / ksum
-    se = math.sqrt(max(sigma2, 0.0) * float(w @ w))
-    return InterceptEstimate(
-        theta=theta,
-        std_error=se,
-        bandwidth=h,
-        effective_n=int(np.count_nonzero(K > 0.0)),
-    )
+    return _one_row(*_snn_rows(eta[None], idx[None], W[None], kernel_order,
+                               rule or BandwidthRule.plug_in()))
+
+
+def snn_intercept_stack(
+    eta: np.ndarray,
+    index: np.ndarray,
+    W: np.ndarray,
+    kernel_order: int = 2,
+    rule: BandwidthRule | None = None,
+) -> InterceptRows:
+    """``snn_intercept`` of R samples of one size n at once, from their
+    (R, n) ranks ``eta`` (``ranks.rank_rows`` of ``index``), index values
+    and masked residuals ``W`` (``residualized_outcome``).
+
+    Each row is bitwise what ``snn_intercept`` returns for that sample
+    alone; theta and std_error are NaN in a row where it would raise.  A
+    plug-in rule on fewer than 30 rows raises "insufficient sample" for the
+    whole stack, as it does for each sample.
+    """
+    eta, index, W = _check_rows(eta, index, W)
+    return _all_rows(*_snn_rows(eta, index, W, kernel_order, rule or BandwidthRule.plug_in()))
 
 
 def _polynomial_pilot(t: np.ndarray, W: np.ndarray, degree: int):
@@ -185,18 +271,18 @@ def _polynomial_pilot(t: np.ndarray, W: np.ndarray, degree: int):
     return coef, sigma2, se_top
 
 
-def _upper_tail_ratio(idx: np.ndarray) -> float:
-    """Spread of the upper tail relative to the upper shoulder of the index.
+def _upper_tail_ratio(idx: np.ndarray) -> np.ndarray:
+    """Spread of the upper tail relative to the upper shoulder of the index,
+    per row of idx (R, n).
 
-    (Q95 - Q75) / (Q75 - Q50).  Small for bounded, regularly terminating
-    designs (uniform ~ 0.8); large for designs identified "at infinity"
-    (normal ~ 1.44, heavy tails >> 1).
+    (Q95 - Q75) / (Q75 - Q50), inf where the shoulder is not positive.
+    Small for bounded, regularly terminating designs (uniform ~ 0.8); large
+    for designs identified "at infinity" (normal ~ 1.44, heavy tails >> 1).
     """
-    q50, q75, q95 = np.quantile(idx, [0.50, 0.75, 0.95])
+    q50, q75, q95 = np.quantile(idx, [0.50, 0.75, 0.95], axis=1)
     shoulder = q75 - q50
-    if shoulder <= 0.0:
-        return float("inf")
-    return float((q95 - q75) / shoulder)
+    return np.divide(q95 - q75, shoulder, out=np.full(shoulder.shape, np.inf),
+                     where=~(shoulder <= 0.0))
 
 
 def _plug_in_from_ranks(
@@ -205,10 +291,10 @@ def _plug_in_from_ranks(
     W: np.ndarray,
     p: int,
     scale: float,
-) -> float:
+) -> np.ndarray:
     """Estimated MSE-optimal bandwidth for the boundary locally linear fit,
-    from the centred ranks t = eta_hat - 1, the index values and W, which
-    snn_intercept computes once and shares, and the kernel order p.
+    per row of the centred ranks t = eta_hat - 1, the index values and W
+    (each (R, n)), and the kernel order p.
 
     The rule evaluates
 
@@ -227,15 +313,23 @@ def _plug_in_from_ranks(
     there is not an unbounded optimal bandwidth, and the clamped fit is
     biased.  The returned value is scale * h* clamped to BANDWIDTH_CLAMP.
 
-    The tail-ratio gate needs only the index, so it is checked before the
-    polynomial pilot: when it fails, the pilot could not change the result.
+    The tail-ratio gate needs only the index, so it is checked, for all rows
+    at once, before the polynomial pilot: when it fails, the pilot could not
+    change the result.  The pilot runs one row at a time.
     """
-    n = t.shape[0]
-    if n < 30:
+    if t.shape[1] < 30:
         raise EstimationError("insufficient sample")
+    h = np.full(t.shape[0], BANDWIDTH_CLAMP[1])
+    for r in np.flatnonzero(_upper_tail_ratio(idx) <= _TAIL_RATIO_MAX):  # a NaN ratio fails too
+        h[r] = _pilot_bandwidth(t[r], W[r], p, scale)
+    return h
+
+
+def _pilot_bandwidth(t: np.ndarray, W: np.ndarray, p: int, scale: float) -> float:
+    """The plug-in bandwidth of one row whose tail gate passed: the formula
+    from its polynomial pilot, or the clamp if the pilot's curvature is
+    insignificant."""
     lo, hi = BANDWIDTH_CLAMP
-    if not _upper_tail_ratio(idx) <= _TAIL_RATIO_MAX:  # a NaN ratio fails too
-        return hi
     coef, sigma2, se_top = _polynomial_pilot(t, W, p)
     c_top = float(coef[p])
     if not (math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > _CURVATURE_Z * se_top):
@@ -244,7 +338,7 @@ def _plug_in_from_ranks(
     kappa = kernel_moment(p, p)
     rk = kernel_l2(p)
     num = (math.factorial(p) ** 2) * max(sigma2, 0.0) * rk
-    den = 2.0 * p * kappa * kappa * m_p * m_p * n
+    den = 2.0 * p * kappa * kappa * m_p * m_p * t.shape[0]
     if den <= 0.0 or num <= 0.0:
         return hi
     h = scale * (num / den) ** (1.0 / (2 * p + 1))

@@ -12,8 +12,10 @@ nothing else, and each is one dispatch of its cells.  The engine is
 cell-major: each draw is simulated once and every estimator of its cell runs
 on it, and the reps of all cells go to the worker pool as contiguous chunks
 in one map.  A chunk runs in blocks of draws, and each estimator sees a
-whole block through ``registry.fit_thetas``, so a stacked first stage (the
-two-step's probit) is one solve per block.
+whole ``registry.Block`` through ``registry.fit_thetas``: the two-step's
+first stage is one stacked probit solve per block, and snn, h90 and as98 on
+the generating (beta, gamma) are one stacked pass per block, on arrays the
+block builds once for all of them.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 from .dgp import DgpSpec, simulate
 from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
-from .registry import EstimatorConfig, fit_thetas
+from .registry import Block, EstimatorConfig, fit_thetas
 from .seeding import derive_seed
 
 __all__ = [
@@ -122,6 +124,12 @@ class MonteCarloReport:
         return "\n".join(lines)
 
 
+def _repeated(values) -> list:
+    """The values that occur more than once, each once, in first-seen order."""
+    values = list(values)
+    return [v for v in dict.fromkeys(values) if values.count(v) > 1]
+
+
 def _cell_label(spec: DgpSpec) -> str:
     return f"{spec.family}:n={spec.n}:rho={spec.rho:.6g}:alpha={spec.alpha:.6g}"
 
@@ -138,15 +146,15 @@ def _run_chunk(task):
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
-    block = max(1, _BLOCK_ROWS // spec.n)
+    per_block = max(1, _BLOCK_ROWS // spec.n)
     out = np.full((len(estimators), stop - start), math.nan)
-    for lo in range(start, stop, block):
-        reps = range(lo, min(lo + block, stop))
+    for lo in range(start, stop, per_block):
+        reps = range(lo, min(lo + per_block, stop))
         draws = [simulate(spec.with_seed(derive_seed(base_seed, label, rep))) for rep in reps]
-        datasets = [draw.dataset for draw in draws]
-        fitted = [{None: (draw.beta0, draw.gamma0)} for draw in draws]
+        block = Block([draw.dataset for draw in draws],
+                      [{None: (draw.beta0, draw.gamma0)} for draw in draws])
         for e, est in enumerate(estimators):
-            out[e, lo - start:lo - start + len(reps)] = fit_thetas(datasets, est, fitted)
+            out[e, lo - start:lo - start + len(reps)] = fit_thetas(block, est)
     return out
 
 
@@ -223,11 +231,16 @@ class TablePlan:
     def __post_init__(self) -> None:
         if not self.estimators or not self.rhos or not self.alphas:
             raise ValueError("table plan must be nonempty")
+        # cells are keyed by (rho, alpha), so a repeated value would be
+        # simulated again and then overwrite its twin's cell
+        for name, values in (("rho", self.rhos), ("alpha", self.alphas)):
+            repeated = _repeated(values)
+            if repeated:
+                raise ValueError(f"repeated {name}: {', '.join(f'{v:g}' for v in repeated)}")
         # The report keys its panels by label, so configs that share one
         # (say, differing only in nuisance or kernel order) would overwrite
         # each other's panel.
-        labels = [config.label for config in self.estimators]
-        shared = [label for label in dict.fromkeys(labels) if labels.count(label) > 1]
+        shared = _repeated(config.label for config in self.estimators)
         if shared:
             raise ValueError(f"estimators share a panel label: {', '.join(map(repr, shared))}")
 
@@ -277,12 +290,16 @@ def rate_check(
     bandwidth schedule h_n = c * n^(-1/(2p+1)).
 
     For snn the bandwidth is re-derived at each n; every other method keeps
-    its own tuning.  Needs at least 3 distinct sample sizes.  All sizes are
+    its own tuning.  Needs at least 3 distinct sample sizes, none repeated.  All sizes are
     one dispatch, as a table is.
     """
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 3:
         raise ValueError("need at least 3 distinct sample sizes")
+    # a repeated size would enter the log-log fit twice
+    repeated = _repeated(ns)
+    if repeated:
+        raise ValueError(f"repeated sample size: {', '.join(map(str, repeated))}")
     cells = []
     for n in ns:
         est = estimator

@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import EstimationError
 
-__all__ = ["eta_hat"]
+__all__ = ["eta_hat", "rank_rows"]
 
 
 def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -17,12 +17,45 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
     Self-comparison is included, so every value is at least 1/n and the
     maximum index always maps to 1.  Ties share the highest applicable rank.
-    Computed by one sort instead of the O(n^2) double loop.
+    This is the one-row call of ``rank_rows``.
     """
     if np.asarray(Z).shape[0] < 2:
         raise EstimationError("insufficient sample")
     if not np.any(np.asarray(gamma, dtype=float) != 0.0):
         raise EstimationError("degenerate index")
     idx = np.asarray(Z, dtype=float) @ np.asarray(gamma, dtype=float)
-    order = np.sort(idx)
-    return np.searchsorted(order, idx, side="right") / idx.shape[0]
+    return _rank_rows(idx[None])[0]
+
+
+def rank_rows(index: np.ndarray) -> np.ndarray:
+    """``eta_hat``'s transform of each row of an (R, n) array of index
+    values, each row exactly what ``eta_hat`` gives for that row alone."""
+    index = np.asarray(index, dtype=float)
+    if index.ndim != 2:
+        raise ValueError("need index values of shape (R, n)")
+    return _rank_rows(index)
+
+
+def _rank_rows(index: np.ndarray) -> np.ndarray:
+    """The rank transform of each row: one argsort per row, then each sorted
+    position takes the 1-based position of the last member of its tie
+    group.  Ranks depend on the values alone, so the argsort need not be
+    stable.  NaN sorts last and counts as equal to NaN, as in ``np.sort``
+    and ``np.searchsorted``; the counts are exact, so each rank is the
+    correctly rounded count / n."""
+    R, n = index.shape
+    order = np.argsort(index, axis=1)
+    flat = order + np.arange(0, R * n, n)[:, None]
+    ordered = index.ravel()[flat]
+    tie = ordered[:, 1:] == ordered[:, :-1]
+    if np.isnan(ordered[:, -1]).any():
+        tie |= np.isnan(ordered[:, 1:]) & np.isnan(ordered[:, :-1])
+    ends = np.arange(1.0, n + 1.0)
+    if tie.any():
+        # a position inside a tie group takes the end of the group: the
+        # smallest group end at or after it
+        ends = np.where(np.concatenate([tie, np.zeros((R, 1), dtype=bool)], axis=1), np.inf, ends)
+        ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    eta = np.empty(R * n)
+    eta[flat] = ends / n
+    return eta.reshape(R, n)

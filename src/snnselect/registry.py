@@ -8,26 +8,28 @@ the Monte Carlo engine, the decomposition and the CLI all call.  A method's
 whose ``needs_nuisance`` is False (OLS and the two-step) estimate their own
 slopes and ignore ``beta``; the two-step takes a given ``gamma`` as its
 first stage and fits the probit itself when ``gamma`` is None.
-``fit_thetas`` runs one config over many same-shaped datasets, fitting that
-first stage for all of them in one stacked solve.  The adapters reach the
-estimators and the nuisance fit through their modules, so that rebinding a
-module attribute (as a profiler does) reaches every call.
+``fit_thetas`` runs one config over a ``Block`` of same-shaped datasets:
+the two-step's first stage in one stacked solve, and snn, h90 and as98 in
+one stacked pass when the block shares one (beta, gamma).  The adapters
+reach the estimators and the nuisance fit through their modules, so that
+rebinding a module attribute (as a profiler does) reaches every call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import baselines, estimator, nuisance
+from . import baselines, estimator, nuisance, ranks
 from .baselines import TailRule
 from .estimator import BandwidthRule
 from .exceptions import EstimationError
 from .numerics import KERNEL_ORDERS
 
-__all__ = ["Method", "METHODS", "EstimatorConfig", "fit", "fit_thetas"]
+__all__ = ["Method", "METHODS", "EstimatorConfig", "Block", "fit", "fit_thetas"]
 
 
 class Method(NamedTuple):
@@ -35,9 +37,13 @@ class Method(NamedTuple):
     needs_nuisance: bool
     report: Callable  # result -> the estimate command's JSON fields
     label: Callable  # cfg -> Monte Carlo panel label
-    # datasets -> (G, failed): the gamma ``fit`` would find on each dataset,
-    # all in one stacked solve, for a method that fits its own gamma
+    # block -> (G, failed): the gamma ``fit`` would find on each dataset of
+    # the block, all in one stacked solve, for a method that fits its own gamma
     stacked_gamma: Callable | None = None
+    # (block, cfg) -> InterceptRows: ``fit`` on every dataset of a block
+    # whose datasets share cfg's (beta, gamma), in one stacked pass; NaN
+    # theta in a row where ``fit`` would raise
+    stacked_fit: Callable | None = None
 
 
 def _snn(data, beta, gamma, cfg):
@@ -52,9 +58,23 @@ def _as98(data, beta, gamma, cfg):
     return baselines.as98_intercept(data, beta, gamma, cfg.tail)
 
 
-def _probit_stack(datasets):
-    return baselines.probit_mle_stack(np.stack([data.d for data in datasets]),
-                                      np.stack([data.Z for data in datasets]))
+def _snn_stack(block, cfg):
+    return estimator.snn_intercept_stack(block.ranks(cfg.nuisance), block.index(cfg.nuisance),
+                                         block.residuals(cfg.nuisance), cfg.kernel_order, cfg.bandwidth)
+
+
+def _h90_stack(block, cfg):
+    return baselines.h90_intercept_stack(block.D, block.index(cfg.nuisance),
+                                         block.residuals(cfg.nuisance), cfg.tail)
+
+
+def _as98_stack(block, cfg):
+    return baselines.as98_intercept_stack(block.D, block.index(cfg.nuisance),
+                                          block.residuals(cfg.nuisance), cfg.tail)
+
+
+def _probit_stack(block):
+    return baselines.probit_mle_stack(block.D, block.Z)
 
 
 def _fields(*names):
@@ -76,15 +96,15 @@ _TAIL_FIELDS = _fields("theta", "std_error", "effective_n")
 
 METHODS: dict[str, Method] = {
     "snn": Method(_snn, True, _fields("theta", "std_error", "bandwidth", "effective_n"),
-                  _snn_label),
+                  _snn_label, stacked_fit=_snn_stack),
     "ols": Method(lambda data, *_: baselines.ols_selected(data), False,
                   lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
                   lambda cfg: "ols"),
     "heckman": Method(lambda data, beta, gamma, cfg: baselines.heckman_two_step(data, gamma),
                       False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
                       lambda cfg: "heckman", stacked_gamma=_probit_stack),
-    "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90")),
-    "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98")),
+    "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90"), stacked_fit=_h90_stack),
+    "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98"), stacked_fit=_as98_stack),
 }
 
 
@@ -160,27 +180,99 @@ def _checked_fit(method, data, beta, gamma, config):
     return result, (beta if method.needs_nuisance else result.beta)
 
 
-def fit_thetas(datasets, config: EstimatorConfig, fitted: list) -> np.ndarray:
-    """``fit(datasets[i], config, fitted[i])[0].theta`` for every i, NaN
-    where that raised EstimationError; the datasets share n and l.
+class Block:
+    """Datasets of one n and l, each with the ``fitted`` dict that ``fit``
+    takes for it, and the stacked arrays that the stacked fits of a block
+    share, each built on first use and then kept for every config."""
+
+    def __init__(self, datasets, fitted):
+        self.datasets = list(datasets)
+        self.fitted = list(fitted)
+        self._by_nuisance = {}
+
+    def __len__(self) -> int:
+        return len(self.datasets)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return np.stack([data.d for data in self.datasets])
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return np.stack([data.Z for data in self.datasets])
+
+    def shared(self, key) -> dict | None:
+        """The block's stacked index values and masked residuals under the
+        nuisance ``key``, when every dataset holds the same (beta, gamma)
+        there, bit for bit; else None."""
+        if key not in self._by_nuisance:
+            self._by_nuisance[key] = self._stack_nuisance(key)
+        return self._by_nuisance[key]
+
+    def _stack_nuisance(self, key) -> dict | None:
+        first = self.fitted[0].get(key)
+        if not isinstance(first, tuple):
+            return None
+        beta, gamma = (np.asarray(a, dtype=float) for a in first)
+        for f in self.fitted[1:]:
+            other = f.get(key)
+            if not (isinstance(other, tuple) and all(
+                    np.shape(a) == b.shape and np.asarray(a, dtype=float).tobytes() == b.tobytes()
+                    for a, b in zip(other, (beta, gamma)))):
+                return None
+        X = np.stack([data.X for data in self.datasets])
+        Y = np.stack([data.y for data in self.datasets])
+        # each row bitwise data.Z @ gamma and residualized_outcome(data, beta)
+        return {"index": self.Z @ gamma, "residuals": self.D * (Y - X @ beta)}
+
+    def index(self, key) -> np.ndarray:
+        """(R, n) index values Z @ gamma under the shared nuisance ``key``."""
+        return self.shared(key)["index"]
+
+    def residuals(self, key) -> np.ndarray:
+        """(R, n) masked residuals d * (y - X @ beta) under ``key``."""
+        return self.shared(key)["residuals"]
+
+    def ranks(self, key) -> np.ndarray:
+        """(R, n) rank transform of ``index(key)``."""
+        arrays = self.shared(key)
+        if "ranks" not in arrays:
+            arrays["ranks"] = ranks.rank_rows(arrays["index"])
+        return arrays["ranks"]
+
+
+def fit_thetas(block: Block, config: EstimatorConfig) -> np.ndarray:
+    """``fit(block.datasets[i], config, block.fitted[i])[0].theta`` for
+    every i, NaN where that raised EstimationError.
 
     A method with a ``stacked_gamma`` fits its gamma on all datasets in one
     stacked solve and then runs each fit with its row, under ``fit``'s
-    finiteness checks.  A dataset whose stacked fit failed runs the plain
-    ``fit``, so it fails as it would alone: with the same reason, raised
-    from the same call.
+    finiteness checks.  A method with a ``stacked_fit`` runs the whole block
+    in one pass when its datasets share the config's (beta, gamma), as the
+    simulation design of record's do.  A dataset whose stacked step failed,
+    or gave a non-finite theta or standard error, runs the plain ``fit``,
+    so it fails as it would alone: with the same reason, raised from the
+    same call.
     """
     method = METHODS[config.method]
+    thetas = np.full(len(block), math.nan)
+    alone = np.ones(len(block), dtype=bool)  # the datasets that run ``fit``
     G = None
-    if method.stacked_gamma is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            G, failed = method.stacked_gamma(datasets)
-    thetas = np.full(len(datasets), math.nan)
-    for i, data in enumerate(datasets):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.stacked_gamma is not None:
+            G, alone = method.stacked_gamma(block)
+        elif method.stacked_fit is not None and block.shared(config.nuisance) is not None:
+            try:
+                rows = method.stacked_fit(block, config)
+                alone = ~(np.isfinite(rows.theta) & np.isfinite(rows.std_error))
+                thetas[~alone] = rows.theta[~alone]
+            except EstimationError:
+                pass
+    for i, data in enumerate(block.datasets):
         try:
-            if G is None or failed[i]:
-                thetas[i] = fit(data, config, fitted[i])[0].theta
-            else:
+            if alone[i]:
+                thetas[i] = fit(data, config, block.fitted[i])[0].theta
+            elif G is not None:
                 thetas[i] = _checked_fit(method, data, None, G[i], config)[0].theta
         except EstimationError:
             pass

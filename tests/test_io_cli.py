@@ -435,6 +435,16 @@ class TestCli:
         assert cli_main(argv) == 1
         assert "3 distinct sample sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rate-check", "--ns", "100,100,200,400", "--reps", "3"], "repeated sample size: 100"),
+        (["mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "2", "--rho", "0,0", "--alpha", "2,2",
+          "--estimator", "h90"], "repeated rho: 0"),
+    ])
+    def test_repeated_grid_value_exit_1(self, argv, message, capsys):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "2", "--rho", "0", "--alpha", "2",
          "--estimator", "ols"],

@@ -148,6 +148,14 @@ class TestRunTable:
         plan = TablePlan("dgp2", 200, [EstimatorConfig(method=m) for m in METHODS], reps=3)
         assert len({config.label for config in plan.estimators}) == len(METHODS) == 5
 
+    def test_repeated_rho_or_alpha_rejected(self):
+        # a repeated value would simulate its cells twice and print them once
+        configs = [EstimatorConfig("h90")]
+        with pytest.raises(ValueError, match=r"^repeated rho: 0$"):
+            TablePlan("dgp1", 50, configs, rhos=(0.0, 0.0), alphas=(2.0,), reps=3)
+        with pytest.raises(ValueError, match=r"^repeated alpha: 2, 1$"):
+            TablePlan("dgp1", 50, configs, rhos=(0.0, 0.5), alphas=(2.0, 1.0, 2.0, 1.0), reps=3)
+
     def test_kernel_orders_get_separate_panels(self):
         configs = [EstimatorConfig("snn"), EstimatorConfig("snn", kernel_order=4)]
         plan = TablePlan("dgp1", 60, configs, rhos=(0.0,), alphas=(2.0,), reps=2)
@@ -383,6 +391,11 @@ class TestRateCheck:
         for ns in ([100, 200], [200, 200, 200], [100, 100, 200, 200]):
             with pytest.raises(ValueError, match="3 distinct"):
                 rate_check(ns, DgpSpec("dgp1", 100), OLS, reps=5)
+
+    def test_repeated_size_rejected(self):
+        # three distinct sizes, but the repeated one would enter the fit twice
+        with pytest.raises(ValueError, match=r"^repeated sample size: 100$"):
+            rate_check([100, 100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=3)
 
     def test_total_failure_reported(self, monkeypatch):
         _stub_ols(monkeypatch, _fails)
