@@ -290,8 +290,8 @@ def rate_check(
     bandwidth schedule h_n = c * n^(-1/(2p+1)).
 
     For snn the bandwidth is re-derived at each n; every other method keeps
-    its own tuning.  Needs at least 3 distinct sample sizes, none repeated.  All sizes are
-    one dispatch, as a table is.
+    its own tuning.  Needs at least 3 distinct sample sizes, none repeated.
+    All sizes are one dispatch, as a table is.
     """
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 3:

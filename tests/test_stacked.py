@@ -114,6 +114,20 @@ class TestRowsMatchAlone:
         for i, data in enumerate(self.datasets):
             assert eta[i].tobytes() == eta_hat(data.Z, self.gamma).tobytes(), self.names[i]
 
+    def test_ranks_match_sort_and_searchsorted(self):
+        # the one-sort reference: ties, infinities and NaN, which sorts last
+        # and ties with NaN there
+        rng = np.random.default_rng(11)
+        index = np.round(rng.normal(size=(6, 40)), 1)
+        index[1, :3] = np.inf
+        index[2, :5] = -np.inf
+        index[3, [4, 9, 17]] = np.nan
+        index[4] = 2.5
+        eta = rank_rows(index)
+        for row, values in zip(eta, index):
+            want = np.searchsorted(np.sort(values), values, side="right") / values.size
+            assert row.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("rule, order", _SNN_RULES)
     def test_snn(self, rule, order, monkeypatch):
         pilots = []
@@ -220,7 +234,7 @@ class TestFitThetas:
         assert len(calls) == 1
         assert reasons == ["degenerate index"] * len(datasets)
 
-    def test_non_finite_rows_rerun_alone(self, monkeypatch):
+    def test_non_finite_rows_rerun_alone(self):
         # scaled by 1e200 every theta stays finite, but snn's and the tail
         # means' standard errors overflow; those rows must fail alone
         _, datasets, beta, gamma = _mixed_samples()
