@@ -6,16 +6,17 @@ scheduled across workers.  The cell label deliberately excludes the
 estimator: every estimator in a table panel sees the same draws, which makes
 cross-estimator comparisons common-random-number comparisons.
 
-Estimators are ``registry.EstimatorConfig`` records, each run through
-``registry.fit``; ``run_cell``, ``run_table`` and ``rate_check`` take
-nothing else, and each is one dispatch of its cells.  The engine is
-cell-major: each draw is simulated once and every estimator of its cell runs
-on it, and the reps of all cells go to the worker pool as contiguous chunks
-in one map.  A chunk runs in blocks of draws, and each estimator sees a
-whole ``registry.Block`` through ``registry.fit_thetas``: the two-step's
-first stage is one stacked probit solve per block, and snn, h90 and as98 on
-the generating (beta, gamma) are one stacked pass per block, on arrays the
-block builds once for all of them.
+Estimators are ``registry.EstimatorConfig`` records, each run as
+``registry.fit`` would run it; ``run_cell``, ``run_table`` and
+``rate_check`` take nothing else, and each is one dispatch of its cells.
+The engine is cell-major: each draw is simulated once and every estimator
+of its cell runs on it, and the reps of all cells go to the worker pool as
+contiguous chunks in one map.  A chunk runs in blocks of draws, and each
+estimator sees a whole ``registry.Block`` through ``registry.fit_thetas``:
+the two-step's first stage is one stacked probit solve per block, and snn,
+h90 and as98 are one stacked pass per block on each draw's own (beta,
+gamma), generating or fitted, on arrays the block builds once per nuisance
+for all of them.
 """
 from __future__ import annotations
 

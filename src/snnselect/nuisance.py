@@ -38,13 +38,13 @@ _SILVERMAN_C = 1.06
 @dataclass(frozen=True)
 class NuisanceEstimates:
     beta: np.ndarray
-    gamma: np.ndarray  # first component exactly 1
+    gamma: np.ndarray  # first component exactly 1 or -1
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
         gamma = np.asarray(self.gamma, dtype=float)
-        if gamma[0] != 1.0:
-            raise ValueError("gamma must be normalized with first component 1")
+        if abs(gamma[0]) != 1.0:
+            raise ValueError("gamma must be normalized with first component 1 or -1")
         if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(gamma))):
             raise ValueError("nuisance estimates must be finite")
         object.__setattr__(self, "beta", beta)
@@ -132,11 +132,13 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
 
 
 def probit_gamma(data: Dataset) -> np.ndarray:
-    """Probit MLE rescaled so the first component is exactly one."""
+    """Probit MLE rescaled so the first component is exactly 1 or -1: its
+    sign is kept, and with it the direction of the index, which the rank
+    transform and the tail means read."""
     g = probit_mle(data.d, data.Z)
     if abs(g[0]) <= 1e-8:
         raise EstimationError("normalization impossible")
-    return g / g[0]
+    return g / abs(g[0])
 
 
 def _ks_loglik_and_grad(
@@ -196,9 +198,10 @@ def klein_spady_objective(
 
 
 def klein_spady_gamma(data: Dataset) -> np.ndarray:
-    """Maximizer of the leave-one-out quasi-likelihood over {gamma: gamma_1 = 1}.
+    """Maximizer of the leave-one-out quasi-likelihood over {gamma: gamma_1 =
+    s}, s = +-1 the sign of the normalized probit estimate.
 
-    L-BFGS-B on the exact gradient, started at the normalized probit estimate,
+    L-BFGS-B on the exact gradient, started at that probit estimate,
     with the Silverman pilot bandwidth of the probit index.  The objective has
     kinks (kernel edge, probability clip) and jumps (emptying windows), so the
     line search may stop abnormally: that end point is accepted when it beats
@@ -216,11 +219,11 @@ def klein_spady_gamma(data: Dataset) -> np.ndarray:
     pilot_bandwidth = silverman_bandwidth(data.Z @ start)
 
     def negloglik(free: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _ks_loglik_and_grad(data, np.concatenate([[1.0], free]), pilot_bandwidth)
+        value, grad = _ks_loglik_and_grad(data, np.concatenate([start[:1], free]), pilot_bandwidth)
         return -value, -grad
 
     res = optimize.minimize(negloglik, start[1:], jac=True, method="L-BFGS-B")
-    best = np.concatenate([[1.0], res.x])
+    best = np.concatenate([start[:1], res.x])
     # an abnormal stop still counts when it climbed above the start
     if klein_spady_objective(data, best, pilot_bandwidth) > klein_spady_objective(
         data, start, pilot_bandwidth

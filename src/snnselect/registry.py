@@ -8,11 +8,12 @@ the Monte Carlo engine, the decomposition and the CLI all call.  A method's
 whose ``needs_nuisance`` is False (OLS and the two-step) estimate their own
 slopes and ignore ``beta``; the two-step takes a given ``gamma`` as its
 first stage and fits the probit itself when ``gamma`` is None.
-``fit_thetas`` runs one config over a ``Block`` of same-shaped datasets:
-the two-step's first stage in one stacked solve, and snn, h90 and as98 in
-one stacked pass when the block shares one (beta, gamma).  The adapters
-reach the estimators and the nuisance fit through their modules, so that
-rebinding a module attribute (as a profiler does) reaches every call.
+``fit_thetas`` runs one config over a ``Block`` of same-shaped datasets
+through the method's ``stacked_fit``: snn, h90 and as98 in one stacked pass
+on each dataset's own (beta, gamma), the two-step's first stage in one
+stacked solve, and OLS one dataset at a time.  The adapters reach the
+estimators and the nuisance fit through their modules, so that rebinding a
+module attribute (as a profiler does) reaches every call.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from . import baselines, estimator, nuisance, ranks
 from .baselines import TailRule
 from .estimator import BandwidthRule
 from .exceptions import EstimationError
-from .numerics import KERNEL_ORDERS
+from .numerics import _check_order
 
 __all__ = ["Method", "METHODS", "EstimatorConfig", "Block", "fit", "fit_thetas"]
 
@@ -37,13 +38,10 @@ class Method(NamedTuple):
     needs_nuisance: bool
     report: Callable  # result -> the estimate command's JSON fields
     label: Callable  # cfg -> Monte Carlo panel label
-    # block -> (G, failed): the gamma ``fit`` would find on each dataset of
-    # the block, all in one stacked solve, for a method that fits its own gamma
-    stacked_gamma: Callable | None = None
-    # (block, cfg) -> InterceptRows: ``fit`` on every dataset of a block
-    # whose datasets share cfg's (beta, gamma), in one stacked pass; NaN
-    # theta in a row where ``fit`` would raise
-    stacked_fit: Callable | None = None
+    # (block, cfg) -> (thetas, alone): ``fit``'s theta on every dataset of
+    # the block, NaN where ``fit`` would raise, except in the rows marked
+    # ``alone``, which must run ``fit`` itself
+    stacked_fit: Callable
 
 
 def _snn(data, beta, gamma, cfg):
@@ -58,23 +56,44 @@ def _as98(data, beta, gamma, cfg):
     return baselines.as98_intercept(data, beta, gamma, cfg.tail)
 
 
-def _snn_stack(block, cfg):
-    return estimator.snn_intercept_stack(block.ranks(cfg.nuisance), block.index(cfg.nuisance),
-                                         block.residuals(cfg.nuisance), cfg.kernel_order, cfg.bandwidth)
+def _intercept_stack(body):
+    """The ``stacked_fit`` of a stacked intercept body ``body(block, arrays,
+    cfg)``, ``arrays`` being the block's under cfg's nuisance.  A row whose
+    nuisance fit failed, or whose theta or standard error is non-finite,
+    runs ``fit`` alone."""
+    def stacked_fit(block, cfg):
+        arrays = block.under(cfg.nuisance)
+        rows = body(block, arrays, cfg)
+        return rows.theta, arrays["failed"] | ~(np.isfinite(rows.theta) & np.isfinite(rows.std_error))
+
+    return stacked_fit
 
 
-def _h90_stack(block, cfg):
-    return baselines.h90_intercept_stack(block.D, block.index(cfg.nuisance),
-                                         block.residuals(cfg.nuisance), cfg.tail)
+_snn_stack = _intercept_stack(lambda block, arrays, cfg: estimator.snn_intercept_stack(
+    block.ranks(cfg.nuisance), arrays["index"], arrays["residuals"], cfg.kernel_order, cfg.bandwidth))
+_h90_stack = _intercept_stack(lambda block, arrays, cfg: baselines.h90_intercept_stack(
+    block.D, arrays["index"], arrays["residuals"], cfg.tail))
+_as98_stack = _intercept_stack(lambda block, arrays, cfg: baselines.as98_intercept_stack(
+    block.D, arrays["index"], arrays["residuals"], cfg.tail))
 
 
-def _as98_stack(block, cfg):
-    return baselines.as98_intercept_stack(block.D, block.index(cfg.nuisance),
-                                          block.residuals(cfg.nuisance), cfg.tail)
+def _heckman_stack(block, cfg):
+    """The probit of every dataset in one stacked solve, then each second
+    stage under ``fit``'s checks; a row whose probit failed runs ``fit``
+    alone."""
+    G, alone = baselines.probit_mle_stack(block.D, block.Z)
+    thetas = np.full(len(block), math.nan)
+    for i in np.flatnonzero(~alone):
+        try:
+            thetas[i] = _checked_fit(METHODS["heckman"], block.datasets[i], None, G[i], cfg)[0].theta
+        except EstimationError:
+            pass
+    return thetas, alone
 
 
-def _probit_stack(block):
-    return baselines.probit_mle_stack(block.D, block.Z)
+def _each_alone(block, cfg):
+    """The ``stacked_fit`` that runs ``fit`` on every dataset alone."""
+    return np.full(len(block), math.nan), np.ones(len(block), dtype=bool)
 
 
 def _fields(*names):
@@ -96,15 +115,15 @@ _TAIL_FIELDS = _fields("theta", "std_error", "effective_n")
 
 METHODS: dict[str, Method] = {
     "snn": Method(_snn, True, _fields("theta", "std_error", "bandwidth", "effective_n"),
-                  _snn_label, stacked_fit=_snn_stack),
+                  _snn_label, _snn_stack),
     "ols": Method(lambda data, *_: baselines.ols_selected(data), False,
                   lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
-                  lambda cfg: "ols"),
+                  lambda cfg: "ols", _each_alone),
     "heckman": Method(lambda data, beta, gamma, cfg: baselines.heckman_two_step(data, gamma),
                       False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
-                      lambda cfg: "heckman", stacked_gamma=_probit_stack),
-    "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90"), stacked_fit=_h90_stack),
-    "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98"), stacked_fit=_as98_stack),
+                      lambda cfg: "heckman", _heckman_stack),
+    "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90"), _h90_stack),
+    "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98"), _as98_stack),
 }
 
 
@@ -128,8 +147,7 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown estimator {self.method!r}; valid: {tuple(METHODS)}")
-        if self.kernel_order not in KERNEL_ORDERS:
-            raise ValueError("kernel order must be 2 or 4")
+        _check_order(self.kernel_order)
         if self.nuisance is not None and self.nuisance not in nuisance.GAMMA_METHODS:
             raise ValueError(f"unknown nuisance {self.nuisance!r}; valid: {nuisance.GAMMA_METHODS}")
 
@@ -154,20 +172,26 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     method = METHODS[config.method]
     beta = gamma = None
     if method.needs_nuisance:
-        key = config.nuisance
-        fitted = {} if fitted is None else fitted
-        if key not in fitted:
-            if key is None:
-                raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
-            try:
-                est = nuisance.fit_nuisance(data, key)
-                fitted[key] = (est.beta, est.gamma)
-            except EstimationError as exc:
-                fitted[key] = exc
-        if isinstance(fitted[key], EstimationError):
-            raise fitted[key]
-        beta, gamma = fitted[key]
+        found = _nuisance(data, {} if fitted is None else fitted, config.nuisance)
+        if isinstance(found, EstimationError):
+            raise found
+        beta, gamma = found
     return _checked_fit(method, data, beta, gamma, config)
+
+
+def _nuisance(data, fitted: dict, key):
+    """``fitted[key]``: the (beta, gamma) of ``data`` under the nuisance
+    ``key``, or the EstimationError its fit raised, fitted and stored there
+    on first use."""
+    if key not in fitted:
+        if key is None:
+            raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
+        try:
+            est = nuisance.fit_nuisance(data, key)
+            fitted[key] = (est.beta, est.gamma)
+        except EstimationError as exc:
+            fitted[key] = exc
+    return fitted[key]
 
 
 def _checked_fit(method, data, beta, gamma, config):
@@ -188,7 +212,7 @@ class Block:
     def __init__(self, datasets, fitted):
         self.datasets = list(datasets)
         self.fitted = list(fitted)
-        self._by_nuisance = {}
+        self._under = {}
 
     def __len__(self) -> int:
         return len(self.datasets)
@@ -201,41 +225,29 @@ class Block:
     def Z(self) -> np.ndarray:
         return np.stack([data.Z for data in self.datasets])
 
-    def shared(self, key) -> dict | None:
-        """The block's stacked index values and masked residuals under the
-        nuisance ``key``, when every dataset holds the same (beta, gamma)
-        there, bit for bit; else None."""
-        if key not in self._by_nuisance:
-            self._by_nuisance[key] = self._stack_nuisance(key)
-        return self._by_nuisance[key]
-
-    def _stack_nuisance(self, key) -> dict | None:
-        first = self.fitted[0].get(key)
-        if not isinstance(first, tuple):
-            return None
-        beta, gamma = (np.asarray(a, dtype=float) for a in first)
-        for f in self.fitted[1:]:
-            other = f.get(key)
-            if not (isinstance(other, tuple) and all(
-                    np.shape(a) == b.shape and np.asarray(a, dtype=float).tobytes() == b.tobytes()
-                    for a, b in zip(other, (beta, gamma)))):
-                return None
-        X = np.stack([data.X for data in self.datasets])
-        Y = np.stack([data.y for data in self.datasets])
-        # each row bitwise data.Z @ gamma and residualized_outcome(data, beta)
-        return {"index": self.Z @ gamma, "residuals": self.D * (Y - X @ beta)}
-
-    def index(self, key) -> np.ndarray:
-        """(R, n) index values Z @ gamma under the shared nuisance ``key``."""
-        return self.shared(key)["index"]
-
-    def residuals(self, key) -> np.ndarray:
-        """(R, n) masked residuals d * (y - X @ beta) under ``key``."""
-        return self.shared(key)["residuals"]
+    def under(self, key) -> dict:
+        """The block's arrays under the nuisance ``key``, where each row has
+        its own dataset's (beta, gamma), got or fitted in its ``fitted`` dict
+        as ``fit`` does: ``failed`` (R,), the rows whose nuisance fit failed
+        (they hold zeros); ``index`` (R, n), each row bitwise data.Z @ gamma;
+        ``residuals`` (R, n), each row bitwise ``residualized_outcome(data,
+        beta)``."""
+        if key not in self._under:
+            found = [_nuisance(data, f, key) for data, f in zip(self.datasets, self.fitted)]
+            failed = np.array([isinstance(x, EstimationError) for x in found])
+            B = np.zeros((len(self), self.datasets[0].k))
+            G = np.zeros((len(self), self.datasets[0].l))
+            for i in np.flatnonzero(~failed):
+                B[i], G[i] = found[i]
+            X = np.stack([data.X for data in self.datasets])
+            Y = np.stack([data.y for data in self.datasets])
+            self._under[key] = {"failed": failed, "index": (self.Z @ G[:, :, None])[:, :, 0],
+                                "residuals": self.D * (Y - (X @ B[:, :, None])[:, :, 0])}
+        return self._under[key]
 
     def ranks(self, key) -> np.ndarray:
-        """(R, n) rank transform of ``index(key)``."""
-        arrays = self.shared(key)
+        """(R, n) rank transform of ``under(key)["index"]``."""
+        arrays = self.under(key)
         if "ranks" not in arrays:
             arrays["ranks"] = ranks.rank_rows(arrays["index"])
         return arrays["ranks"]
@@ -245,35 +257,19 @@ def fit_thetas(block: Block, config: EstimatorConfig) -> np.ndarray:
     """``fit(block.datasets[i], config, block.fitted[i])[0].theta`` for
     every i, NaN where that raised EstimationError.
 
-    A method with a ``stacked_gamma`` fits its gamma on all datasets in one
-    stacked solve and then runs each fit with its row, under ``fit``'s
-    finiteness checks.  A method with a ``stacked_fit`` runs the whole block
-    in one pass when its datasets share the config's (beta, gamma), as the
-    simulation design of record's do.  A dataset whose stacked step failed,
-    or gave a non-finite theta or standard error, runs the plain ``fit``,
-    so it fails as it would alone: with the same reason, raised from the
-    same call.
+    The method's ``stacked_fit`` runs the whole block.  The rows it marks
+    ``alone``, or every row when it raises, run the plain ``fit``, so they
+    fail as they would alone: with the same reason, raised from the same
+    call.
     """
-    method = METHODS[config.method]
-    thetas = np.full(len(block), math.nan)
-    alone = np.ones(len(block), dtype=bool)  # the datasets that run ``fit``
-    G = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method.stacked_gamma is not None:
-            G, alone = method.stacked_gamma(block)
-        elif method.stacked_fit is not None and block.shared(config.nuisance) is not None:
-            try:
-                rows = method.stacked_fit(block, config)
-                alone = ~(np.isfinite(rows.theta) & np.isfinite(rows.std_error))
-                thetas[~alone] = rows.theta[~alone]
-            except EstimationError:
-                pass
-    for i, data in enumerate(block.datasets):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            thetas, alone = METHODS[config.method].stacked_fit(block, config)
+    except EstimationError:
+        thetas, alone = _each_alone(block, config)
+    for i in np.flatnonzero(alone):
         try:
-            if alone[i]:
-                thetas[i] = fit(data, config, block.fitted[i])[0].theta
-            elif G is not None:
-                thetas[i] = _checked_fit(method, data, None, G[i], config)[0].theta
+            thetas[i] = fit(block.datasets[i], config, block.fitted[i])[0].theta
         except EstimationError:
-            pass
+            thetas[i] = math.nan
     return thetas

@@ -15,12 +15,14 @@ from oracles import eta_hat_bruteforce, ols_bruteforce, snn_bruteforce
 from snnselect.baselines import smooth_tail_weight
 from snnselect.data import Dataset
 from snnselect.decompose import DecompositionConfig, bootstrap_se, decompose
-from snnselect.dgp import DgpSpec, identification_ratio
+from snnselect.dgp import DgpSpec, identification_ratio, simulate
 from snnselect.estimator import BandwidthRule, snn_intercept
+from snnselect.exceptions import EstimationError
 from snnselect.montecarlo import EstimatorConfig, TablePlan, rate_check, run_cell, run_table
 from snnselect.numerics import inverse_mills, kernel_l2, kernel_moment
 from snnselect.nuisance import robinson_beta
 from snnselect.ranks import eta_hat
+from snnselect.registry import fit
 
 BASE_SEED = 20260809
 WORKERS = 4
@@ -251,6 +253,32 @@ class TestCriterion5:
         for rho, s in slopes.items():
             assert -0.55 <= s <= -0.25, f"slope {s} at rho={rho}"
         assert elapsed <= 600
+
+
+class TestProbitNuisanceDirection:
+    def test_dgp2_median_with_probit_nuisance(self):
+        # the probit's first coefficient, dgp2's normalizing one, is negative
+        # on about half of these draws; the normalized index must keep its
+        # direction, or the estimate reads the wrong end of the index
+        fitted, true = [], []
+        for seed in range(1000, 1100):
+            draw = simulate(DgpSpec("dgp2", 1000, rho=0.5, alpha=2.0, seed=seed))
+            generating = {None: (draw.beta0, draw.gamma0)}
+            true.append(fit(draw.dataset, EstimatorConfig("snn"), generating)[0].theta)
+            try:
+                fitted.append(fit(draw.dataset, EstimatorConfig("snn", nuisance="probit"))[0].theta)
+            except EstimationError:
+                pass
+        gap = abs(float(np.median(fitted)) - float(np.median(true)))
+        ok = gap <= 0.05 and len(fitted) >= 95
+        _report(
+            "index direction (dgp2, n=1000, probit nuisance)",
+            ok,
+            f"median snn {np.median(fitted):.3f} on {len(fitted)}/100 probit fits vs "
+            f"{np.median(true):.3f} with the true nuisance (gap {gap:.3f} <= 0.05)",
+        )
+        assert len(fitted) >= 95
+        assert gap <= 0.05
 
 
 class TestCriterion6:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from oracles import ks_loglik_bruteforce, loo_nw_bruteforce
@@ -16,6 +18,7 @@ from snnselect.nuisance import (
     robinson_beta,
     silverman_bandwidth,
 )
+from snnselect.registry import EstimatorConfig, fit
 
 
 def make_data(d, y, X, Z):
@@ -61,10 +64,11 @@ class TestProbitGamma:
         assert np.allclose(g, [1.0, 2.0], atol=0.1)
 
     def test_negative_first_coefficient_still_normalizes(self):
+        # scaled by |g[0]|, so the index keeps its direction
         data = selection_sample(5000, [-1.0, 0.8], seed=38)
         g = probit_gamma(data)
-        assert g[0] == 1.0
-        assert g[1] == pytest.approx(-0.8, abs=0.1)
+        assert g[0] == -1.0
+        assert g[1] == pytest.approx(0.8, abs=0.1)
 
     def test_normalization_impossible(self, monkeypatch):
         # the guard is numeric: a first coefficient within 1e-8 of zero
@@ -95,6 +99,13 @@ class TestKleinSpady:
         g = klein_spady_gamma(data)
         cos = (g @ truth) / (np.linalg.norm(g) * np.linalg.norm(truth))
         assert cos >= 0.98
+
+    def test_negative_first_coefficient_keeps_the_direction(self):
+        truth = np.array([-1.0, 0.8, -0.3])
+        data = selection_sample(2000, truth, seed=46)
+        g = klein_spady_gamma(data)
+        assert g[0] == -1.0
+        assert (g @ truth) / (np.linalg.norm(g) * np.linalg.norm(truth)) >= 0.98
 
     def test_objective_dominates_probit_start(self):
         data = selection_sample(400, [1.0, -0.6, 0.4], seed=43)
@@ -290,8 +301,38 @@ class TestNuisanceBundle:
 
         with pytest.raises(ValueError):
             NuisanceEstimates(np.zeros(2), np.array([0.5, 1.0]))
+        assert NuisanceEstimates(np.zeros(2), np.array([-1.0, 0.5])).gamma[0] == -1.0
         with pytest.raises(ValueError):
             NuisanceEstimates(np.array([np.nan]), np.array([1.0]))
+
+
+def _theta_or_reason(data, config, fitted):
+    try:
+        return fit(data, config, fitted)[0].theta
+    except EstimationError as exc:
+        return str(exc)
+
+
+class TestIndexDirection:
+    @given(family=st.sampled_from(["dgp1", "dgp2"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_negating_the_normalizing_column(self, family, seed):
+        # negating Z's first column (and its twin, X's first column) flips
+        # the sign of the probit's first coefficient; the normalized index,
+        # and so every estimate on it, must not move
+        data = simulate(DgpSpec(family, 400, rho=0.5, seed=seed)).dataset
+        flip = np.ones(data.l)
+        flip[0] = -1.0
+        flipped = make_data(data.d, data.y, data.X * flip[:data.k], data.Z * flip)
+        fitted, fitted_flipped = {}, {}
+        for method in ("snn", "h90", "as98"):
+            config = EstimatorConfig(method, nuisance="probit")
+            a = _theta_or_reason(data, config, fitted)
+            b = _theta_or_reason(flipped, config, fitted_flipped)
+            if isinstance(a, str):
+                assert a == b, method
+            else:
+                assert abs(a - b) <= 1e-9, method
 
 
 class TestSilverman:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from snnselect import baselines, estimator
+from snnselect import baselines, estimator, registry
 from snnselect.baselines import (
     TailRule,
     _as98_rows,
@@ -191,12 +191,14 @@ class TestFitThetas:
                                                        bandwidth=BandwidthRule.fixed(0.0125)),
                EstimatorConfig("h90"), EstimatorConfig("as98", tail=TailRule(0.9, 0.3))]
 
-    def _check(self, datasets, beta, gamma, stacked_calls):
+    def _check(self, datasets, nuisances, stacked_calls):
+        """Each config in one stacked call over the block, with theta i
+        bitwise ``fit`` alone on dataset i and its (beta, gamma)."""
         for config in self.CONFIGS:
-            block = Block(datasets, [{None: (beta.copy(), gamma.copy())} for _ in datasets])
+            block = Block(datasets, [{None: (beta.copy(), gamma.copy())} for beta, gamma in nuisances])
             thetas = fit_thetas(block, config)
             for i, data in enumerate(datasets):
-                theta, _ = _alone(fit, data, config, {None: (beta, gamma)})
+                theta, _ = _alone(fit, data, config, {None: nuisances[i]})
                 expected = math.nan if theta is None else theta[0].theta
                 assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes()
         assert len(stacked_calls) == len(self.CONFIGS)
@@ -211,7 +213,7 @@ class TestFitThetas:
 
     def test_block_matches_fit_one_at_a_time(self, monkeypatch):
         _, datasets, beta, gamma = _mixed_samples()
-        self._check(datasets, beta, gamma, self._count_stacked(monkeypatch))
+        self._check(datasets, [(beta, gamma)] * len(datasets), self._count_stacked(monkeypatch))
 
     def test_failed_rows_rerun_alone_with_their_reason(self, monkeypatch):
         # a zero gamma fails each sample in eta_hat, which the stacked pass
@@ -251,16 +253,48 @@ class TestFitThetas:
             # all but the three samples built to fail otherwise or not at all
             assert messages.count("non-finite std_error") >= len(scaled) - 3, method
 
-    def test_per_draw_nuisance_keeps_the_loop(self, monkeypatch):
+    def test_per_draw_nuisance_in_one_stacked_call(self, monkeypatch):
+        # gammas that differ per draw in their last bits still run stacked
         _, datasets, beta, gamma = _mixed_samples()
+        nuisances = [(beta, gamma * (1.0 + 1e-12 * i)) for i in range(len(datasets))]
+        self._check(datasets, nuisances, self._count_stacked(monkeypatch))
+
+    def test_failed_nuisance_fits_fail_alone_with_their_reason(self, monkeypatch):
+        # two constant-d draws among fitted-nuisance draws: their probit
+        # fails, so those rows rerun ``fit`` and raise the stored error,
+        # while every other row stays in the stacked pass
+        draws = [simulate(DgpSpec("dgp1", 200, rho=0.5, seed=seed)).dataset for seed in range(8)]
+        base = draws[0]
+        draws[2] = Dataset(np.zeros(base.n), np.zeros(base.n), base.X, base.Z)
+        draws[5] = Dataset(np.ones(base.n), base.y, base.X, base.Z)
         calls = self._count_stacked(monkeypatch)
-        fitted = [{None: (beta, gamma * (1.0 + 1e-12 * i))} for i in range(len(datasets))]
-        thetas = fit_thetas(Block(datasets, fitted), EstimatorConfig("h90"))
-        assert not calls
-        for i, data in enumerate(datasets):
-            theta, _ = _alone(fit, data, EstimatorConfig("h90"), fitted[i])
-            assert np.float64(thetas[i]).tobytes() == np.float64(
-                math.nan if theta is None else theta[0].theta).tobytes()
+        reruns = []
+        real = registry.fit
+
+        def recorded(data, config, fitted):
+            row = [d is data for d in draws].index(True)
+            try:
+                result = real(data, config, fitted)
+            except EstimationError as exc:
+                reruns.append((row, str(exc)))
+                raise
+            reruns.append((row, None))
+            return result
+
+        monkeypatch.setattr(registry, "fit", recorded)
+        # the configs that fit every draw whose nuisance fit succeeds
+        configs = [dataclasses.replace(self.CONFIGS[i], nuisance="probit") for i in (0, 2, 3)]
+        block = Block(draws, [{} for _ in draws])
+        for config in configs:
+            thetas = fit_thetas(block, config)
+            assert np.isnan(thetas[[2, 5]]).all()
+            for i in (0, 1, 3, 4, 6, 7):
+                theta, _ = _alone(real, draws[i], config, {})
+                assert np.float64(thetas[i]).tobytes() == np.float64(theta[0].theta).tobytes()
+        assert len(calls) == len(configs)
+        assert reruns == [(2, "probit failed"), (5, "probit failed")] * len(configs)
+        for i in (2, 5):
+            assert str(block.fitted[i]["probit"]) == "probit failed"
 
 
 class TestSelectedQuantile:
