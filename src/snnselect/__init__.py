@@ -5,13 +5,10 @@ Monte Carlo harness, and a two-group decomposition with bootstrap SEs."""
 from .baselines import (
     TailRule,
     as98_intercept,
-    as98_intercept_stack,
     h90_intercept,
-    h90_intercept_stack,
     heckman_two_step,
     ols_selected,
     probit_mle,
-    probit_mle_stack,
     smooth_tail_weight,
 )
 from .data import Dataset
@@ -27,10 +24,8 @@ from .estimator import (
     BANDWIDTH_CLAMP,
     BandwidthRule,
     InterceptEstimate,
-    InterceptRows,
     residualized_outcome,
     snn_intercept,
-    snn_intercept_stack,
     undersmoothing_bandwidth,
 )
 from .exceptions import DataError, EstimationError, SnnSelectError
@@ -60,7 +55,7 @@ from .nuisance import (
     robinson_beta,
     silverman_bandwidth,
 )
-from .ranks import eta_hat, rank_rows
+from .ranks import eta_hat
 from .registry import EstimatorConfig
 from .seeding import derive_seed
 

@@ -8,8 +8,7 @@ import numpy as np
 from scipy import special
 
 from .data import Dataset
-from .estimator import (InterceptEstimate, InterceptRows, _all_rows, _check_rows, _one_row,
-                        residualized_outcome)
+from .estimator import InterceptEstimate, InterceptRows, _one_row, residualized_outcome
 from .exceptions import EstimationError
 from .numerics import inverse_mills, normal_pdf
 
@@ -19,12 +18,9 @@ __all__ = [
     "TwoStepFit",
     "ols_selected",
     "probit_mle",
-    "probit_mle_stack",
     "heckman_two_step",
     "h90_intercept",
-    "h90_intercept_stack",
     "as98_intercept",
-    "as98_intercept_stack",
     "smooth_tail_weight",
 ]
 
@@ -199,21 +195,6 @@ def probit_mle(d: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return G[0]
 
 
-def probit_mle_stack(D: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``probit_mle`` of each row of D (R, n) on its Z (R, n, l), in one
-    stacked Newton solve.
-
-    Returns (G, failed): G (R, l) holds each problem's coefficients, bitwise
-    what ``probit_mle`` returns for that problem alone, and NaN in a row
-    where ``failed`` (R,) is set, i.e. where ``probit_mle`` would raise.
-    """
-    D = np.asarray(D, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if D.ndim != 2 or Z.ndim != 3 or Z.shape[:2] != D.shape:
-        raise ValueError("need D of shape (R, n) and Z of shape (R, n, l)")
-    return _probit_newton(D, Z)
-
-
 def heckman_two_step(data: Dataset, gamma: np.ndarray | None = None) -> TwoStepFit:
     """Two-step correction: probit of d on Z, then least squares of y on
     (1, X, lambda(Z'gamma)) over the selected subsample.  A given ``gamma``
@@ -267,21 +248,10 @@ def h90_intercept(
     """Mean of the selection-masked residuals over the selected upper tail
     of the index (hard threshold at the ``rule.quantile`` sample quantile):
     the tau = 0 case of ``as98_intercept``'s weighting.  This is the one-row
-    call of ``h90_intercept_stack``."""
+    call of ``_tail_rows``, the stacked body the Monte Carlo engine runs on
+    R samples at once."""
     return _one_row(*_tail_rows(data.d[None], (data.Z @ gamma)[None],
                                 residualized_outcome(data, beta)[None], rule or TailRule(), np.zeros(1)))
-
-
-def h90_intercept_stack(
-    D: np.ndarray, index: np.ndarray, W: np.ndarray, rule: TailRule | None = None
-) -> InterceptRows:
-    """``h90_intercept`` of R samples of one size n at once, from their
-    (R, n) selection indicators, index values and masked residuals ``W``
-    (``residualized_outcome``).  Each row is bitwise what ``h90_intercept``
-    returns for that sample alone; theta and std_error are NaN in a row
-    where it would raise."""
-    D, index, W = _check_rows(D, index, W)
-    return _all_rows(*_tail_rows(D, index, W, rule or TailRule(), np.zeros(len(D))))
 
 
 def smooth_tail_weight(u, tau):
@@ -346,17 +316,7 @@ def as98_intercept(
     over a span tau set to the ``rule.tau_quantile`` quantile of the index
     over the selected subsample (only selected observations carry weight).
     tau <= 0 reduces to the hard-threshold tail mean.  This is the one-row
-    call of ``as98_intercept_stack``."""
+    call of ``_as98_rows``, the stacked body the Monte Carlo engine runs on
+    R samples at once."""
     return _one_row(*_as98_rows(data.d[None], (data.Z @ gamma)[None],
                                 residualized_outcome(data, beta)[None], rule or TailRule()))
-
-
-def as98_intercept_stack(
-    D: np.ndarray, index: np.ndarray, W: np.ndarray, rule: TailRule | None = None
-) -> InterceptRows:
-    """``as98_intercept`` of R samples of one size n at once, as
-    ``h90_intercept_stack`` takes them.  Each row is bitwise what
-    ``as98_intercept`` returns for that sample alone; theta and std_error
-    are NaN in a row where it would raise."""
-    D, index, W = _check_rows(D, index, W)
-    return _all_rows(*_as98_rows(D, index, W, rule or TailRule()))

@@ -22,10 +22,8 @@ from .ranks import eta_hat
 __all__ = [
     "BandwidthRule",
     "InterceptEstimate",
-    "InterceptRows",
     "residualized_outcome",
     "snn_intercept",
-    "snn_intercept_stack",
     "undersmoothing_bandwidth",
     "BANDWIDTH_CLAMP",
 ]
@@ -98,7 +96,7 @@ def undersmoothing_bandwidth(n: int, p: int = 2, c: float = 0.5) -> float:
 
 class InterceptRows(NamedTuple):
     """The fields of ``InterceptEstimate`` for R fits at once, each an (R,)
-    array; theta and std_error are NaN in a row whose fit failed."""
+    array; the stacked body that returns it names its failed rows."""
 
     theta: np.ndarray
     std_error: np.ndarray
@@ -116,22 +114,6 @@ def _one_row(rows: InterceptRows, errors: dict) -> InterceptEstimate:
         bandwidth=float(rows.bandwidth[0]),
         effective_n=int(rows.effective_n[0]),
     )
-
-
-def _all_rows(rows: InterceptRows, errors: dict) -> InterceptRows:
-    """A stacked body's result for R rows: theta and std_error NaN where a
-    row failed."""
-    failed = list(errors)
-    rows.theta[failed] = np.nan
-    rows.std_error[failed] = np.nan
-    return rows
-
-
-def _check_rows(*arrays: np.ndarray) -> list[np.ndarray]:
-    out = [np.asarray(a, dtype=float) for a in arrays]
-    if out[0].ndim != 2 or any(a.shape != out[0].shape for a in out):
-        raise ValueError("need arrays of one shape (R, n)")
-    return out
 
 
 def _local_linear_solve(t: np.ndarray, K: np.ndarray, W: np.ndarray):
@@ -179,7 +161,7 @@ def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
     returns (InterceptRows, errors), errors mapping a failed row to its
     EstimationError message.
 
-    Each row runs the same arithmetic as it would alone: whole-row products
+    Each row runs the same arithmetic as its R = 1 call: whole-row products
     are ``vecdot`` and ``sum(axis=1)`` over contiguous rows.  The rare
     branches run one row at a time: the plug-in's polynomial pilot, where
     the tail gate passes, and the widening of a window with one rank.
@@ -223,34 +205,14 @@ def snn_intercept(
     weights and sigma2(1) the kernel-weighted mean squared residual of the
     local fit; for h -> 0 this is the finite-sample version of
     sigma2(1) * Int K^2 / (n h).  ``kernel_order`` is one of
-    ``numerics.KERNEL_ORDERS``.  This is the one-row call of
-    ``snn_intercept_stack``.
+    ``numerics.KERNEL_ORDERS``.  This is the one-row call of ``_snn_rows``,
+    the stacked body the Monte Carlo engine runs on R samples at once.
     """
     eta = eta_hat(data.Z, gamma)
     idx = data.Z @ gamma
     W = residualized_outcome(data, beta)
     return _one_row(*_snn_rows(eta[None], idx[None], W[None], kernel_order,
                                rule or BandwidthRule.plug_in()))
-
-
-def snn_intercept_stack(
-    eta: np.ndarray,
-    index: np.ndarray,
-    W: np.ndarray,
-    kernel_order: int = 2,
-    rule: BandwidthRule | None = None,
-) -> InterceptRows:
-    """``snn_intercept`` of R samples of one size n at once, from their
-    (R, n) ranks ``eta`` (``ranks.rank_rows`` of ``index``), index values
-    and masked residuals ``W`` (``residualized_outcome``).
-
-    Each row is bitwise what ``snn_intercept`` returns for that sample
-    alone; theta and std_error are NaN in a row where it would raise.  A
-    plug-in rule on fewer than 30 rows raises "insufficient sample" for the
-    whole stack, as it does for each sample.
-    """
-    eta, index, W = _check_rows(eta, index, W)
-    return _all_rows(*_snn_rows(eta, index, W, kernel_order, rule or BandwidthRule.plug_in()))
 
 
 def _polynomial_pilot(t: np.ndarray, W: np.ndarray, degree: int):

@@ -16,7 +16,8 @@ estimator sees a whole ``registry.Block`` through ``registry.fit_thetas``:
 the two-step's first stage is one stacked probit solve per block, and snn,
 h90 and as98 are one stacked pass per block on each draw's own (beta,
 gamma), generating or fitted, on arrays the block builds once per nuisance
-for all of them.
+for all of them.  A draw whose fit fails is NaN in its row, set by the
+stacked body that found the failure, and counts as a failed rep.
 """
 from __future__ import annotations
 
@@ -75,6 +76,7 @@ class MonteCarloReport:
     panels: Mapping[str, Mapping[tuple, CellStats]]  # label -> (rho, alpha) -> stats
 
     def to_json(self) -> str:
+        """Strict JSON: a cell where every rep failed has null statistics."""
         payload = {
             "family": self.family,
             "n": self.n,
@@ -83,11 +85,11 @@ class MonteCarloReport:
             "rhos": list(self.rhos),
             "alphas": list(self.alphas),
             "panels": {
-                label: [{"rho": rho, "alpha": alpha, **asdict(st)} for (rho, alpha), st in cells.items()]
+                label: [{"rho": rho, "alpha": alpha, **_json_stats(st)} for (rho, alpha), st in cells.items()]
                 for label, cells in self.panels.items()
             },
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def _rows(self, cells):
         """Text rows of one panel: rho, then (sq bias, sd, rmse) per alpha."""
@@ -123,6 +125,14 @@ class MonteCarloReport:
             lines += ["| " + " | ".join(row) + " |" for row in self._rows(cells)]
             lines.append("")
         return "\n".join(lines)
+
+
+def _json_stats(st: CellStats) -> dict:
+    """A cell's JSON fields: null statistics where every rep failed."""
+    fields = asdict(st)
+    if st.reps_ok == 0:
+        fields.update(sq_bias=None, sd=None, rmse_scaled=None)
+    return fields
 
 
 def _repeated(values) -> list:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import EstimationError
 
-__all__ = ["eta_hat", "rank_rows"]
+__all__ = ["eta_hat"]
 
 
 def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -17,7 +17,8 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
     Self-comparison is included, so every value is at least 1/n and the
     maximum index always maps to 1.  Ties share the highest applicable rank.
-    This is the one-row call of ``rank_rows``.
+    This is the one-row call of ``_rank_rows``, which the Monte Carlo
+    engine runs on R index rows at once.
     """
     if np.asarray(Z).shape[0] < 2:
         raise EstimationError("insufficient sample")
@@ -25,15 +26,6 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         raise EstimationError("degenerate index")
     idx = np.asarray(Z, dtype=float) @ np.asarray(gamma, dtype=float)
     return _rank_rows(idx[None])[0]
-
-
-def rank_rows(index: np.ndarray) -> np.ndarray:
-    """``eta_hat``'s transform of each row of an (R, n) array of index
-    values, each row exactly what ``eta_hat`` gives for that row alone."""
-    index = np.asarray(index, dtype=float)
-    if index.ndim != 2:
-        raise ValueError("need index values of shape (R, n)")
-    return _rank_rows(index)
 
 
 def _rank_rows(index: np.ndarray) -> np.ndarray:

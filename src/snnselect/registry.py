@@ -11,9 +11,11 @@ first stage and fits the probit itself when ``gamma`` is None.
 ``fit_thetas`` runs one config over a ``Block`` of same-shaped datasets
 through the method's ``stacked_fit``: snn, h90 and as98 in one stacked pass
 on each dataset's own (beta, gamma), the two-step's first stage in one
-stacked solve, and OLS one dataset at a time.  The adapters reach the
-estimators and the nuisance fit through their modules, so that rebinding a
-module attribute (as a profiler does) reaches every call.
+stacked solve, and OLS one dataset at a time.  A dataset whose fit fails
+is NaN, set from the stacked body that found the failure.  The adapters
+reach the estimators, their stacked bodies and the nuisance fit through
+their modules, so that rebinding a module attribute (as a profiler or a
+test does) reaches every call.
 """
 from __future__ import annotations
 
@@ -38,9 +40,8 @@ class Method(NamedTuple):
     needs_nuisance: bool
     report: Callable  # result -> the estimate command's JSON fields
     label: Callable  # cfg -> Monte Carlo panel label
-    # (block, cfg) -> (thetas, alone): ``fit``'s theta on every dataset of
-    # the block, NaN where ``fit`` would raise, except in the rows marked
-    # ``alone``, which must run ``fit`` itself
+    # (block, cfg) -> ``fit``'s theta on every dataset of the block, NaN
+    # where ``fit`` would raise
     stacked_fit: Callable
 
 
@@ -58,42 +59,50 @@ def _as98(data, beta, gamma, cfg):
 
 def _intercept_stack(body):
     """The ``stacked_fit`` of a stacked intercept body ``body(block, arrays,
-    cfg)``, ``arrays`` being the block's under cfg's nuisance.  A row whose
-    nuisance fit failed, or whose theta or standard error is non-finite,
-    runs ``fit`` alone."""
+    cfg) -> (InterceptRows, errors)``, ``arrays`` being the block's under
+    cfg's nuisance.  A row is NaN where its nuisance fit failed, where the
+    body reports an error, or where its theta or standard error is
+    non-finite."""
     def stacked_fit(block, cfg):
         arrays = block.under(cfg.nuisance)
-        rows = body(block, arrays, cfg)
-        return rows.theta, arrays["failed"] | ~(np.isfinite(rows.theta) & np.isfinite(rows.std_error))
+        rows, errors = body(block, arrays, cfg)
+        failed = arrays["failed"] | ~(np.isfinite(rows.theta) & np.isfinite(rows.std_error))
+        failed[list(errors)] = True
+        return np.where(failed, math.nan, rows.theta)
 
     return stacked_fit
 
 
-_snn_stack = _intercept_stack(lambda block, arrays, cfg: estimator.snn_intercept_stack(
+_snn_stack = _intercept_stack(lambda block, arrays, cfg: estimator._snn_rows(
     block.ranks(cfg.nuisance), arrays["index"], arrays["residuals"], cfg.kernel_order, cfg.bandwidth))
-_h90_stack = _intercept_stack(lambda block, arrays, cfg: baselines.h90_intercept_stack(
-    block.D, arrays["index"], arrays["residuals"], cfg.tail))
-_as98_stack = _intercept_stack(lambda block, arrays, cfg: baselines.as98_intercept_stack(
+_h90_stack = _intercept_stack(lambda block, arrays, cfg: baselines._tail_rows(
+    block.D, arrays["index"], arrays["residuals"], cfg.tail, np.zeros(len(block))))
+_as98_stack = _intercept_stack(lambda block, arrays, cfg: baselines._as98_rows(
     block.D, arrays["index"], arrays["residuals"], cfg.tail))
 
 
 def _heckman_stack(block, cfg):
     """The probit of every dataset in one stacked solve, then each second
-    stage under ``fit``'s checks; a row whose probit failed runs ``fit``
-    alone."""
-    G, alone = baselines.probit_mle_stack(block.D, block.Z)
+    stage under ``fit``'s checks; NaN where either failed."""
+    G, failed = baselines._probit_newton(block.D, block.Z)
     thetas = np.full(len(block), math.nan)
-    for i in np.flatnonzero(~alone):
+    for i in np.flatnonzero(~failed):
         try:
             thetas[i] = _checked_fit(METHODS["heckman"], block.datasets[i], None, G[i], cfg)[0].theta
         except EstimationError:
             pass
-    return thetas, alone
+    return thetas
 
 
-def _each_alone(block, cfg):
-    """The ``stacked_fit`` that runs ``fit`` on every dataset alone."""
-    return np.full(len(block), math.nan), np.ones(len(block), dtype=bool)
+def _each_fit(block, cfg):
+    """The ``stacked_fit`` that runs ``fit`` on each dataset."""
+    thetas = np.full(len(block), math.nan)
+    for i, (data, fitted) in enumerate(zip(block.datasets, block.fitted)):
+        try:
+            thetas[i] = fit(data, cfg, fitted)[0].theta
+        except EstimationError:
+            pass
+    return thetas
 
 
 def _fields(*names):
@@ -118,7 +127,7 @@ METHODS: dict[str, Method] = {
                   _snn_label, _snn_stack),
     "ols": Method(lambda data, *_: baselines.ols_selected(data), False,
                   lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
-                  lambda cfg: "ols", _each_alone),
+                  lambda cfg: "ols", _each_fit),
     "heckman": Method(lambda data, beta, gamma, cfg: baselines.heckman_two_step(data, gamma),
                       False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
                       lambda cfg: "heckman", _heckman_stack),
@@ -249,27 +258,17 @@ class Block:
         """(R, n) rank transform of ``under(key)["index"]``."""
         arrays = self.under(key)
         if "ranks" not in arrays:
-            arrays["ranks"] = ranks.rank_rows(arrays["index"])
+            arrays["ranks"] = ranks._rank_rows(arrays["index"])
         return arrays["ranks"]
 
 
 def fit_thetas(block: Block, config: EstimatorConfig) -> np.ndarray:
     """``fit(block.datasets[i], config, block.fitted[i])[0].theta`` for
-    every i, NaN where that raised EstimationError.
-
-    The method's ``stacked_fit`` runs the whole block.  The rows it marks
-    ``alone``, or every row when it raises, run the plain ``fit``, so they
-    fail as they would alone: with the same reason, raised from the same
-    call.
-    """
+    every i, NaN where that raises EstimationError: the method's
+    ``stacked_fit`` over the whole block, or NaN in every row when that
+    raises, as a plug-in rule on fewer than 30 observations does."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            thetas, alone = METHODS[config.method].stacked_fit(block, config)
+            return METHODS[config.method].stacked_fit(block, config)
     except EstimationError:
-        thetas, alone = _each_alone(block, config)
-    for i in np.flatnonzero(alone):
-        try:
-            thetas[i] = fit(block.datasets[i], config, block.fitted[i])[0].theta
-        except EstimationError:
-            thetas[i] = math.nan
-    return thetas
+        return np.full(len(block), math.nan)

@@ -10,12 +10,12 @@ from scipy.special import ndtr
 from oracles import as98_bruteforce, h90_bruteforce, ols_bruteforce
 from snnselect.baselines import (
     TailRule,
+    _probit_newton,
     as98_intercept,
     h90_intercept,
     heckman_two_step,
     ols_selected,
     probit_mle,
-    probit_mle_stack,
     smooth_tail_weight,
 )
 from snnselect.data import Dataset
@@ -147,7 +147,7 @@ class TestProbitStack:
             for cut in (order, order[:5], order[5:9], order[9:]):
                 pieces.append(cut)
         for members in pieces:
-            G, failed = probit_mle_stack(D[members], Z[members])
+            G, failed = _probit_newton(D[members], Z[members])
             for row, i in enumerate(members):
                 if scalar[i] is None:
                     assert failed[row], names[i]
@@ -157,13 +157,11 @@ class TestProbitStack:
                     assert G[row].tobytes() == scalar[i].tobytes(), names[i]
 
     def test_malformed_input_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            probit_mle_stack(np.ones((2, 10)), np.ones((2, 9, 3)))
         z = np.random.default_rng(35).normal(size=(50, 2))
         with pytest.raises(ValueError, match="0/1"):
             probit_mle(np.full(50, 0.5), z)
         with pytest.raises(ValueError, match="0/1"):
-            probit_mle_stack(np.stack([np.ones(50), np.full(50, 2.0)]), np.stack([z, z]))
+            _probit_newton(np.stack([np.ones(50), np.full(50, 2.0)]), np.stack([z, z]))
 
     def test_separation_verdict_short_circuits(self, monkeypatch):
         calls = []

@@ -404,6 +404,21 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["reps"] == 6
 
+    def test_mc_table_json_is_strict_where_every_rep_failed(self, tmp_path):
+        # the plug-in rule refuses every sample below n = 30
+        out = tmp_path / "r.json"
+        assert cli_main(["mc-table", "--dgp", "dgp2", "--n", "25", "--reps", "30", "--rho", "0.5",
+                         "--alpha", "2,1", "--estimator", "snn", "--format", "json",
+                         "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        (cells,) = json.loads(out.read_text(), parse_constant=reject)["panels"].values()
+        assert [cell["reps_failed"] for cell in cells] == [30, 30]
+        for cell in cells:
+            assert cell["sq_bias"] is cell["sd"] is cell["rmse_scaled"] is None
+
     def test_mc_table_reproduces_table_cell(self, tmp_path):
         # the reference (rho=0, alpha=2) cell through the CLI surface; the
         # full-replication version is acceptance criterion 1

@@ -2,7 +2,6 @@ import math
 import os
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from snnselect import baselines, montecarlo, nuisance
@@ -224,6 +223,20 @@ class TestSerializationText:
             "0.5,0.0000,0.5000,3.1623,0.0000,0.5000,3.1623",
         ]) + "\n"
 
+    def test_json_is_strict_with_null_for_failed_cells(self):
+        import json
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        ok, failed = json.loads(self._report().to_json(), parse_constant=reject)["panels"]["ols"][:2]
+        assert ok == {"rho": 0.0, "alpha": 2.0, "sq_bias": 0.0025, "sd": 0.125,
+                      "rmse_scaled": 1.5, "reps_ok": 9, "reps_failed": 1}
+        assert failed == {"rho": 0.0, "alpha": 1.25, "sq_bias": None, "sd": None,
+                          "rmse_scaled": None, "reps_ok": 0, "reps_failed": 10}
+        # the in-memory statistics of the failed cell stay NaN
+        assert math.isnan(self._report().panels["ols"][(0.0, 1.25)].sd)
+
     def test_markdown_text(self):
         header = ("| rho | a=2 sq bias | a=2 sd | a=2 rmse "
                   "| a=1.25 sq bias | a=1.25 sd | a=1.25 rmse |")
@@ -304,26 +317,6 @@ class TestCellMajorEngine:
         blocked = run_table(plan, base_seed=83, workers=1)
         assert len(calls) == 4 * 30
         assert repr(blocked.panels) == repr(whole.panels)
-
-    def test_failed_stacked_probit_reruns_scalar_fit(self, monkeypatch):
-        plan = self.HECKMAN_PLAN
-        stacked_failures = []
-        real_stack = baselines.probit_mle_stack
-
-        def counted_stack(D, Z):
-            G, failed = real_stack(D, Z)
-            stacked_failures.append(int(failed.sum()))
-            return G, failed
-
-        monkeypatch.setattr(baselines, "probit_mle_stack", counted_stack)
-        scalar = self._counting(monkeypatch, baselines, "probit_mle")
-        report = run_table(plan, base_seed=83, workers=1)
-        assert len(scalar) == sum(stacked_failures) > 0
-        # a stack that fails every problem leaves every draw to the scalar fit
-        monkeypatch.setattr(baselines, "probit_mle_stack",
-                            lambda D, Z: (np.full(D.shape[:1] + Z.shape[2:], np.nan),
-                                          np.ones(len(D), dtype=bool)))
-        assert repr(run_table(plan, base_seed=83, workers=1).panels) == repr(report.panels)
 
     def test_nuisance_fitted_once_per_draw(self, monkeypatch):
         # labels differ by bandwidth or tail quantile, so every panel is kept

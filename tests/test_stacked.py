@@ -1,6 +1,10 @@
-"""The stacked snn, h90 and as98 fits: every row of a stack is bitwise the
-fit of its sample alone, and a row that fails there fails with the same
-reason alone."""
+"""The stacked bodies and the block fit built on them.
+
+Every row of a stacked snn, h90, as98 or rank body is bitwise the R = 1
+call on its sample, and a row that fails there is in the body's errors
+with the same reason.  ``fit_thetas`` over a block gives each dataset's
+``fit`` theta, NaN exactly where ``fit`` raises, for every method, without
+calling the R = 1 functions or ``fit`` again for the stacked methods."""
 import dataclasses
 import math
 
@@ -14,22 +18,14 @@ from snnselect.baselines import (
     _selected_quantile,
     _tail_rows,
     as98_intercept,
-    as98_intercept_stack,
     h90_intercept,
-    h90_intercept_stack,
 )
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
-from snnselect.estimator import (
-    BandwidthRule,
-    _snn_rows,
-    residualized_outcome,
-    snn_intercept,
-    snn_intercept_stack,
-)
+from snnselect.estimator import BandwidthRule, _snn_rows, residualized_outcome, snn_intercept
 from snnselect.exceptions import EstimationError
-from snnselect.ranks import eta_hat, rank_rows
-from snnselect.registry import Block, EstimatorConfig, fit, fit_thetas
+from snnselect.ranks import _rank_rows, eta_hat
+from snnselect.registry import METHODS, Block, EstimatorConfig, fit, fit_thetas
 
 N = 100
 
@@ -87,19 +83,17 @@ def _pieces(count):
     return pieces
 
 
-def _assert_rows_match(name, rows, errors, public, row, alone, message):
-    """Row ``row`` of a stacked body's result (rows, errors) and of its
-    public call against the sample's fit alone."""
+def _assert_rows_match(name, rows, errors, row, alone, message):
+    """Row ``row`` of a stacked body's result (rows, errors) against the
+    sample's R = 1 call."""
     if alone is None:
         assert errors[row] == message, name
-        assert math.isnan(public.theta[row]) and math.isnan(public.std_error[row]), name
         return
     assert row not in errors, name
     for field in ("theta", "std_error", "bandwidth"):
         want = np.float64(getattr(alone, field)).tobytes()
         assert np.float64(getattr(rows, field)[row]).tobytes() == want, (name, field)
-        assert np.float64(getattr(public, field)[row]).tobytes() == want, (name, field)
-    assert rows.effective_n[row] == public.effective_n[row] == alone.effective_n, name
+    assert rows.effective_n[row] == alone.effective_n, name
 
 
 class TestRowsMatchAlone:
@@ -110,7 +104,7 @@ class TestRowsMatchAlone:
         self.D = np.stack([data.d for data in self.datasets])
 
     def test_ranks(self):
-        eta = rank_rows(self.index)
+        eta = _rank_rows(self.index)
         for i, data in enumerate(self.datasets):
             assert eta[i].tobytes() == eta_hat(data.Z, self.gamma).tobytes(), self.names[i]
 
@@ -123,7 +117,7 @@ class TestRowsMatchAlone:
         index[2, :5] = -np.inf
         index[3, [4, 9, 17]] = np.nan
         index[4] = 2.5
-        eta = rank_rows(index)
+        eta = _rank_rows(index)
         for row, values in zip(eta, index):
             want = np.searchsorted(np.sort(values), values, side="right") / values.size
             assert row.tobytes() == want.tobytes()
@@ -147,19 +141,16 @@ class TestRowsMatchAlone:
             assert alone[tied][0].bandwidth > 0.05, "the tied sample did not widen"
         if rule.value == 0.0125:
             assert {message for _, message in alone} >= {"degenerate local design"}
-        eta = rank_rows(self.index)
+        eta = _rank_rows(self.index)
         for members in _pieces(len(self.datasets)):
             rows, errors = _snn_rows(eta[members], self.index[members], self.W[members], order, rule)
-            public = snn_intercept_stack(eta[members], self.index[members], self.W[members],
-                                         order, rule)
             for row, i in enumerate(members):
-                _assert_rows_match(self.names[i], rows, errors, public, row, *alone[i])
+                _assert_rows_match(self.names[i], rows, errors, row, *alone[i])
 
     @pytest.mark.parametrize("rule", _TAIL_RULES)
     @pytest.mark.parametrize("method", ["h90", "as98"])
     def test_tail_means(self, method, rule):
-        one, stack = {"h90": (h90_intercept, h90_intercept_stack),
-                      "as98": (as98_intercept, as98_intercept_stack)}[method]
+        one = {"h90": h90_intercept, "as98": as98_intercept}[method]
         alone = [_alone(one, data, self.beta, self.gamma, rule) for data in self.datasets]
         assert alone[self.names.index("low-selected")][1] == "empty tail"
         assert alone[self.names.index("none-selected")][1] == "empty tail"
@@ -169,21 +160,36 @@ class TestRowsMatchAlone:
                 rows, errors = _tail_rows(*args, np.zeros(len(members)))
             else:
                 rows, errors = _as98_rows(*args)
-            public = stack(*args)
             for row, i in enumerate(members):
-                _assert_rows_match(self.names[i], rows, errors, public, row, *alone[i])
+                _assert_rows_match(self.names[i], rows, errors, row, *alone[i])
 
     def test_plug_in_on_a_small_sample_fails_every_row(self):
+        index, W = self.index[:, :20], self.W[:, :20]
         with pytest.raises(EstimationError, match="insufficient sample"):
-            snn_intercept_stack(rank_rows(self.index[:, :20]), self.index[:, :20], self.W[:, :20])
+            _snn_rows(_rank_rows(index), index, W, 2, BandwidthRule.plug_in())
 
-    def test_malformed_input_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            snn_intercept_stack(self.index, self.index, self.W[:, :50])
-        with pytest.raises(ValueError, match="shape"):
-            h90_intercept_stack(self.D[0], self.index[0], self.W[0])
-        with pytest.raises(ValueError, match="shape"):
-            rank_rows(self.index[0])
+
+def _counted(monkeypatch, targets):
+    """Rebind each (module, name) in ``targets`` to count its calls; returns
+    the list of names called, one entry per outermost call (``_as98_rows``
+    calls ``_tail_rows`` inside)."""
+    calls, depth = [], []
+    for module, name in targets:
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
+            if not depth:
+                calls.append(name)
+            depth.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_BODIES = ((estimator, "_snn_rows"), (baselines, "_tail_rows"), (baselines, "_as98_rows"),
+           (baselines, "_probit_newton"))
 
 
 class TestFitThetas:
@@ -196,45 +202,20 @@ class TestFitThetas:
         bitwise ``fit`` alone on dataset i and its (beta, gamma)."""
         for config in self.CONFIGS:
             block = Block(datasets, [{None: (beta.copy(), gamma.copy())} for beta, gamma in nuisances])
+            del stacked_calls[:]  # the R = 1 references below call the bodies too
             thetas = fit_thetas(block, config)
+            assert len(stacked_calls) == 1, config
             for i, data in enumerate(datasets):
                 theta, _ = _alone(fit, data, config, {None: nuisances[i]})
                 expected = math.nan if theta is None else theta[0].theta
                 assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes()
-        assert len(stacked_calls) == len(self.CONFIGS)
 
     def _count_stacked(self, monkeypatch):
-        calls = []
-        for module, name in ((estimator, "snn_intercept_stack"), (baselines, "h90_intercept_stack"),
-                             (baselines, "as98_intercept_stack")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
-        return calls
+        return _counted(monkeypatch, _BODIES)
 
     def test_block_matches_fit_one_at_a_time(self, monkeypatch):
         _, datasets, beta, gamma = _mixed_samples()
         self._check(datasets, [(beta, gamma)] * len(datasets), self._count_stacked(monkeypatch))
-
-    def test_failed_rows_rerun_alone_with_their_reason(self, monkeypatch):
-        # a zero gamma fails each sample in eta_hat, which the stacked pass
-        # never calls: its rows fail there and rerun alone
-        _, datasets, beta, gamma = _mixed_samples()
-        calls = self._count_stacked(monkeypatch)
-        reasons = []
-        real = estimator.snn_intercept
-
-        def recorded(*args):
-            try:
-                return real(*args)
-            except EstimationError as exc:
-                reasons.append(str(exc))
-                raise
-
-        monkeypatch.setattr(estimator, "snn_intercept", recorded)
-        block = Block(datasets, [{None: (beta, np.zeros_like(gamma))} for _ in datasets])
-        assert np.isnan(fit_thetas(block, EstimatorConfig("snn"))).all()
-        assert len(calls) == 1
-        assert reasons == ["degenerate index"] * len(datasets)
 
     def test_non_finite_rows_rerun_alone(self):
         # scaled by 1e200 every theta stays finite, but snn's and the tail
@@ -259,42 +240,77 @@ class TestFitThetas:
         nuisances = [(beta, gamma * (1.0 + 1e-12 * i)) for i in range(len(datasets))]
         self._check(datasets, nuisances, self._count_stacked(monkeypatch))
 
-    def test_failed_nuisance_fits_fail_alone_with_their_reason(self, monkeypatch):
-        # two constant-d draws among fitted-nuisance draws: their probit
-        # fails, so those rows rerun ``fit`` and raise the stored error,
-        # while every other row stays in the stacked pass
-        draws = [simulate(DgpSpec("dgp1", 200, rho=0.5, seed=seed)).dataset for seed in range(8)]
-        base = draws[0]
-        draws[2] = Dataset(np.zeros(base.n), np.zeros(base.n), base.X, base.Z)
-        draws[5] = Dataset(np.ones(base.n), base.y, base.X, base.Z)
-        calls = self._count_stacked(monkeypatch)
-        reruns = []
-        real = registry.fit
 
-        def recorded(data, config, fitted):
-            row = [d is data for d in draws].index(True)
-            try:
-                result = real(data, config, fitted)
-            except EstimationError as exc:
-                reruns.append((row, str(exc)))
-                raise
-            reruns.append((row, None))
-            return result
+def _failing_block(n):
+    """(names, datasets, generating): dgp1 draws of size n with their
+    generating (beta, gamma), beside one draw of each way a fit fails."""
+    draws = [simulate(DgpSpec("dgp1", n, rho=0.5, seed=seed)) for seed in range(6)]
+    names = [f"dgp1-{seed}" for seed in range(6)]
+    datasets = [draw.dataset for draw in draws]
+    generating = [(draw.beta0, draw.gamma0) for draw in draws]
+    base, (beta, gamma) = datasets[0], generating[0]
+    index = base.Z @ gamma
+    separated = (index > np.median(index)).astype(float)
+    few = (np.arange(n) <= base.k).astype(float)  # k + 1 selected rows
+    extra = {
+        # the probit fails on both, as first stage and as nuisance
+        "constant-d": (Dataset(np.ones(n), base.y, base.X, base.Z), (beta, gamma)),
+        "separated": (Dataset(separated, separated * base.y, base.X, base.Z), (beta, gamma)),
+        # OLS and the two-step refuse it
+        "few-selected": (Dataset(few, few * base.y, base.X, base.Z), (beta, gamma)),
+        "zero-gamma": (datasets[1], (beta, np.zeros_like(gamma))),
+        # snn's and the tail means' standard errors overflow
+        "scaled": (dataclasses.replace(datasets[2], y=datasets[2].y * 1e200), (beta * 1e200, gamma)),
+    }
+    for name, (data, nuisance) in extra.items():
+        names.append(name)
+        datasets.append(data)
+        generating.append(nuisance)
+    return names, datasets, generating
 
-        monkeypatch.setattr(registry, "fit", recorded)
-        # the configs that fit every draw whose nuisance fit succeeds
-        configs = [dataclasses.replace(self.CONFIGS[i], nuisance="probit") for i in (0, 2, 3)]
-        block = Block(draws, [{} for _ in draws])
-        for config in configs:
-            thetas = fit_thetas(block, config)
-            assert np.isnan(thetas[[2, 5]]).all()
-            for i in (0, 1, 3, 4, 6, 7):
-                theta, _ = _alone(real, draws[i], config, {})
-                assert np.float64(thetas[i]).tobytes() == np.float64(theta[0].theta).tobytes()
-        assert len(calls) == len(configs)
-        assert reruns == [(2, "probit failed"), (5, "probit failed")] * len(configs)
-        for i in (2, 5):
+
+class TestFitThetasContract:
+    """``fit_thetas`` on one block against ``fit`` on each dataset, for
+    every method and both nuisance sources."""
+
+    CONFIGS = [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.05)),
+               EstimatorConfig("ols"), EstimatorConfig("heckman"), EstimatorConfig("h90"),
+               EstimatorConfig("as98", tail=TailRule(0.9, 0.3))]
+    CONFIGS += [dataclasses.replace(config, nuisance="probit") for config in CONFIGS
+                if METHODS[config.method].needs_nuisance]
+
+    @pytest.mark.parametrize("n", [100, 25])
+    def test_each_theta_is_fit_alone(self, n, monkeypatch):
+        names, datasets, generating = _failing_block(n)
+        block = Block(datasets, [{None: nuisance} for nuisance in generating])
+        block.under("probit")  # the nuisance fits, before anything is counted
+        for i in (names.index("constant-d"), names.index("separated")):
             assert str(block.fitted[i]["probit"]) == "probit failed"
+        bodies = _counted(monkeypatch, _BODIES)
+        scalar = _counted(monkeypatch, [(baselines, "probit_mle"), (estimator, "snn_intercept"),
+                                        (baselines, "h90_intercept"), (baselines, "as98_intercept"),
+                                        (registry, "fit")])
+        messages = set()
+        for config in self.CONFIGS:
+            del bodies[:], scalar[:]
+            thetas = fit_thetas(block, config)
+            if config.method == "ols":
+                assert bodies == [] and scalar == ["fit"] * len(block)
+            else:
+                assert len(bodies) == 1 and scalar == [], config
+            del scalar[:]
+            for i, data in enumerate(datasets):
+                # this module's ``fit`` is the function, not the counted rebinding
+                theta, message = _alone(fit, data, config, {None: generating[i]})
+                expected = math.nan if theta is None else theta[0].theta
+                assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes(), \
+                    (config, names[i], message)
+                messages.add(message)
+        if n == 25:
+            assert "insufficient sample" in messages
+        else:
+            assert messages >= {None, "probit failed", "insufficient selected observations",
+                                "degenerate index", "non-finite std_error", "empty tail"}
 
 
 class TestSelectedQuantile:
