@@ -2,6 +2,7 @@ import math
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from snnselect import baselines, montecarlo, nuisance
@@ -317,6 +318,33 @@ class TestCellMajorEngine:
         blocked = run_table(plan, base_seed=83, workers=1)
         assert len(calls) == 4 * 30
         assert repr(blocked.panels) == repr(whole.panels)
+
+    def test_failed_stacked_probit_reruns_scalar_fit(self, monkeypatch):
+        # a draw whose stacked probit fails is a failed heckman rep, as the
+        # scalar fit fails on it, with no scalar probit run again
+        plan = self.HECKMAN_PLAN
+        stacked_failures = []
+        real_newton = baselines._probit_newton
+
+        def counted_newton(D, Z):
+            G, failed = real_newton(D, Z)
+            stacked_failures.append(int(failed.sum()))
+            return G, failed
+
+        monkeypatch.setattr(baselines, "_probit_newton", counted_newton)
+        scalar = self._counting(monkeypatch, baselines, "probit_mle")
+        report = run_table(plan, base_seed=83, workers=1)
+        assert scalar == [] and sum(stacked_failures) > 0
+        heckman = report.panels["heckman"].values()
+        assert sum(st.reps_failed for st in heckman) >= sum(stacked_failures)
+        # a stack that fails every problem fails every heckman rep, and no other
+        monkeypatch.setattr(baselines, "_probit_newton",
+                            lambda D, Z: (np.full(D.shape[:1] + Z.shape[2:], np.nan),
+                                          np.ones(len(D), dtype=bool)))
+        failing = run_table(plan, base_seed=83, workers=1)
+        assert all(st.reps_ok == 0 for st in failing.panels["heckman"].values())
+        assert scalar == []
+        assert repr(failing.panels["ols"]) == repr(report.panels["ols"])
 
     def test_nuisance_fitted_once_per_draw(self, monkeypatch):
         # labels differ by bandwidth or tail quantile, so every panel is kept

@@ -217,6 +217,21 @@ class TestFitThetas:
         _, datasets, beta, gamma = _mixed_samples()
         self._check(datasets, [(beta, gamma)] * len(datasets), self._count_stacked(monkeypatch))
 
+    def test_failed_rows_rerun_alone_with_their_reason(self, monkeypatch):
+        # a zero gamma fails each sample alone in eta_hat; the stacked pass
+        # finds the same failure itself, so every row is NaN from that one
+        # pass and nothing reruns the scalar fit
+        _, datasets, beta, gamma = _mixed_samples()
+        nuisances = [(beta, np.zeros_like(gamma))] * len(datasets)
+        calls = self._count_stacked(monkeypatch)
+        scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (registry, "fit")])
+        block = Block(datasets, [{None: nuisance} for nuisance in nuisances])
+        assert np.isnan(fit_thetas(block, EstimatorConfig("snn"))).all()
+        assert calls == ["_snn_rows"] and scalar == []
+        reasons = [_alone(fit, data, EstimatorConfig("snn"), {None: nuisance})[1]
+                   for data, nuisance in zip(datasets, nuisances)]
+        assert reasons == ["degenerate index"] * len(datasets)
+
     def test_non_finite_rows_rerun_alone(self):
         # scaled by 1e200 every theta stays finite, but snn's and the tail
         # means' standard errors overflow; those rows must fail alone
@@ -239,6 +254,34 @@ class TestFitThetas:
         _, datasets, beta, gamma = _mixed_samples()
         nuisances = [(beta, gamma * (1.0 + 1e-12 * i)) for i in range(len(datasets))]
         self._check(datasets, nuisances, self._count_stacked(monkeypatch))
+
+    def test_failed_nuisance_fits_fail_alone_with_their_reason(self, monkeypatch):
+        # two constant-d draws among fitted-nuisance draws: their probit
+        # fails, so those rows are NaN, as ``fit`` raises the stored error on
+        # them, while every other row is its ``fit`` from the stacked pass
+        draws = [simulate(DgpSpec("dgp1", 200, rho=0.5, seed=seed)).dataset for seed in range(8)]
+        base = draws[0]
+        draws[2] = Dataset(np.zeros(base.n), np.zeros(base.n), base.X, base.Z)
+        draws[5] = Dataset(np.ones(base.n), base.y, base.X, base.Z)
+        # the configs that fit every draw whose nuisance fit succeeds
+        configs = [dataclasses.replace(self.CONFIGS[i], nuisance="probit") for i in (0, 2, 3)]
+        block = Block(draws, [{} for _ in draws])
+        block.under("probit")  # the nuisance fits, before anything is counted
+        calls = self._count_stacked(monkeypatch)
+        scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (baselines, "h90_intercept"),
+                                        (baselines, "as98_intercept"), (registry, "fit")])
+        for config in configs:
+            del calls[:], scalar[:]
+            thetas = fit_thetas(block, config)
+            assert len(calls) == 1 and scalar == [], config
+            for i, data in enumerate(draws):
+                theta, message = _alone(fit, data, config, {})
+                if i in (2, 5):
+                    assert math.isnan(thetas[i]) and message == "probit failed", config
+                else:
+                    assert np.float64(thetas[i]).tobytes() == np.float64(theta[0].theta).tobytes()
+        for i in (2, 5):
+            assert str(block.fitted[i]["probit"]) == "probit failed"
 
 
 def _failing_block(n):
