@@ -74,6 +74,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r}: need comma-separated integers") from None
 
 
+def _tail_rule(args) -> TailRule:
+    return TailRule(args.tail_quantile, args.tau_quantile)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="snnselect", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -86,6 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
         if formats:
             sp.add_argument("--format", choices=formats, default="csv")
+
+    def add_kernel_tail(sp):
+        """The kernel and tail options of mc-table, estimate and decompose."""
+        sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
+        sp.add_argument("--tail-quantile", type=float, default=0.95)
+        sp.add_argument("--tau-quantile", type=float, default=0.5)
 
     sp = sub.add_parser("simulate", help="draw one simulated sample to CSV")
     sp.add_argument("--dgp", choices=FAMILIES, default="dgp1")
@@ -105,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="repeatable; default snn")
     sp.add_argument("--bandwidth", type=_parse_bandwidth, action="append", default=None,
                     help="for snn panels; repeatable; fixed:H or plugin[:SCALE]")
-    sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
-    sp.add_argument("--tail-quantile", type=float, default=0.95)
-    sp.add_argument("--tau-quantile", type=float, default=0.5)
+    add_kernel_tail(sp)
     sp.add_argument("--workers", type=_int_at_least(1), default=1)
     add_output(sp, ("csv", "json", "markdown"), seed=True)
 
@@ -134,9 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--group-col", required=True)
         sp.add_argument("--estimator", choices=METHODS, default="snn")
         sp.add_argument("--bandwidth", type=_parse_bandwidth, default="plugin")
-        sp.add_argument("--kernel-order", type=int, choices=KERNEL_ORDERS, default=2)
-        sp.add_argument("--tail-quantile", type=float, default=0.95)
-        sp.add_argument("--tau-quantile", type=float, default=0.5)
+        add_kernel_tail(sp)
         sp.add_argument("--nuisance", choices=[m.replace("_", "-") for m in GAMMA_METHODS],
                         default="klein-spady")
 
@@ -188,7 +194,7 @@ def _fit_config(args) -> EstimatorConfig:
         method=args.estimator,
         kernel_order=args.kernel_order,
         bandwidth=args.bandwidth,
-        tail=TailRule(args.tail_quantile, args.tau_quantile),
+        tail=_tail_rule(args),
         nuisance=args.nuisance.replace("-", "_"),
     )
 
@@ -204,7 +210,7 @@ def _cmd_simulate(args) -> None:
 
 def _estimator_configs(args) -> list[EstimatorConfig]:
     methods = args.estimator or ["snn"]
-    tail = TailRule(args.tail_quantile, args.tau_quantile)
+    tail = _tail_rule(args)
     configs = []
     for method in methods:
         if method == "snn":

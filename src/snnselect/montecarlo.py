@@ -6,18 +6,15 @@ scheduled across workers.  The cell label deliberately excludes the
 estimator: every estimator in a table panel sees the same draws, which makes
 cross-estimator comparisons common-random-number comparisons.
 
-Estimators are ``registry.EstimatorConfig`` records, each run as
-``registry.fit`` would run it; ``run_cell``, ``run_table`` and
-``rate_check`` take nothing else, and each is one dispatch of its cells.
-The engine is cell-major: each draw is simulated once and every estimator
-of its cell runs on it, and the reps of all cells go to the worker pool as
-contiguous chunks in one map.  A chunk runs in blocks of draws, and each
-estimator sees a whole ``registry.Block`` through ``registry.fit_thetas``:
-the two-step's first stage is one stacked probit solve per block, and snn,
-h90 and as98 are one stacked pass per block on each draw's own (beta,
-gamma), generating or fitted, on arrays the block builds once per nuisance
-for all of them.  A draw whose fit fails is NaN in its row, set by the
-stacked body that found the failure, and counts as a failed rep.
+Estimators are ``registry.EstimatorConfig`` records, and ``run_cell``,
+``run_table`` and ``rate_check`` take nothing else; each is one dispatch of
+its cells.  The engine is cell-major: each draw is simulated once and every
+estimator of its cell runs on it, and the reps of all cells go to the
+worker pool as contiguous chunks in one map.  A chunk runs in blocks of
+draws, and each estimator runs over a whole ``registry.Block`` in one
+``registry.fit_thetas`` call, the block fit that ``registry.fit`` runs on
+one dataset.  A draw whose fit fails is NaN in its row and counts as a
+failed rep.
 """
 from __future__ import annotations
 
@@ -171,7 +168,7 @@ def _run_chunk(task):
 
 def _collect(values: np.ndarray, theta0: float, n: int) -> CellStats:
     """CellStats of one estimator's per-rep estimates; NaN marks a failed rep
-    (``registry.fit`` never returns a non-finite theta)."""
+    (``registry.fit_thetas`` gives no other non-finite theta)."""
     vals = values[~np.isnan(values)]
     failed = values.size - vals.size
     if vals.size == 0:

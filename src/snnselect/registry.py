@@ -2,20 +2,16 @@
 the one function that runs it.
 
 ``METHODS`` is the one list of valid method names; ``EstimatorConfig`` the
-one settings record; ``fit`` the one path from data to an estimate, which
-the Monte Carlo engine, the decomposition and the CLI all call.  A method's
-``fit(data, beta, gamma, cfg)`` returns a result with a ``.theta``.  Methods
-whose ``needs_nuisance`` is False (OLS and the two-step) estimate their own
-slopes and ignore ``beta``; the two-step takes a given ``gamma`` as its
-first stage and fits the probit itself when ``gamma`` is None.
-``fit_thetas`` runs one config over a ``Block`` of same-shaped datasets
-through the method's ``stacked_fit``: snn, h90 and as98 in one stacked pass
-on each dataset's own (beta, gamma), the two-step's first stage in one
-stacked solve, and OLS one dataset at a time.  A dataset whose fit fails
-is NaN, set from the stacked body that found the failure.  The adapters
-reach the estimators, their stacked bodies and the nuisance fit through
-their modules, so that rebinding a module attribute (as a profiler or a
-test does) reaches every call.
+one settings record.  ``fit_thetas`` runs a config over a ``Block`` of
+same-shaped datasets, and ``fit`` is that block fit on one dataset.  A
+method's ``fit(block, cfg)`` returns its rows and {row: reason}: snn, h90
+and as98 in one stacked pass, the two-step's first stage in one stacked
+solve, and OLS and the second stage one dataset at a time.  OLS and the
+two-step estimate their own slopes and fit no nuisance.  One failure rule,
+in ``_fit_block``, names each row's reason, and no fit is rerun.  The adapters
+reach the stacked bodies and the nuisance fit through their modules, so
+that rebinding a module attribute (as a profiler or a test does) reaches
+every call.
 """
 from __future__ import annotations
 
@@ -36,73 +32,69 @@ __all__ = ["Method", "METHODS", "EstimatorConfig", "Block", "fit", "fit_thetas"]
 
 
 class Method(NamedTuple):
-    fit: Callable  # (data, beta, gamma, cfg) -> result
     needs_nuisance: bool
     report: Callable  # result -> the estimate command's JSON fields
     label: Callable  # cfg -> Monte Carlo panel label
-    # (block, cfg) -> ``fit``'s theta on every dataset of the block, NaN
-    # where ``fit`` would raise
-    stacked_fit: Callable
+    # (block, cfg) -> (rows, errors): the method's fit of every dataset of
+    # the block, and {row: reason} for the rows that failed in it
+    fit: Callable
 
 
-def _snn(data, beta, gamma, cfg):
-    return estimator.snn_intercept(data, beta, gamma, cfg.kernel_order, cfg.bandwidth)
+def _snn_fit(block, cfg):
+    """snn's stacked body, after the check that ``eta_hat`` makes before the
+    R = 1 call's body: a zero gamma is a "degenerate index"."""
+    arrays = block.under(cfg.nuisance)
+    flat = dict.fromkeys(np.flatnonzero(~arrays["gamma"].any(axis=1)), "degenerate index")
+    try:
+        rows, errors = estimator._snn_rows(block.ranks(cfg.nuisance), arrays["index"],
+                                           arrays["residuals"], cfg.kernel_order, cfg.bandwidth)
+    except EstimationError as exc:  # the plug-in below 30 observations fails every row
+        rows = estimator.InterceptRows(*[np.full(len(block), math.nan)] * 4)
+        errors = dict.fromkeys(range(len(block)), str(exc))
+    return rows, {**errors, **flat}
 
 
-def _h90(data, beta, gamma, cfg):
-    return baselines.h90_intercept(data, beta, gamma, cfg.tail)
+def _h90_fit(block, cfg):
+    arrays = block.under(cfg.nuisance)
+    return baselines._tail_rows(block.D, arrays["index"], arrays["residuals"], cfg.tail,
+                                np.zeros(len(block)))
 
 
-def _as98(data, beta, gamma, cfg):
-    return baselines.as98_intercept(data, beta, gamma, cfg.tail)
+def _as98_fit(block, cfg):
+    arrays = block.under(cfg.nuisance)
+    return baselines._as98_rows(block.D, arrays["index"], arrays["residuals"], cfg.tail)
 
 
-def _intercept_stack(body):
-    """The ``stacked_fit`` of a stacked intercept body ``body(block, arrays,
-    cfg) -> (InterceptRows, errors)``, ``arrays`` being the block's under
-    cfg's nuisance.  A row is NaN where its nuisance fit failed, where the
-    body reports an error, or where its theta or standard error is
-    non-finite."""
-    def stacked_fit(block, cfg):
-        arrays = block.under(cfg.nuisance)
-        rows, errors = body(block, arrays, cfg)
-        failed = arrays["failed"] | ~(np.isfinite(rows.theta) & np.isfinite(rows.std_error))
-        failed[list(errors)] = True
-        return np.where(failed, math.nan, rows.theta)
+class _Fits(NamedTuple):
+    """A method's rows fitted one dataset at a time: each result (None where
+    it failed) and their stacked thetas and SEs (a filler in a failed row)."""
 
-    return stacked_fit
+    fit: list
+    theta: np.ndarray  # (R,)
+    std_errors: np.ndarray | None  # (R, m); None for results without them
 
 
-_snn_stack = _intercept_stack(lambda block, arrays, cfg: estimator._snn_rows(
-    block.ranks(cfg.nuisance), arrays["index"], arrays["residuals"], cfg.kernel_order, cfg.bandwidth))
-_h90_stack = _intercept_stack(lambda block, arrays, cfg: baselines._tail_rows(
-    block.D, arrays["index"], arrays["residuals"], cfg.tail, np.zeros(len(block))))
-_as98_stack = _intercept_stack(lambda block, arrays, cfg: baselines._as98_rows(
-    block.D, arrays["index"], arrays["residuals"], cfg.tail))
+def _each(block, fit_one, errors: dict):
+    """``fit_one(i)`` on each dataset i of the block that has no reason in
+    ``errors`` yet; returns (_Fits, errors)."""
+    fits = [None] * len(block)
+    for i in range(len(block)):
+        if i not in errors:
+            try:
+                fits[i] = fit_one(i)
+            except EstimationError as exc:
+                errors[i] = str(exc)
+    ses = [fit.std_errors for fit in fits if hasattr(fit, "std_errors")]
+    std_errors = np.stack([getattr(fit, "std_errors", ses[0]) for fit in fits]) if ses else None
+    return _Fits(fits, np.array([getattr(fit, "theta", math.nan) for fit in fits]), std_errors), errors
 
 
-def _heckman_stack(block, cfg):
+def _heckman_fit(block, cfg):
     """The probit of every dataset in one stacked solve, then each second
-    stage under ``fit``'s checks; NaN where either failed."""
+    stage on its dataset's probit gamma."""
     G, failed = baselines._probit_newton(block.D, block.Z)
-    thetas = np.full(len(block), math.nan)
-    for i in np.flatnonzero(~failed):
-        try:
-            thetas[i] = _checked_fit(METHODS["heckman"], block.datasets[i], None, G[i], cfg)[0].theta
-        except EstimationError:
-            pass
-    return thetas
-
-
-def _each_fit(block, cfg):
-    """The ``stacked_fit`` that runs ``fit`` on each dataset."""
-    thetas = np.full(len(block), math.nan)
-    for i, (data, fitted) in enumerate(zip(block.datasets, block.fitted)):
-        try:
-            thetas[i] = fit(data, cfg, fitted)[0].theta
-        except EstimationError:
-            pass
-    return thetas
+    return _each(block, lambda i: baselines.heckman_two_step(block.datasets[i], G[i]),
+                 dict.fromkeys(np.flatnonzero(failed), "probit failed"))
 
 
 def _fields(*names):
@@ -123,16 +115,15 @@ def _tail_label(name: str):
 _TAIL_FIELDS = _fields("theta", "std_error", "effective_n")
 
 METHODS: dict[str, Method] = {
-    "snn": Method(_snn, True, _fields("theta", "std_error", "bandwidth", "effective_n"),
-                  _snn_label, _snn_stack),
-    "ols": Method(lambda data, *_: baselines.ols_selected(data), False,
-                  lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
-                  lambda cfg: "ols", _each_fit),
-    "heckman": Method(lambda data, beta, gamma, cfg: baselines.heckman_two_step(data, gamma),
-                      False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
-                      lambda cfg: "heckman", _heckman_stack),
-    "h90": Method(_h90, True, _TAIL_FIELDS, _tail_label("h90"), _h90_stack),
-    "as98": Method(_as98, True, _TAIL_FIELDS, _tail_label("as98"), _as98_stack),
+    "snn": Method(True, _fields("theta", "std_error", "bandwidth", "effective_n"), _snn_label,
+                  _snn_fit),
+    "ols": Method(False, lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
+                  lambda cfg: "ols",
+                  lambda block, cfg: _each(block, lambda i: baselines.ols_selected(block.datasets[i]), {})),
+    "heckman": Method(False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
+                      lambda cfg: "heckman", _heckman_fit),
+    "h90": Method(True, _TAIL_FIELDS, _tail_label("h90"), _h90_fit),
+    "as98": Method(True, _TAIL_FIELDS, _tail_label("as98"), _as98_fit),
 }
 
 
@@ -168,49 +159,24 @@ class EstimatorConfig:
 def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     """Run one intercept fit; returns (the method's result, the slopes it used).
 
-    A method that needs the nuisance takes (beta, gamma) from
-    ``fitted[config.nuisance]``.  A missing entry is fitted and stored there,
-    or the EstimationError its fit raised, so configs that share ``fitted``
-    share one nuisance fit per gamma method, and its failure.  The generating
-    values of ``nuisance=None`` exist only for simulated draws, whose caller
-    puts them in ``fitted[None]``; without them this raises ValueError.
+    This is ``fit_thetas``'s block fit on one dataset; a reason for failing
+    is raised as EstimationError.  A method that needs the nuisance takes
+    (beta, gamma) from ``fitted[config.nuisance]``.  A missing entry is
+    fitted and stored there, or the EstimationError its fit raised, so
+    configs that share ``fitted`` share one nuisance fit per gamma method,
+    and its failure.  The generating values of ``nuisance=None`` exist only
+    for simulated draws, whose caller puts them in ``fitted[None]``; without
+    them this raises ValueError.
 
     A theta or standard error that overflowed to inf or NaN raises
     EstimationError("non-finite <quantity>"); no fit returns one.
     """
-    method = METHODS[config.method]
-    beta = gamma = None
-    if method.needs_nuisance:
-        found = _nuisance(data, {} if fitted is None else fitted, config.nuisance)
-        if isinstance(found, EstimationError):
-            raise found
-        beta, gamma = found
-    return _checked_fit(method, data, beta, gamma, config)
-
-
-def _nuisance(data, fitted: dict, key):
-    """``fitted[key]``: the (beta, gamma) of ``data`` under the nuisance
-    ``key``, or the EstimationError its fit raised, fitted and stored there
-    on first use."""
-    if key not in fitted:
-        if key is None:
-            raise ValueError("nuisance=None needs the generating beta and gamma of a simulated draw")
-        try:
-            est = nuisance.fit_nuisance(data, key)
-            fitted[key] = (est.beta, est.gamma)
-        except EstimationError as exc:
-            fitted[key] = exc
-    return fitted[key]
-
-
-def _checked_fit(method, data, beta, gamma, config):
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = method.fit(data, beta, gamma, config)
-    for name in ("theta", "std_error", "std_errors"):
-        value = getattr(result, name, 0.0)
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
-            raise EstimationError(f"non-finite {name}")
-    return result, (beta if method.needs_nuisance else result.beta)
+    fitted = {} if fitted is None else fitted
+    rows, reasons = _fit_block(Block([data], [fitted]), config)
+    if reasons[0] is not None:
+        raise EstimationError(reasons[0])
+    result = rows.fit[0] if isinstance(rows, _Fits) else estimator._one_row(rows, {})
+    return result, (fitted[config.nuisance][0] if METHODS[config.method].needs_nuisance else result.beta)
 
 
 class Block:
@@ -236,21 +202,33 @@ class Block:
 
     def under(self, key) -> dict:
         """The block's arrays under the nuisance ``key``, where each row has
-        its own dataset's (beta, gamma), got or fitted in its ``fitted`` dict
-        as ``fit`` does: ``failed`` (R,), the rows whose nuisance fit failed
-        (they hold zeros); ``index`` (R, n), each row bitwise data.Z @ gamma;
-        ``residuals`` (R, n), each row bitwise ``residualized_outcome(data,
-        beta)``."""
+        its own dataset's (beta, gamma) from ``fitted[key]``.  A missing
+        entry is fitted and stored there, or the EstimationError its fit
+        raised.  ``errors``, {row: the message of its stored nuisance error}
+        (such a row holds zeros below); ``gamma`` (R, l); ``index`` (R, n),
+        each row bitwise data.Z @ gamma; ``residuals`` (R, n), each row
+        bitwise ``residualized_outcome(data, beta)``."""
         if key not in self._under:
-            found = [_nuisance(data, f, key) for data, f in zip(self.datasets, self.fitted)]
-            failed = np.array([isinstance(x, EstimationError) for x in found])
+            errors = {}
             B = np.zeros((len(self), self.datasets[0].k))
             G = np.zeros((len(self), self.datasets[0].l))
-            for i in np.flatnonzero(~failed):
-                B[i], G[i] = found[i]
+            for i, (data, fitted) in enumerate(zip(self.datasets, self.fitted)):
+                if key not in fitted:
+                    if key is None:
+                        raise ValueError("nuisance=None needs the generating beta and gamma"
+                                         " of a simulated draw")
+                    try:
+                        est = nuisance.fit_nuisance(data, key)
+                        fitted[key] = (est.beta, est.gamma)
+                    except EstimationError as exc:
+                        fitted[key] = exc
+                if isinstance(fitted[key], EstimationError):
+                    errors[i] = str(fitted[key])
+                else:
+                    B[i], G[i] = fitted[key]
             X = np.stack([data.X for data in self.datasets])
             Y = np.stack([data.y for data in self.datasets])
-            self._under[key] = {"failed": failed, "index": (self.Z @ G[:, :, None])[:, :, 0],
+            self._under[key] = {"errors": errors, "gamma": G, "index": (self.Z @ G[:, :, None])[:, :, 0],
                                 "residuals": self.D * (Y - (X @ B[:, :, None])[:, :, 0])}
         return self._under[key]
 
@@ -262,13 +240,29 @@ class Block:
         return arrays["ranks"]
 
 
+def _fit_block(block: Block, config: EstimatorConfig):
+    """The method's rows over the block, and the failure rule: each row's
+    reason, an (R,) object array that is None where the row's fit stands.
+    The first that applies wins: the row's stored nuisance error, the
+    method's error, a non-finite theta, a non-finite standard error."""
+    method = METHODS[config.method]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = block.under(config.nuisance)["errors"] if method.needs_nuisance else {}
+        rows, errors = method.fit(block, config)
+    errors = {**errors, **stored}
+    reasons = np.full(len(block), None, dtype=object)
+    reasons[list(errors)] = list(errors.values())
+    for name in ("theta", "std_error", "std_errors"):
+        value = getattr(rows, name, None)
+        if value is not None:
+            finite = np.isfinite(value).reshape(len(block), -1).all(axis=1)
+            reasons = np.where(np.equal(reasons, None) & ~finite, f"non-finite {name}", reasons)
+    return rows, reasons
+
+
 def fit_thetas(block: Block, config: EstimatorConfig) -> np.ndarray:
     """``fit(block.datasets[i], config, block.fitted[i])[0].theta`` for
-    every i, NaN where that raises EstimationError: the method's
-    ``stacked_fit`` over the whole block, or NaN in every row when that
-    raises, as a plug-in rule on fewer than 30 observations does."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return METHODS[config.method].stacked_fit(block, config)
-    except EstimationError:
-        return np.full(len(block), math.nan)
+    every i, NaN where that raises EstimationError: one block fit of every
+    dataset, with no fit rerun."""
+    rows, reasons = _fit_block(block, config)
+    return np.where(np.equal(reasons, None), rows.theta, math.nan)

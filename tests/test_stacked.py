@@ -2,16 +2,19 @@
 
 Every row of a stacked snn, h90, as98 or rank body is bitwise the R = 1
 call on its sample, and a row that fails there is in the body's errors
-with the same reason.  ``fit_thetas`` over a block gives each dataset's
-``fit`` theta, NaN exactly where ``fit`` raises, for every method, without
-calling the R = 1 functions or ``fit`` again for the stacked methods."""
+with the same reason.  ``fit`` is the block fit on a block of one, so the
+block fit is checked against the public R = 1 calls instead: over a block,
+``fit_thetas`` gives each dataset's R = 1 theta, NaN exactly where the
+failure rule written out in ``_reference`` finds a reason, and ``fit``
+raises that reason, for every method, without calling the R = 1 functions
+or ``fit`` for the stacked methods."""
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from snnselect import baselines, estimator, registry
+from snnselect import baselines, estimator, nuisance, registry
 from snnselect.baselines import (
     TailRule,
     _as98_rows,
@@ -19,11 +22,14 @@ from snnselect.baselines import (
     _tail_rows,
     as98_intercept,
     h90_intercept,
+    heckman_two_step,
+    ols_selected,
 )
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
 from snnselect.estimator import BandwidthRule, _snn_rows, residualized_outcome, snn_intercept
 from snnselect.exceptions import EstimationError
+from snnselect.nuisance import fit_nuisance
 from snnselect.ranks import _rank_rows, eta_hat
 from snnselect.registry import METHODS, Block, EstimatorConfig, fit, fit_thetas
 
@@ -73,6 +79,50 @@ def _alone(fn, *args):
         return fn(*args), None
     except EstimationError as exc:
         return None, str(exc)
+
+
+def _reference(data, config, generating):
+    """(result, reason) of one dataset by the public R = 1 call, with the
+    failure rule written out: the nuisance fit's error, then the call's
+    error, then a non-finite theta, then a non-finite standard error.
+    ``generating`` is the (beta, gamma) of ``nuisance=None``."""
+    beta, gamma = generating
+    if METHODS[config.method].needs_nuisance and config.nuisance is not None:
+        est, message = _alone(fit_nuisance, data, config.nuisance)
+        if message is not None:
+            return None, message
+        beta, gamma = est.beta, est.gamma
+    one = {
+        "snn": lambda: snn_intercept(data, beta, gamma, config.kernel_order, config.bandwidth),
+        "h90": lambda: h90_intercept(data, beta, gamma, config.tail),
+        "as98": lambda: as98_intercept(data, beta, gamma, config.tail),
+        "ols": lambda: ols_selected(data),
+        "heckman": lambda: heckman_two_step(data),
+    }[config.method]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result, message = _alone(one)
+    if message is not None:
+        return None, message
+    for name in ("theta", "std_error", "std_errors"):
+        if name in vars(result) and not np.isfinite(getattr(result, name)).all():
+            return None, f"non-finite {name}"
+    return result, None
+
+
+def _assert_block_fit(thetas, datasets, config, nuisances):
+    """Each of the block's ``thetas``, and ``fit`` alone on each dataset,
+    against ``_reference``; returns the reference reasons."""
+    reasons = []
+    for i, data in enumerate(datasets):
+        want, reason = _reference(data, config, nuisances[i])
+        expected = math.nan if want is None else want.theta
+        assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes(), (config, i, reason)
+        got, message = _alone(fit, data, config, {None: nuisances[i]})
+        assert message == reason, (config, i)
+        if want is not None:
+            assert np.float64(got[0].theta).tobytes() == np.float64(want.theta).tobytes(), (config, i)
+        reasons.append(reason)
+    return reasons
 
 
 def _pieces(count):
@@ -199,16 +249,13 @@ class TestFitThetas:
 
     def _check(self, datasets, nuisances, stacked_calls):
         """Each config in one stacked call over the block, with theta i
-        bitwise ``fit`` alone on dataset i and its (beta, gamma)."""
+        bitwise the R = 1 call on dataset i and its (beta, gamma)."""
         for config in self.CONFIGS:
             block = Block(datasets, [{None: (beta.copy(), gamma.copy())} for beta, gamma in nuisances])
             del stacked_calls[:]  # the R = 1 references below call the bodies too
             thetas = fit_thetas(block, config)
             assert len(stacked_calls) == 1, config
-            for i, data in enumerate(datasets):
-                theta, _ = _alone(fit, data, config, {None: nuisances[i]})
-                expected = math.nan if theta is None else theta[0].theta
-                assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes()
+            _assert_block_fit(thetas, datasets, config, nuisances)
 
     def _count_stacked(self, monkeypatch):
         return _counted(monkeypatch, _BODIES)
@@ -226,10 +273,10 @@ class TestFitThetas:
         calls = self._count_stacked(monkeypatch)
         scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (registry, "fit")])
         block = Block(datasets, [{None: nuisance} for nuisance in nuisances])
-        assert np.isnan(fit_thetas(block, EstimatorConfig("snn"))).all()
+        thetas = fit_thetas(block, EstimatorConfig("snn"))
+        assert np.isnan(thetas).all()
         assert calls == ["_snn_rows"] and scalar == []
-        reasons = [_alone(fit, data, EstimatorConfig("snn"), {None: nuisance})[1]
-                   for data, nuisance in zip(datasets, nuisances)]
+        reasons = _assert_block_fit(thetas, datasets, EstimatorConfig("snn"), nuisances)
         assert reasons == ["degenerate index"] * len(datasets)
 
     def test_non_finite_rows_rerun_alone(self):
@@ -240,12 +287,8 @@ class TestFitThetas:
         fitted = [{None: (beta * 1e200, gamma)} for _ in scaled]
         for method in ("snn", "h90", "as98"):
             thetas = fit_thetas(Block(scaled, fitted), EstimatorConfig(method))
-            messages = []
-            for i, data in enumerate(scaled):
-                theta, message = _alone(fit, data, EstimatorConfig(method), fitted[i])
-                expected = math.nan if theta is None else theta[0].theta
-                assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes()
-                messages.append(message)
+            messages = _assert_block_fit(thetas, scaled, EstimatorConfig(method),
+                                         [nuisance[None] for nuisance in fitted])
             # all but the three samples built to fail otherwise or not at all
             assert messages.count("non-finite std_error") >= len(scaled) - 3, method
 
@@ -257,8 +300,8 @@ class TestFitThetas:
 
     def test_failed_nuisance_fits_fail_alone_with_their_reason(self, monkeypatch):
         # two constant-d draws among fitted-nuisance draws: their probit
-        # fails, so those rows are NaN, as ``fit`` raises the stored error on
-        # them, while every other row is its ``fit`` from the stacked pass
+        # fails, so those rows are NaN with the stored error as their reason,
+        # while every other row is its R = 1 call from the stacked pass
         draws = [simulate(DgpSpec("dgp1", 200, rho=0.5, seed=seed)).dataset for seed in range(8)]
         base = draws[0]
         draws[2] = Dataset(np.zeros(base.n), np.zeros(base.n), base.X, base.Z)
@@ -274,12 +317,10 @@ class TestFitThetas:
             del calls[:], scalar[:]
             thetas = fit_thetas(block, config)
             assert len(calls) == 1 and scalar == [], config
-            for i, data in enumerate(draws):
-                theta, message = _alone(fit, data, config, {})
-                if i in (2, 5):
-                    assert math.isnan(thetas[i]) and message == "probit failed", config
-                else:
-                    assert np.float64(thetas[i]).tobytes() == np.float64(theta[0].theta).tobytes()
+            # no generating values: every reference fits its own nuisance
+            reasons = _assert_block_fit(thetas, draws, config, [(None, None)] * len(draws))
+            assert [i for i, reason in enumerate(reasons) if reason] == [2, 5], config
+            assert reasons[2] == reasons[5] == "probit failed", config
         for i in (2, 5):
             assert str(block.fitted[i]["probit"]) == "probit failed"
 
@@ -313,8 +354,8 @@ def _failing_block(n):
 
 
 class TestFitThetasContract:
-    """``fit_thetas`` on one block against ``fit`` on each dataset, for
-    every method and both nuisance sources."""
+    """``fit_thetas`` on one block, and ``fit`` on each dataset, against the
+    public R = 1 calls, for every method and both nuisance sources."""
 
     CONFIGS = [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.05)),
                EstimatorConfig("ols"), EstimatorConfig("heckman"), EstimatorConfig("h90"),
@@ -332,28 +373,92 @@ class TestFitThetasContract:
         bodies = _counted(monkeypatch, _BODIES)
         scalar = _counted(monkeypatch, [(baselines, "probit_mle"), (estimator, "snn_intercept"),
                                         (baselines, "h90_intercept"), (baselines, "as98_intercept"),
-                                        (registry, "fit")])
+                                        (baselines, "ols_selected"), (registry, "fit")])
         messages = set()
         for config in self.CONFIGS:
             del bodies[:], scalar[:]
             thetas = fit_thetas(block, config)
             if config.method == "ols":
-                assert bodies == [] and scalar == ["fit"] * len(block)
+                assert bodies == [] and scalar == ["ols_selected"] * len(block)
             else:
                 assert len(bodies) == 1 and scalar == [], config
-            del scalar[:]
-            for i, data in enumerate(datasets):
-                # this module's ``fit`` is the function, not the counted rebinding
-                theta, message = _alone(fit, data, config, {None: generating[i]})
-                expected = math.nan if theta is None else theta[0].theta
-                assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes(), \
-                    (config, names[i], message)
-                messages.add(message)
+            # this module's R = 1 functions and ``fit`` are the functions,
+            # not the counted rebindings
+            messages.update(_assert_block_fit(thetas, datasets, config, generating))
         if n == 25:
             assert "insufficient sample" in messages
         else:
             assert messages >= {None, "probit failed", "insufficient selected observations",
                                 "degenerate index", "non-finite std_error", "empty tail"}
+
+
+    def test_zero_gamma_reason_is_the_r1_message(self):
+        # snn fails in eta_hat's check before its body runs, the tail means
+        # on their empty tail; the block row and ``fit`` name it the same
+        names, datasets, generating = _failing_block(100)
+        i = names.index("zero-gamma")
+        block = Block(datasets, [{None: nuisance} for nuisance in generating])
+        for config, one in ((EstimatorConfig("snn"), snn_intercept),
+                            (EstimatorConfig("h90"), h90_intercept),
+                            (EstimatorConfig("as98"), as98_intercept)):
+            _, want = _alone(one, datasets[i], *generating[i])
+            assert want == ("degenerate index" if config.method == "snn" else "empty tail")
+            assert _alone(fit, datasets[i], config, {None: generating[i]})[1] == want
+            assert registry._fit_block(block, config)[1][i] == want
+
+
+class TestFitIsTheBlockFit:
+    """``fit`` runs the block fit on a block of one dataset: one stacked body
+    call, no public R = 1 call, and the nuisance stored in ``fitted``."""
+
+    @pytest.mark.parametrize("config, body", [
+        (EstimatorConfig("snn"), "_snn_rows"),
+        (EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3), nuisance="probit"), "_snn_rows"),
+        (EstimatorConfig("h90"), "_tail_rows"),
+        (EstimatorConfig("as98", nuisance="probit"), "_as98_rows"),
+        (EstimatorConfig("heckman"), "_probit_newton"),
+        (EstimatorConfig("ols"), None),
+    ])
+    def test_one_body_call_and_no_r1_call(self, config, body, monkeypatch):
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=4))
+        est = fit_nuisance(draw.dataset, "probit")
+        fitted = {None: (draw.beta0, draw.gamma0), "probit": (est.beta, est.gamma)}
+        bodies = _counted(monkeypatch, _BODIES)
+        scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (baselines, "h90_intercept"),
+                                        (baselines, "as98_intercept"), (baselines, "probit_mle"),
+                                        (baselines, "ols_selected")])
+        result, _ = fit(draw.dataset, config, fitted)
+        if body is None:
+            assert bodies == [] and scalar == ["ols_selected"]
+        else:
+            assert bodies == [body] and scalar == [], config
+        want, _ = _reference(draw.dataset, config, fitted[None])
+        assert np.float64(result.theta).tobytes() == np.float64(want.theta).tobytes()
+
+    def test_fitted_receives_the_nuisance_fit_or_its_error(self, monkeypatch):
+        data = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=4)).dataset
+        constant = Dataset(np.ones(data.n), data.y, data.X, data.Z)
+        fits = _counted(monkeypatch, [(nuisance, "fit_nuisance")])
+        fitted = {}
+        _, beta = fit(data, EstimatorConfig("snn", nuisance="probit"), fitted)
+        est = fit_nuisance(data, "probit")
+        assert list(fitted) == ["probit"] and fitted["probit"][0] is beta
+        assert [a.tobytes() for a in fitted["probit"]] == [est.beta.tobytes(), est.gamma.tobytes()]
+        fit(data, EstimatorConfig("h90", nuisance="probit"), fitted)  # shares the fit
+        assert fits == ["fit_nuisance"]
+        failed = {}
+        for method in ("as98", "snn"):  # the second raises the stored error
+            with pytest.raises(EstimationError, match="^probit failed$"):
+                fit(constant, EstimatorConfig(method, nuisance="probit"), failed)
+        assert fits == ["fit_nuisance"] * 2
+        assert list(failed) == ["probit"] and isinstance(failed["probit"], EstimationError)
+        assert str(failed["probit"]) == "probit failed"
+        untouched = {}
+        for method in ("ols", "heckman"):  # estimate their own slopes
+            fit(data, EstimatorConfig(method, nuisance="probit"), untouched)
+        assert untouched == {} and fits == ["fit_nuisance"] * 2
+        with pytest.raises(ValueError, match="generating"):
+            fit(data, EstimatorConfig("snn"), {})
 
 
 class TestSelectedQuantile:
