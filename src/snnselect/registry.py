@@ -228,7 +228,8 @@ class Block:
                     B[i], G[i] = fitted[key]
             X = np.stack([data.X for data in self.datasets])
             Y = np.stack([data.y for data in self.datasets])
-            self._under[key] = {"errors": errors, "gamma": G, "index": (self.Z @ G[:, :, None])[:, :, 0],
+            self._under[key] = {"errors": errors, "gamma": G,
+                                "index": (self.Z @ G[:, :, None])[:, :, 0],
                                 "residuals": self.D * (Y - (X @ B[:, :, None])[:, :, 0])}
         return self._under[key]
 

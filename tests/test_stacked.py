@@ -2,8 +2,8 @@
 
 Every row of a stacked snn, h90, as98 or rank body is bitwise the R = 1
 call on its sample, and a row that fails there is in the body's errors
-with the same reason.  ``fit`` is the block fit on a block of one, so the
-block fit is checked against the public R = 1 calls instead: over a block,
+with the same reason.  Since ``fit`` is the block fit on a block of one,
+the block fit is checked against the public R = 1 calls: over a block,
 ``fit_thetas`` gives each dataset's R = 1 theta, NaN exactly where the
 failure rule written out in ``_reference`` finds a reason, and ``fit``
 raises that reason, for every method, without calling the R = 1 functions
