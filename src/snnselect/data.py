@@ -85,5 +85,13 @@ class Dataset:
         return self.d > 0.5
 
     def take(self, rows: np.ndarray) -> "Dataset":
-        """Row subset / resample (used by the bootstrap)."""
-        return Dataset(self.d[rows], self.y[rows], self.X[rows], self.Z[rows])
+        """Row subset / resample (used by the bootstrap): ``rows`` holds row
+        numbers, or is a boolean mask of length n.  The same rows, bitwise,
+        as ``a[rows]`` gives, gathered by ``ndarray.take``, which is several
+        times faster."""
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            if rows.shape != (self.n,):
+                raise IndexError(f"boolean mask of shape {rows.shape} for {self.n} rows")
+            rows = np.flatnonzero(rows)
+        return Dataset(*(a.take(rows, axis=0) for a in (self.d, self.y, self.X, self.Z)))

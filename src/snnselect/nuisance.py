@@ -5,13 +5,18 @@ semiparametric binary-choice quasi-likelihood; outcome slopes come from the
 double-residual (partially linear) regression.  Both smooth on one
 leave-one-out Epanechnikov engine, O(n log n) over the sorted index:
 ``_sorted_windows``, ``_loo_kernel_sums`` and ``_loo_ratio``.
+
+``scipy.optimize`` is imported inside ``klein_spady_gamma``, its only user,
+so importing the package, and every path that fits no Klein-Spady nuisance
+(the probit nuisance, the generating values, OLS and the two-step), never
+loads it.  A process pays for that import, about 0.2 s and 20 MB, on its
+first Klein-Spady fit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .baselines import probit_mle
 from .data import Dataset
@@ -206,8 +211,10 @@ def klein_spady_gamma(data: Dataset) -> np.ndarray:
     kinks (kernel edge, probability clip) and jumps (emptying windows), so the
     line search may stop abnormally: that end point is accepted when it beats
     the start, "no convergence" is raised when it does not, and a converged
-    fit never returns worse than the start.  With one selection covariate
-    gamma is the normalization alone.
+    fit never returns worse than the start.  That comparison reads the values
+    the optimizer computed, by the exact bytes of gamma, so no point is
+    evaluated twice.  With one selection covariate gamma is the
+    normalization alone.
     """
     if data.d.min() == data.d.max():
         raise EstimationError("degenerate outcome")
@@ -216,18 +223,27 @@ def klein_spady_gamma(data: Dataset) -> np.ndarray:
     start = probit_gamma(data)
     if data.l == 1:
         return start
+    from scipy import optimize
+
     pilot_bandwidth = silverman_bandwidth(data.Z @ start)
+    values = {}  # gamma.tobytes() -> objective, for every gamma evaluated
+
+    def loglik(gamma: np.ndarray) -> float:
+        key = gamma.tobytes()
+        if key not in values:
+            values[key] = klein_spady_objective(data, gamma, pilot_bandwidth)
+        return values[key]
 
     def negloglik(free: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _ks_loglik_and_grad(data, np.concatenate([start[:1], free]), pilot_bandwidth)
+        gamma = np.concatenate([start[:1], free])
+        value, grad = _ks_loglik_and_grad(data, gamma, pilot_bandwidth)
+        values[gamma.tobytes()] = value
         return -value, -grad
 
     res = optimize.minimize(negloglik, start[1:], jac=True, method="L-BFGS-B")
     best = np.concatenate([start[:1], res.x])
     # an abnormal stop still counts when it climbed above the start
-    if klein_spady_objective(data, best, pilot_bandwidth) > klein_spady_objective(
-        data, start, pilot_bandwidth
-    ):
+    if loglik(best) > loglik(start):
         return best
     if not res.success:
         raise EstimationError("no convergence")

@@ -179,10 +179,21 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     return result, (fitted[config.nuisance][0] if METHODS[config.method].needs_nuisance else result.beta)
 
 
+def _stacked(arrays) -> np.ndarray:
+    """``np.stack(arrays)``; for one array, a view of it with a leading axis
+    of 1, or of its contiguous copy when it is strided, which is the copy
+    ``np.stack`` makes, so the stacked fits read the same bits either way."""
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0])[None]
+    return np.stack(arrays)
+
+
 class Block:
     """Datasets of one n and l, each with the ``fitted`` dict that ``fit``
     takes for it, and the stacked arrays that the stacked fits of a block
-    share, each built on first use and then kept for every config."""
+    share, each built on first use and then kept for every config.  The
+    stacked fits only read them: on a block of one they may be the
+    dataset's own arrays."""
 
     def __init__(self, datasets, fitted):
         self.datasets = list(datasets)
@@ -194,11 +205,11 @@ class Block:
 
     @cached_property
     def D(self) -> np.ndarray:
-        return np.stack([data.d for data in self.datasets])
+        return _stacked([data.d for data in self.datasets])
 
     @cached_property
     def Z(self) -> np.ndarray:
-        return np.stack([data.Z for data in self.datasets])
+        return _stacked([data.Z for data in self.datasets])
 
     def under(self, key) -> dict:
         """The block's arrays under the nuisance ``key``, where each row has
@@ -226,8 +237,8 @@ class Block:
                     errors[i] = str(fitted[key])
                 else:
                     B[i], G[i] = fitted[key]
-            X = np.stack([data.X for data in self.datasets])
-            Y = np.stack([data.y for data in self.datasets])
+            X = _stacked([data.X for data in self.datasets])
+            Y = _stacked([data.y for data in self.datasets])
             self._under[key] = {"errors": errors, "gamma": G,
                                 "index": (self.Z @ G[:, :, None])[:, :, 0],
                                 "residuals": self.D * (Y - (X @ B[:, :, None])[:, :, 0])}

@@ -80,3 +80,29 @@ class TestNonFinite:
         rows = ", ".join(str(i) for i in range(10))
         assert str(exc.value) == (f"non-finite value in X at row {rows}, ... and 2 more rows; "
                                   "non-finite value in Z at row 150")
+
+
+class TestTake:
+    FIELDS = ("d", "y", "X", "Z")
+
+    def test_row_numbers_gather_the_bits_of_fancy_indexing(self):
+        data = simulate(DgpSpec("dgp1", 300, rho=0.5, seed=3)).dataset
+        rows = np.random.default_rng(1).integers(-data.n, data.n, data.n)
+        taken = data.take(rows)
+        for f in self.FIELDS:
+            assert getattr(taken, f).tobytes() == getattr(data, f)[rows].tobytes()
+        assert data.take(list(rows[:5])).Z.tobytes() == data.Z[rows[:5]].tobytes()
+
+    def test_boolean_mask_selects_its_rows(self):
+        data = Dataset(*_arrays(n=6))
+        mask = np.array([True, False, True, True, False, True])
+        taken = data.take(mask)
+        assert taken.n == 4
+        for f in self.FIELDS:
+            assert np.array_equal(getattr(taken, f), getattr(data, f)[mask])
+        assert data.take(list(mask)).n == 4
+
+    def test_boolean_mask_of_another_length_rejected(self):
+        data = Dataset(*_arrays(n=6))
+        with pytest.raises(IndexError, match="boolean mask"):
+            data.take(np.ones(5, dtype=bool))

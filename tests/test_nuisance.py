@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,8 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from oracles import ks_loglik_bruteforce, loo_nw_bruteforce
+import snnselect
+from snnselect import nuisance
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
 from snnselect.exceptions import EstimationError
@@ -161,6 +169,27 @@ class TestKleinSpady:
         monkeypatch.setattr(optimize, "minimize", worse)
         assert klein_spady_gamma(data).tobytes() == probit_gamma(data).tobytes()
         assert tried == [True]
+
+    def test_every_point_is_evaluated_once(self, monkeypatch):
+        # the final comparison of the fit and its start reads the values the
+        # optimizer computed
+        data = simulate(DgpSpec("dgp1", 600, rho=0.5, seed=11)).dataset
+        evaluations, results = [], []
+        ks_loglik_and_grad, minimize = nuisance._ks_loglik_and_grad, optimize.minimize
+
+        def counted(data, gamma, h):
+            evaluations.append(gamma.tobytes())
+            return ks_loglik_and_grad(data, gamma, h)
+
+        def kept(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(nuisance, "_ks_loglik_and_grad", counted)
+        monkeypatch.setattr(optimize, "minimize", kept)
+        g = klein_spady_gamma(data)
+        assert len(evaluations) == results[0].nfev == len(set(evaluations))
+        assert g.tobytes() in evaluations and probit_gamma(data).tobytes() in evaluations
 
     # Nelder-Mead used up its 2000 evaluations and raised on each of these
     @pytest.mark.parametrize("spec", [
@@ -346,3 +375,41 @@ class TestSilverman:
     def test_degenerate_index(self):
         with pytest.raises(EstimationError, match="degenerate index"):
             silverman_bandwidth(np.zeros(100))
+
+
+_IMPORT_FOOTPRINT = """
+import json, sys
+from pathlib import Path
+out, seen = Path(sys.argv[1]), {}
+import snnselect
+seen["import snnselect"] = "scipy.optimize" in sys.modules
+from snnselect.cli import cli_main
+from snnselect.montecarlo import TablePlan, run_table
+from snnselect.registry import EstimatorConfig
+assert cli_main(["simulate", "--n", "400", "--rho", "0.5", "--seed", "3", "--out", str(out / "s.csv")]) == 0
+seen["simulate"] = "scipy.optimize" in sys.modules
+assert cli_main(["estimate", str(out / "s.csv"), "--outcome-col", "y", "--selection-col", "d",
+                 "--x-cols", "x1,x2,x3,x4", "--z-cols", "z1,z2,z3,z4,z5,z6,z7",
+                 "--nuisance", "probit", "--format", "json", "--out", str(out / "e.json")]) == 0
+seen["estimate --nuisance probit"] = "scipy.optimize" in sys.modules
+configs = [EstimatorConfig(m) for m in ("ols", "heckman", "h90", "as98")]
+configs.append(EstimatorConfig("snn", nuisance="probit"))
+run_table(TablePlan("dgp2", 200, configs, rhos=(0.5,), alphas=(2.0,), reps=3), 7, workers=1)
+seen["run_table"] = "scipy.optimize" in sys.modules
+snnselect.klein_spady_gamma(snnselect.load_csv(out / "s.csv", snnselect.default_schema(4, 7)))
+seen["klein_spady_gamma"] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_klein_spady_fit_loads_scipy_optimize(tmp_path):
+    # a fresh interpreter: this one has imported scipy.optimize already
+    src = str(Path(snnselect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == {
+        "import snnselect": False, "simulate": False, "estimate --nuisance probit": False,
+        "run_table": False, "klein_spady_gamma": True,
+    }

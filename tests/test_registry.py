@@ -3,16 +3,18 @@ import importlib
 import pkgutil
 import warnings
 
+import numpy as np
 import pytest
 
 import snnselect
 from snnselect import montecarlo, seeding
 from snnselect.cli import build_parser
+from snnselect.data import Dataset
 from snnselect.dgp import FAMILIES, DgpSpec, simulate
 from snnselect.exceptions import EstimationError
 from snnselect.numerics import KERNEL_ORDERS
 from snnselect.nuisance import GAMMA_METHODS
-from snnselect.registry import METHODS, EstimatorConfig, fit
+from snnselect.registry import METHODS, Block, EstimatorConfig, _stacked, fit
 
 
 def _choices(parser, dest):
@@ -126,3 +128,38 @@ class TestNonFiniteOutput:
             warnings.simplefilter("error", RuntimeWarning)
             result, _ = fit(data, EstimatorConfig("heckman"), {None: (beta, gamma)})
         assert abs(result.theta) < float("inf")
+
+
+class TestBlockOfOne:
+    """A block of one reads its dataset's arrays in place, and a strided
+    array as the contiguous copy that np.stack makes."""
+
+    FIELDS = ("d", "y", "X", "Z")
+
+    @staticmethod
+    def _draw():
+        return simulate(DgpSpec("dgp1", 300, rho=0.5, seed=3))
+
+    def test_stacked_one_array(self):
+        a = np.arange(12.0).reshape(4, 3)
+        assert np.shares_memory(_stacked([a]), a) and _stacked([a]).shape == (1, 4, 3)
+        strided = a[:, ::2]
+        assert _stacked([strided]).flags.c_contiguous
+        assert _stacked([strided]).tobytes() == np.stack([strided]).tobytes()
+
+    def test_fit_on_contiguous_data_reads_it_in_place(self):
+        draw = self._draw()
+        arrays = [np.ascontiguousarray(getattr(draw.dataset, f)) for f in self.FIELDS]
+        before = [a.tobytes() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False  # a fit that wrote to the dataset would raise
+        data = Dataset(*arrays)
+        block = Block([data], [{}])
+        assert np.shares_memory(block.D, data.d) and np.shares_memory(block.Z, data.Z)
+        for method in METHODS:
+            for key in (None, "probit"):
+                fitted = {None: (draw.beta0, draw.gamma0)}
+                result, _ = fit(data, EstimatorConfig(method, nuisance=key), fitted)
+                strided, _ = fit(draw.dataset, EstimatorConfig(method, nuisance=key), dict(fitted))
+                assert np.float64(result.theta).tobytes() == np.float64(strided.theta).tobytes()
+        assert [a.tobytes() for a in arrays] == before
