@@ -9,7 +9,7 @@ leave-one-out Epanechnikov engine, O(n log n) over the sorted index:
 ``scipy.optimize`` is imported inside ``klein_spady_gamma``, its only user,
 so importing the package, and every path that fits no Klein-Spady nuisance
 (the probit nuisance, the generating values, OLS and the two-step), never
-loads it.  A process pays for that import, about 0.2 s and 20 MB, on its
+loads it.  A process pays for that import, about 0.2 s and 22 MB, on its
 first Klein-Spady fit.
 """
 from __future__ import annotations
