@@ -154,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_fit(sp, group=True)
     sp.add_argument("--weighting", choices=WEIGHTINGS, default="group0")
     sp.add_argument("--bootstrap", type=_int_at_least(2, "B"), default=200, metavar="B")
+    sp.add_argument("--workers", type=_int_at_least(1), default=1)
     add_output(sp, seed=True)
 
     sp = sub.add_parser("kernel-check", help="kernel moment diagnostics")
@@ -266,7 +267,8 @@ def _cmd_decompose(args) -> str:
     data0, data1 = load_csv(args.data, _schema_from_args(args))
     config = DecompositionConfig(_fit_config(args), args.weighting)
     quantities = decompose(data0, data1, config).quantities()
-    boot = bootstrap_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed)
+    boot = bootstrap_se(data0, data1, config, n_boot=args.bootstrap, seed=args.seed,
+                        workers=args.workers)
     payload = {**quantities, "bootstrap_se": dict(boot.ses),
                "n_boot": args.bootstrap, "boot_failed": boot.n_failed}
     lines = ["quantity,estimate,bootstrap_se"] + [

@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import EstimationError
 from .registry import EstimatorConfig, fit
-from .seeding import derive_seed, generator
+from .seeding import derive_seed, generator, processes, run_tasks
 
 __all__ = [
     "DecompositionConfig",
@@ -111,34 +111,44 @@ def _resample(data: Dataset, seed: int) -> Dataset:
     return data.take(rows)
 
 
+def _bootstrap_chunk(task) -> list:
+    """Replicates [start, stop): each one's quantities, None where it failed."""
+    data0, data1, config, seed, start, stop = task
+    out = []
+    for b in range(start, stop):
+        r0 = _resample(data0, derive_seed(seed, "bootstrap:group0", b))
+        r1 = _resample(data1, derive_seed(seed, "bootstrap:group1", b))
+        try:
+            out.append(decompose(r0, r1, config).quantities())
+        except EstimationError:
+            out.append(None)
+    return out
+
+
 def bootstrap_se(
     data0: Dataset,
     data1: Dataset,
     config: DecompositionConfig | None = None,
     n_boot: int = 200,
     seed: int = 0,
+    workers: int = 1,
 ) -> BootstrapSummary:
     """Row-resampling bootstrap, independent within each group.
 
     SEs are sample standard deviations of each reported quantity over the
     successful replications; failed replications are counted and excluded.
+    The replicates run as contiguous chunks, about 8 per process used, on
+    ``workers`` processes of which the caller is one (``seeding.run_tasks``);
+    each replicate's resamples are keyed by its index, and the results are
+    joined in replicate order, so the SEs do not depend on ``workers``.
     """
     if n_boot < 2:
         raise EstimationError("bootstrap failed")
     config = config or DecompositionConfig()
-    draws: dict[str, list] = {}
-    failed = 0
-    for b in range(n_boot):
-        r0 = _resample(data0, derive_seed(seed, "bootstrap:group0", b))
-        r1 = _resample(data1, derive_seed(seed, "bootstrap:group1", b))
-        try:
-            values = decompose(r0, r1, config).quantities()
-        except EstimationError:
-            failed += 1
-            continue
-        for key, value in values.items():
-            draws.setdefault(key, []).append(float(value))
-    if n_boot - failed < 2:
+    chunks = np.array_split(np.arange(n_boot), min(n_boot, 8 * processes(workers)))
+    tasks = [(data0, data1, config, seed, int(c[0]), int(c[-1]) + 1) for c in chunks]
+    ok = [q for chunk in run_tasks(_bootstrap_chunk, tasks, workers) for q in chunk if q is not None]
+    if len(ok) < 2:
         raise EstimationError("bootstrap failed")
-    ses = {k: float(np.std(np.asarray(v), ddof=1)) for k, v in draws.items()}
-    return BootstrapSummary(ses=ses, n_failed=failed)
+    ses = {k: float(np.std(np.asarray([float(q[k]) for q in ok]), ddof=1)) for k in ok[0]}
+    return BootstrapSummary(ses=ses, n_failed=n_boot - len(ok))

@@ -9,8 +9,9 @@ cross-estimator comparisons common-random-number comparisons.
 Estimators are ``registry.EstimatorConfig`` records, and ``run_cell``,
 ``run_table`` and ``rate_check`` take nothing else; each is one dispatch of
 its cells.  The engine is cell-major: each draw is simulated once and every
-estimator of its cell runs on it, and the reps of all cells go to the
-worker pool as contiguous chunks in one map.  A chunk runs in blocks of
+estimator of its cell runs on it, and the reps of all cells go as
+contiguous chunks to one ``seeding.run_tasks`` call, whose ``workers``
+processes count the caller as one.  A chunk runs in blocks of
 draws, and each estimator runs over a whole ``registry.Block`` in one
 ``registry.fit_thetas`` call, the block fit that ``registry.fit`` runs on
 one dataset.  A draw whose fit fails is NaN in its row and counts as a
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
@@ -31,7 +30,7 @@ from .dgp import DgpSpec, simulate
 from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
 from .registry import Block, EstimatorConfig, fit_thetas
-from .seeding import derive_seed
+from .seeding import derive_seed, processes, run_tasks
 
 __all__ = [
     "CellStats",
@@ -184,26 +183,20 @@ def _run_cells(cells, reps, base_seed, workers):
     """CellStats of every (spec, estimators) cell, as ``stats[cell][estimator]``.
 
     Each cell's reps are split into contiguous chunks, about 4 tasks per
-    worker over all cells, and all chunks go out in one map on a pool of
-    ``workers`` processes (fewer if there are fewer tasks or usable CPUs),
-    or run in this process when ``workers`` is 1.
+    process used over all cells (``seeding.processes``: ``workers``, capped
+    at the usable CPUs), and all chunks go to one ``seeding.run_tasks`` call.
+    The caller is one of its processes, so nothing is forked when
+    ``workers`` is 1.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    per_cell = min(reps, -(-4 * workers // len(cells)))
+    per_cell = min(reps, -(-4 * processes(workers) // len(cells)))
     tasks = [
         (spec, tuple(estimators), base_seed, int(c[0]), int(c[-1]) + 1)
         for spec, estimators in cells
         for c in np.array_split(np.arange(reps), per_cell)
     ]
-    if workers > 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus or 1)) as pool:
-            chunks = list(pool.map(_run_chunk, tasks))
-    else:
-        chunks = [_run_chunk(t) for t in tasks]
+    chunks = run_tasks(_run_chunk, tasks, workers)
     return [
         [_collect(row, spec.theta0, spec.n)
          for row in np.hstack(chunks[c * per_cell:(c + 1) * per_cell])]
@@ -257,7 +250,7 @@ def run_table(plan: TablePlan, base_seed: int, workers: int = 1) -> MonteCarloRe
     """Compute every cell of the plan; deterministic for fixed base_seed.
 
     Cell-major: each draw is simulated once and every estimator of the plan
-    runs on it; the whole table is one dispatch to the worker pool.
+    runs on it; the whole table is one ``seeding.run_tasks`` dispatch.
     """
     keys = [(rho, alpha) for rho in plan.rhos for alpha in plan.alphas]
     cells = [(DgpSpec(plan.family, plan.n, rho=rho, alpha=alpha), plan.estimators)

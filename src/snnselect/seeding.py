@@ -1,15 +1,20 @@
-"""Hash-derived seeds and the counter-based (Philox) generator they key.
+"""Hash-derived seeds, the counter-based (Philox) generator they key, and the
+process pool that runs seeded tasks.
 
 Every random stream (simulated draws, bootstrap resamples) is keyed by a seed
 hashed from its coordinates, so no stream depends on scheduling or on another.
+That is what lets ``run_tasks`` spread tasks over processes in any order and
+still return what one process would.
 """
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator"]
+__all__ = ["derive_seed", "generator", "processes", "run_tasks"]
 
 
 def derive_seed(base_seed: int, label: str, rep: int) -> int:
@@ -20,3 +25,44 @@ def derive_seed(base_seed: int, label: str, rep: int) -> int:
 
 def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+
+
+def processes(workers: int) -> int:
+    """The processes ``workers`` can use: at most the CPUs this process may
+    run on (``os.sched_getaffinity``, else ``os.cpu_count``).  Callers size
+    their chunks by it."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
+
+
+def run_tasks(fn, tasks, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order, on ``min(workers, len(tasks),
+    usable CPUs)`` processes, the calling process being one of them.
+
+    With one process nothing is forked.  Otherwise every task goes to a pool
+    of one process fewer, and the caller walks the tasks from the end,
+    taking back (``Future.cancel``) and running each one no worker holds yet,
+    until it meets one a worker holds; the pool then has the rest.  So
+    unequal tasks balance themselves.  ``fn`` and the tasks must pickle.  An
+    exception from any task propagates after the pool has stopped.  The pool
+    uses the platform's default start method; where that is fork (Linux),
+    workers start without importing numpy and scipy again.
+    """
+    tasks = list(tasks)
+    procs = min(processes(workers), len(tasks))
+    if procs <= 1:
+        return [fn(task) for task in tasks]
+    results = [None] * len(tasks)
+    pool = ProcessPoolExecutor(max_workers=procs - 1)
+    try:
+        futures = [pool.submit(fn, task) for task in tasks]
+        held = len(tasks)
+        while held and futures[held - 1].cancel():
+            held -= 1
+            results[held] = fn(tasks[held])
+        results[:held] = [future.result() for future in futures[:held]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results

@@ -1,5 +1,6 @@
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -133,6 +134,25 @@ class TestBootstrap:
         ols = DecompositionConfig(EstimatorConfig("ols"))
         with pytest.raises(EstimationError, match="bootstrap failed"):
             bootstrap_se(sparse, d0, ols, n_boot=5, seed=8)
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # five selected rows in group 0: a resample that holds fewer than
+        # three of them cannot fit OLS's (1, x1, x2), so some replicates fail
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        d0 = group_sample(200, 1.0, seed=76)
+        d = np.zeros(d0.n)
+        d[np.flatnonzero(d0.d)[:5]] = 1.0
+        sparse = make_data(d, d0.y * d, d0.X, d0.Z)
+        ols = DecompositionConfig(EstimatorConfig("ols"))
+        runs = [bootstrap_se(sparse, d0, ols, n_boot=30, seed=8, workers=w) for w in (1, 2, 3)]
+        assert 0 < runs[0].n_failed < 28
+        assert [r.n_failed for r in runs[1:]] == [runs[0].n_failed] * 2
+        assert all(repr(r.ses) == repr(runs[0].ses) for r in runs[1:])
+
+    def test_workers_below_one_rejected(self):
+        d0 = group_sample(200, 1.0, seed=75)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            bootstrap_se(d0, d0, FAST, n_boot=2, seed=7, workers=0)
 
     def test_identity_holds_in_every_replication(self, monkeypatch):
         d0 = group_sample(500, 1.0, seed=77)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -464,7 +465,8 @@ class TestCli:
         ["mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "2", "--rho", "0", "--alpha", "2",
          "--estimator", "ols"],
         ["rate-check", "--ns", "50,100,200", "--reps", "2", "--estimator", "ols"],
-    ], ids=["mc-table", "rate-check"])
+        ["decompose", "data.csv", *_SIM_COLUMNS, "--group-col", "g", "--estimator", "ols"],
+    ], ids=["mc-table", "rate-check", "decompose"])
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_workers_below_one_exit_1(self, capsys, argv, workers):
         assert cli_main([*argv, "--workers", workers]) == 1
@@ -544,6 +546,16 @@ class TestCli:
         identity = payload["component_A"] + payload["component_B"] + payload["component_C"]
         assert payload["gap_overall"] == pytest.approx(identity, abs=1e-12)
         assert payload["n_boot"] == 12
+
+    def test_decompose_json_same_bytes_at_any_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        p = grouped_sim_csv(tmp_path / "sim.csv", 400)
+        argv = ["decompose", str(p), *_SIM_COLUMNS, "--group-col", "g", "--nuisance", "probit",
+                "--bootstrap", "10", "--seed", "4", "--format", "json"]
+        outs = [tmp_path / f"w{w}.json" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert cli_main(argv + ["--workers", str(w), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_decompose_csv_is_csv_of_the_json_values(self, tmp_path):
         p = grouped_sim_csv(tmp_path / "sim.csv", 400)

@@ -1,11 +1,12 @@
 import math
 import os
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from snnselect import baselines, montecarlo, nuisance
+from snnselect import baselines, montecarlo, nuisance, seeding
 from snnselect.baselines import TailRule
 from snnselect.dgp import DgpSpec
 from snnselect.estimator import BandwidthRule
@@ -131,6 +132,29 @@ class TestRunTable:
         a = run_table(plan, base_seed=37, workers=1)
         b = run_table(plan, base_seed=37, workers=4)
         assert a.panels == b.panels
+
+    def test_chunks_follow_the_processes_used(self, monkeypatch):
+        # about 4 tasks per process used, min(workers, usable CPUs); no
+        # chunking changes a panel
+        plan = TablePlan("dgp1", 50, [EstimatorConfig(method="snn")], rhos=(0.0, 0.95),
+                         alphas=(2.0,), reps=12)
+        counts = []
+        real = montecarlo.run_tasks
+
+        def counted(fn, tasks, workers):
+            counts.append(len(tasks))
+            return real(fn, tasks, workers)
+
+        monkeypatch.setattr(montecarlo, "run_tasks", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        serial = repr(run_table(plan, base_seed=37, workers=1).panels)
+        for workers in (2, 8, 32):
+            assert repr(run_table(plan, base_seed=37, workers=workers).panels) == serial
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert repr(run_table(plan, base_seed=37, workers=32).panels) == serial
+        # 2 cells of 12 reps: ceil(4 * procs / 2) chunks per cell
+        assert counts == [4, 8, 8, 8, 4, 12]
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
@@ -425,37 +449,52 @@ class TestRateCheck:
 
     def test_one_pool_for_all_sizes(self, monkeypatch):
         pools = []
-        real = montecarlo.ProcessPoolExecutor
+        real = seeding.ProcessPoolExecutor
 
         def counted(*args, **kwargs):
             pools.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counted)
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=4, base_seed=5, workers=2)
         assert len(pools) == 1
 
     def test_pool_size_capped_by_tasks_and_cpus(self, monkeypatch):
-        # 3 sizes x 4 reps make 12 tasks; the fake pool maps in this process
-        sizes = []
+        # 3 sizes x 4 reps make 12 tasks at 3 or more processes (6 at one).
+        # The fake pool runs the first task it is given at once, in this
+        # process, and leaves the rest pending, so the caller takes back and
+        # runs the other 11.
+        sizes, pool_ran, chunks_run = [], [], []
+        real_chunk = montecarlo._run_chunk
+
+        def counted_chunk(task):
+            chunks_run.append(task)
+            return real_chunk(task)
 
         class InProcessPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                self.futures = []
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, task):
+                future = Future()
+                if not self.futures:
+                    future.set_running_or_notify_cancel()
+                    future.set_result(fn(task))
+                    pool_ran.append(task)
+                self.futures.append(future)
+                return future
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                assert cancel_futures
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo, "_run_chunk", counted_chunk)
         run = lambda workers: rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS,
                                          reps=4, base_seed=5, workers=workers)
         serial = run(1)
+        assert sizes == [] and len(chunks_run) == 6
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
         assert run(64) == serial
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -463,7 +502,10 @@ class TestRateCheck:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert run(64) == serial
-        assert sizes == [12, 3, 5]
+        # procs - 1 workers: procs is 12 (tasks), then 3 and 5 (CPUs)
+        assert sizes == [11, 2, 4]
+        # each pool held one task and the caller ran the other 11
+        assert len(pool_ran) == 3 and len(chunks_run) == 6 + 3 * 12
 
     def test_worker_count_does_not_change_results(self):
         spec = DgpSpec("dgp1", 100, rho=0.5)

@@ -1,0 +1,70 @@
+import multiprocessing
+import os
+import time
+
+import pytest
+
+from snnselect import seeding
+from snnselect.seeding import run_tasks
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def _fail_in(task):
+    """Sleeps, then raises in the process whose pid is ``task[0]``."""
+    pid, delay = task
+    time.sleep(delay)
+    if os.getpid() == pid:
+        raise RuntimeError("task failed in the caller")
+
+
+def _fail_outside(pid):
+    """Sleeps, then raises in any process but ``pid``."""
+    time.sleep(0.02)
+    if os.getpid() != pid:
+        raise RuntimeError("task failed in a worker")
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_task_order(self, three_cpus, workers):
+        out = run_tasks(_square_and_pid, range(20), workers)
+        assert [value for value, _ in out] == [x * x for x in range(20)]
+        pids = {pid for _, pid in out}
+        # the caller is one of at most min(workers, 3 CPUs) processes
+        assert os.getpid() in pids and len(pids) <= min(workers, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_one_process_forks_nothing(self, three_cpus, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(seeding, "ProcessPoolExecutor", no_pool)
+        assert run_tasks(abs, [-1, 2, -3], 1) == [1, 2, 3]
+        assert run_tasks(abs, [-4], 3) == [4]  # one task needs one process
+        assert run_tasks(abs, [], 3) == []
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_tasks(abs, [1], workers)
+
+    def test_caller_exception_propagates_and_pool_stops(self, three_cpus):
+        # the caller runs the last task, which fails; the worker's pass
+        tasks = [(os.getpid(), 0.01)] * 6
+        with pytest.raises(RuntimeError, match="in the caller"):
+            run_tasks(_fail_in, tasks, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_propagates_and_pool_stops(self, three_cpus):
+        # the worker holds the first task, which fails; the caller's pass
+        with pytest.raises(RuntimeError, match="in a worker"):
+            run_tasks(_fail_outside, [os.getpid()] * 6, 2)
+        assert multiprocessing.active_children() == []
