@@ -3,12 +3,13 @@ parametric correction, and the two tail-mean estimators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .data import Dataset
-from .estimator import InterceptEstimate, InterceptRows, _one_row, residualized_outcome
+from .estimator import InterceptEstimate, _one_row, residualized_outcome
 from .exceptions import EstimationError
 from .numerics import inverse_mills, normal_pdf
 
@@ -50,40 +51,68 @@ class TailRule:
             raise ValueError("tau quantile must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
+    """One OLS fit; ``_ols_rows`` returns the same record with each field
+    stacked over its R rows."""
+
     theta: float
     beta: np.ndarray
     std_errors: np.ndarray  # for (intercept, beta)
 
 
-@dataclass(frozen=True)
-class TwoStepFit:
+class TwoStepFit(NamedTuple):
+    """One two-step fit; ``_two_step_rows`` returns the same record with each
+    field stacked over its R rows."""
+
     theta: float
     beta: np.ndarray
     lambda_coef: float
 
 
-def _lstsq_full_rank(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < A.shape[1]:
-        raise EstimationError("singular design")
-    return coef
+def _ls_rows(D: np.ndarray, A: np.ndarray, Y: np.ndarray):
+    """Least squares of each row of Y (R, n) on its design A (R, n, p) over
+    the row's selected observations (D = 1), with classical standard errors:
+    one SVD of the stacked design, each row's unselected observations zeroed.
+
+    A row's rank counts its singular values above eps * max(m, p) * s_max,
+    m its selected count, which is ``lstsq``'s rule on the selected rows.
+    Returns (coef, std_errors, errors): both (R, p), and errors mapping a
+    row with m <= p or a rank below p to its message.
+    """
+    p = A.shape[2]
+    m = np.count_nonzero(D, axis=1)
+    A = A * D[:, :, None]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > (np.finfo(float).eps * np.maximum(m, p) * s[:, 0])[:, None]
+    # V / s: coef = (V / s) U'y, and (A'A)^-1 = (V / s)(V / s)'
+    Vs = Vt.swapaxes(1, 2) * np.divide(1.0, s, out=np.zeros(s.shape), where=keep)[:, None, :]
+    DY = D * Y
+    coef = (Vs @ (U.swapaxes(1, 2) @ DY[:, :, None]))[:, :, 0]
+    resid = DY - (A @ coef[:, :, None])[:, :, 0]
+    s2 = np.vecdot(resid, resid) / np.maximum(m - p, 1)
+    std_errors = np.sqrt(s2[:, None] * np.vecdot(Vs, Vs))
+    errors = dict.fromkeys(np.flatnonzero(keep.sum(axis=1) < p), "singular design")
+    errors.update(dict.fromkeys(np.flatnonzero(m <= p), "insufficient selected observations"))
+    return coef, std_errors, errors
+
+
+def _with_intercept(*columns: np.ndarray) -> np.ndarray:
+    """The (R, n, p) design: a column of ones, then the (R, n, .) columns."""
+    return np.concatenate([np.ones(columns[0].shape[:2] + (1,)), *columns], axis=2)
+
+
+def _ols_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """OLS of each row of Y (R, n) on (1, X) over its selected observations;
+    returns (OlsFit of stacked fields, errors)."""
+    coef, std_errors, errors = _ls_rows(D, _with_intercept(X), Y)
+    return OlsFit(coef[:, 0], coef[:, 1:], std_errors), errors
 
 
 def ols_selected(data: Dataset) -> OlsFit:
-    """Least squares of y on (1, X) over the selected subsample."""
-    sel = data.selected()
-    m = int(sel.sum())
-    if m <= data.k + 1:
-        raise EstimationError("insufficient selected observations")
-    A = np.column_stack([np.ones(m), data.X[sel]])
-    coef = _lstsq_full_rank(A, data.y[sel])
-    resid = data.y[sel] - A @ coef
-    dof = max(m - A.shape[1], 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
-    return OlsFit(theta=float(coef[0]), beta=coef[1:], std_errors=np.sqrt(np.diag(cov)))
+    """Least squares of y on (1, X) over the selected subsample.  This is
+    the one-row call of ``_ols_rows``, the stacked body the Monte Carlo
+    engine runs on R samples at once."""
+    return _one_row(*_ols_rows(data.d[None], data.X[None], data.y[None]))
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -195,25 +224,32 @@ def probit_mle(d: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return G[0]
 
 
+def _two_step_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
+                   G: np.ndarray | None = None):
+    """The two-step of each row of D and Y (R, n), X (R, n, k), Z (R, n, l):
+    the stacked probit of D on Z, unless its (R, l) estimates ``G`` are
+    given, then least squares of Y on (1, X, lambda(Z gamma)) over the
+    selected observations.  A row whose probit failed is fitted on a zero
+    gamma and named "probit failed".  Returns (TwoStepFit of stacked
+    fields, errors)."""
+    failed = np.zeros(len(D), dtype=bool)
+    if G is None:
+        G, failed = _probit_newton(D, Z)
+        G[failed] = 0.0
+    lam = inverse_mills((Z @ G[:, :, None])[:, :, 0])
+    coef, _, errors = _ls_rows(D, _with_intercept(X, lam[:, :, None]), Y)
+    errors.update(dict.fromkeys(np.flatnonzero(failed), "probit failed"))
+    return TwoStepFit(coef[:, 0], coef[:, 1:-1], coef[:, -1]), errors
+
+
 def heckman_two_step(data: Dataset, gamma: np.ndarray | None = None) -> TwoStepFit:
     """Two-step correction: probit of d on Z, then least squares of y on
     (1, X, lambda(Z'gamma)) over the selected subsample.  A given ``gamma``
     is taken as the probit's estimate on this sample, and the probit is not
-    run again."""
-    if gamma is None:
-        gamma = probit_mle(data.d, data.Z)
-    lam = inverse_mills(data.Z @ gamma)
-    sel = data.selected()
-    m = int(sel.sum())
-    if m <= data.k + 2:
-        raise EstimationError("insufficient selected observations")
-    A = np.column_stack([np.ones(m), data.X[sel], lam[sel]])
-    coef = _lstsq_full_rank(A, data.y[sel])
-    return TwoStepFit(
-        theta=float(coef[0]),
-        beta=coef[1:-1],
-        lambda_coef=float(coef[-1]),
-    )
+    run again.  This is the one-row call of ``_two_step_rows``, the stacked
+    body the Monte Carlo engine runs on R samples at once."""
+    G = None if gamma is None else np.asarray(gamma, dtype=float)[None]
+    return _one_row(*_two_step_rows(data.d[None], data.X[None], data.y[None], data.Z[None], G))
 
 
 def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, tau: np.ndarray):
@@ -221,7 +257,8 @@ def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, ta
     ramp of span tau (tau = 0 gives the hard threshold 1{index > b_n}),
     with b_n the ``rule.quantile`` sample quantile of the index, for each
     row of the (R, n) arrays and its span in ``tau`` (R,).  Returns
-    (InterceptRows, errors), errors mapping a failed row to its message."""
+    (InterceptEstimate of stacked fields, errors), errors mapping a failed
+    row to its message."""
     b_n = np.quantile(idx, rule.quantile, axis=1)
     wd = D * smooth_tail_weight(idx - b_n[:, None], tau[:, None])
     total = wd.sum(axis=1)
@@ -233,7 +270,7 @@ def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, ta
     resid2 = (W - theta[:, None]) ** 2
     neff = total * total / np.maximum(np.vecdot(wd, wd), 1e-300)
     var = np.vecdot(wd, resid2) / total / np.maximum(neff, 1.0)
-    rows = InterceptRows(
+    rows = InterceptEstimate(
         theta=theta,
         std_error=np.sqrt(np.maximum(var, 0.0)),
         bandwidth=np.full(len(theta), 1.0 - rule.quantile),

@@ -69,8 +69,10 @@ class BandwidthRule:
         return cls("plugin", float(scale))
 
 
-@dataclass(frozen=True)
-class InterceptEstimate:
+class InterceptEstimate(NamedTuple):
+    """One intercept fit; a stacked body returns the same record with each
+    field stacked over its R rows."""
+
     theta: float
     std_error: float
     bandwidth: float
@@ -94,26 +96,12 @@ def undersmoothing_bandwidth(n: int, p: int = 2, c: float = 0.5) -> float:
     return c * float(n) ** (-1.0 / (2 * p + 1))
 
 
-class InterceptRows(NamedTuple):
-    """The fields of ``InterceptEstimate`` for R fits at once, each an (R,)
-    array; the stacked body that returns it names its failed rows."""
-
-    theta: np.ndarray
-    std_error: np.ndarray
-    bandwidth: np.ndarray
-    effective_n: np.ndarray
-
-
-def _one_row(rows: InterceptRows, errors: dict) -> InterceptEstimate:
-    """A stacked body's R = 1 result: its estimate, or its error raised."""
+def _one_row(rows: NamedTuple, errors: dict):
+    """A stacked body's R = 1 result: its record with row 0 of each field (a
+    Python scalar for a field of one value per row), or its error raised."""
     if errors:
         raise EstimationError(errors[0])
-    return InterceptEstimate(
-        theta=float(rows.theta[0]),
-        std_error=float(rows.std_error[0]),
-        bandwidth=float(rows.bandwidth[0]),
-        effective_n=int(rows.effective_n[0]),
-    )
+    return rows._make(value[0] if value.ndim > 1 else value[0].item() for value in rows)
 
 
 def _local_linear_solve(t: np.ndarray, K: np.ndarray, W: np.ndarray):
@@ -158,8 +146,8 @@ def _window_bandwidth(t: np.ndarray, h: float) -> float:
 
 def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
     """The snn fit of each row of the (R, n) ranks, index values and W;
-    returns (InterceptRows, errors), errors mapping a failed row to its
-    EstimationError message.
+    returns (InterceptEstimate of stacked fields, errors), errors mapping a
+    failed row to its EstimationError message.
 
     Each row runs the same arithmetic as its R = 1 call: whole-row products
     are ``vecdot`` and ``sum(axis=1)`` over contiguous rows.  The rare
@@ -187,7 +175,7 @@ def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
     ksum = np.where(degenerate, 1.0, K.sum(axis=1))
     sigma2 = np.vecdot(K, resid * resid) / ksum
     se = np.sqrt(np.maximum(sigma2, 0.0) * np.vecdot(w, w))
-    return InterceptRows(theta, se, h, np.count_nonzero(K > 0.0, axis=1)), errors
+    return InterceptEstimate(theta, se, h, np.count_nonzero(K > 0.0, axis=1)), errors
 
 
 def snn_intercept(

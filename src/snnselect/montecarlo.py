@@ -47,8 +47,9 @@ __all__ = [
 DEFAULT_RHOS = (0.0, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_ALPHAS = (2.00, 1.50, 1.25, 1.00)
 # A block of draws holds at most this many rows (at least one draw), which
-# bounds the memory of a stacked first stage at any n.  No estimate depends
-# on how the draws are blocked.
+# bounds the memory of the stacked probit and of the stacked least squares
+# of OLS and the second stage at any n.  No estimate depends on how the
+# draws are blocked.
 _BLOCK_ROWS = 2 ** 16
 
 

@@ -4,14 +4,13 @@ the one function that runs it.
 ``METHODS`` is the one list of valid method names; ``EstimatorConfig`` the
 one settings record.  ``fit_thetas`` runs a config over a ``Block`` of
 same-shaped datasets, and ``fit`` is that block fit on one dataset.  A
-method's ``fit(block, cfg)`` returns its rows and {row: reason}: snn, h90
-and as98 in one stacked pass, the two-step's first stage in one stacked
-solve, and OLS and the second stage one dataset at a time.  OLS and the
-two-step estimate their own slopes and fit no nuisance.  One failure rule,
-in ``_fit_block``, names each row's reason, and no fit is rerun.  The adapters
-reach the stacked bodies and the nuisance fit through their modules, so
-that rebinding a module attribute (as a profiler or a test does) reaches
-every call.
+method's ``fit(block, cfg)`` returns its stacked rows and {row: reason}
+from one stacked pass; OLS and the two-step's second stage share one
+masked least-squares body.  OLS and the two-step estimate their own slopes
+and fit no nuisance.  One failure rule, in ``_fit_block``, names each row's
+reason, and no fit is rerun.  The adapters reach the stacked bodies and the
+nuisance fit through their modules, so that rebinding a module attribute
+(as a profiler or a test does) reaches every call.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ def _snn_fit(block, cfg):
         rows, errors = estimator._snn_rows(block.ranks(cfg.nuisance), arrays["index"],
                                            arrays["residuals"], cfg.kernel_order, cfg.bandwidth)
     except EstimationError as exc:  # the plug-in below 30 observations fails every row
-        rows = estimator.InterceptRows(*[np.full(len(block), math.nan)] * 4)
+        rows = estimator.InterceptEstimate(*[np.full(len(block), math.nan)] * 4)
         errors = dict.fromkeys(range(len(block)), str(exc))
     return rows, {**errors, **flat}
 
@@ -63,38 +62,6 @@ def _h90_fit(block, cfg):
 def _as98_fit(block, cfg):
     arrays = block.under(cfg.nuisance)
     return baselines._as98_rows(block.D, arrays["index"], arrays["residuals"], cfg.tail)
-
-
-class _Fits(NamedTuple):
-    """A method's rows fitted one dataset at a time: each result (None where
-    it failed) and their stacked thetas and SEs (a filler in a failed row)."""
-
-    fit: list
-    theta: np.ndarray  # (R,)
-    std_errors: np.ndarray | None  # (R, m); None for results without them
-
-
-def _each(block, fit_one, errors: dict):
-    """``fit_one(i)`` on each dataset i of the block that has no reason in
-    ``errors`` yet; returns (_Fits, errors)."""
-    fits = [None] * len(block)
-    for i in range(len(block)):
-        if i not in errors:
-            try:
-                fits[i] = fit_one(i)
-            except EstimationError as exc:
-                errors[i] = str(exc)
-    ses = [fit.std_errors for fit in fits if hasattr(fit, "std_errors")]
-    std_errors = np.stack([getattr(fit, "std_errors", ses[0]) for fit in fits]) if ses else None
-    return _Fits(fits, np.array([getattr(fit, "theta", math.nan) for fit in fits]), std_errors), errors
-
-
-def _heckman_fit(block, cfg):
-    """The probit of every dataset in one stacked solve, then each second
-    stage on its dataset's probit gamma."""
-    G, failed = baselines._probit_newton(block.D, block.Z)
-    return _each(block, lambda i: baselines.heckman_two_step(block.datasets[i], G[i]),
-                 dict.fromkeys(np.flatnonzero(failed), "probit failed"))
 
 
 def _fields(*names):
@@ -119,9 +86,10 @@ METHODS: dict[str, Method] = {
                   _snn_fit),
     "ols": Method(False, lambda fit: {"theta": fit.theta, "std_error": float(fit.std_errors[0])},
                   lambda cfg: "ols",
-                  lambda block, cfg: _each(block, lambda i: baselines.ols_selected(block.datasets[i]), {})),
+                  lambda block, cfg: baselines._ols_rows(block.D, block.X, block.Y)),
     "heckman": Method(False, lambda fit: {"theta": fit.theta, "lambda_coef": fit.lambda_coef},
-                      lambda cfg: "heckman", _heckman_fit),
+                      lambda cfg: "heckman",
+                      lambda block, cfg: baselines._two_step_rows(block.D, block.X, block.Y, block.Z)),
     "h90": Method(True, _TAIL_FIELDS, _tail_label("h90"), _h90_fit),
     "as98": Method(True, _TAIL_FIELDS, _tail_label("as98"), _as98_fit),
 }
@@ -173,9 +141,7 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     """
     fitted = {} if fitted is None else fitted
     rows, reasons = _fit_block(Block([data], [fitted]), config)
-    if reasons[0] is not None:
-        raise EstimationError(reasons[0])
-    result = rows.fit[0] if isinstance(rows, _Fits) else estimator._one_row(rows, {})
+    result = estimator._one_row(rows, {} if reasons[0] is None else {0: reasons[0]})
     return result, (fitted[config.nuisance][0] if METHODS[config.method].needs_nuisance else result.beta)
 
 
@@ -211,6 +177,14 @@ class Block:
     def Z(self) -> np.ndarray:
         return _stacked([data.Z for data in self.datasets])
 
+    @cached_property
+    def X(self) -> np.ndarray:
+        return _stacked([data.X for data in self.datasets])
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        return _stacked([data.y for data in self.datasets])
+
     def under(self, key) -> dict:
         """The block's arrays under the nuisance ``key``, where each row has
         its own dataset's (beta, gamma) from ``fitted[key]``.  A missing
@@ -237,11 +211,9 @@ class Block:
                     errors[i] = str(fitted[key])
                 else:
                     B[i], G[i] = fitted[key]
-            X = _stacked([data.X for data in self.datasets])
-            Y = _stacked([data.y for data in self.datasets])
             self._under[key] = {"errors": errors, "gamma": G,
                                 "index": (self.Z @ G[:, :, None])[:, :, 0],
-                                "residuals": self.D * (Y - (X @ B[:, :, None])[:, :, 0])}
+                                "residuals": self.D * (self.Y - (self.X @ B[:, :, None])[:, :, 0])}
         return self._under[key]
 
     def ranks(self, key) -> np.ndarray:

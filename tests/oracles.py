@@ -10,6 +10,7 @@ import csv
 import math
 
 import numpy as np
+from scipy import special
 
 
 def eta_hat_bruteforce(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -166,3 +167,35 @@ def save_csv_cellwise(path, data, schema) -> None:
         for i in range(data.n):
             row = [data.d[i], data.y[i], *data.X[i], *data.Z[i]]
             writer.writerow([format(float(x), ".17g") for x in row])
+
+
+def _lstsq_on_selected(data, A):
+    """``lstsq`` of y on the design A over the selected rows, full rank or
+    the reason it is refused; the classical SEs from inv(A'A)."""
+    sel = data.selected()
+    A, y = A[sel], data.y[sel]
+    if len(y) <= A.shape[1]:
+        return None, None, "insufficient selected observations"
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < A.shape[1]:
+        return None, None, "singular design"
+    resid = y - A @ coef
+    s2 = float(resid @ resid) / max(len(y) - A.shape[1], 1)
+    return coef, np.sqrt(np.diag(s2 * np.linalg.inv(A.T @ A))), None
+
+
+def ols_lstsq(data):
+    """OLS of y on (1, X) over the selected subsample, one draw through
+    ``lstsq``: (coef, std_errors, reason), the arrays None when refused."""
+    return _lstsq_on_selected(data, np.column_stack([np.ones(data.n), data.X]))
+
+
+def two_step_lstsq(data, gamma):
+    """The two-step's second stage on a first-stage ``gamma`` (None when the
+    probit failed), one draw through ``lstsq``: (coef, reason), coef
+    (intercept, beta, lambda coefficient)."""
+    if gamma is None:
+        return None, "probit failed"
+    lam = math.sqrt(2.0 / math.pi) / special.erfcx(-(data.Z @ gamma) / math.sqrt(2.0))
+    coef, _, reason = _lstsq_on_selected(data, np.column_stack([np.ones(data.n), data.X, lam]))
+    return coef, reason

@@ -26,13 +26,22 @@ OLS = EstimatorConfig(method="ols")
 
 
 def _stub_ols(monkeypatch, theta_of):
-    """Make the registered ols method estimate theta_of(data).
+    """Make the registered ols method estimate theta_of(data) on each
+    dataset of a block, failing a row where it raises EstimationError.
 
-    The registry reaches ols_selected through its module at call time, so
-    this holds for runs in this process (workers=1).
+    The registry looks its methods up at call time, so this holds for runs
+    in this process (workers=1).
     """
-    monkeypatch.setattr(baselines, "ols_selected",
-                        lambda data: SimpleNamespace(theta=theta_of(data), beta=None))
+    def fit(block, cfg):
+        theta, errors = np.full(len(block), math.nan), {}
+        for i, data in enumerate(block.datasets):
+            try:
+                theta[i] = theta_of(data)
+            except EstimationError as exc:
+                errors[i] = str(exc)
+        return SimpleNamespace(theta=theta), errors
+
+    monkeypatch.setitem(METHODS, "ols", METHODS["ols"]._replace(fit=fit))
 
 
 def _fails(data):

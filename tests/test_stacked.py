@@ -7,13 +7,14 @@ the block fit is checked against the public R = 1 calls: over a block,
 ``fit_thetas`` gives each dataset's R = 1 theta, NaN exactly where the
 failure rule written out in ``_reference`` finds a reason, and ``fit``
 raises that reason, for every method, without calling the R = 1 functions
-or ``fit`` for the stacked methods."""
+or ``fit``."""
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from oracles import ols_lstsq, two_step_lstsq
 from snnselect import baselines, estimator, nuisance, registry
 from snnselect.baselines import (
     TailRule,
@@ -24,6 +25,7 @@ from snnselect.baselines import (
     h90_intercept,
     heckman_two_step,
     ols_selected,
+    probit_mle,
 )
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
@@ -104,7 +106,7 @@ def _reference(data, config, generating):
     if message is not None:
         return None, message
     for name in ("theta", "std_error", "std_errors"):
-        if name in vars(result) and not np.isfinite(getattr(result, name)).all():
+        if getattr(result, name, None) is not None and not np.isfinite(getattr(result, name)).all():
             return None, f"non-finite {name}"
     return result, None
 
@@ -239,7 +241,7 @@ def _counted(monkeypatch, targets):
 
 
 _BODIES = ((estimator, "_snn_rows"), (baselines, "_tail_rows"), (baselines, "_as98_rows"),
-           (baselines, "_probit_newton"))
+           (baselines, "_ols_rows"), (baselines, "_two_step_rows"))
 
 
 class TestFitThetas:
@@ -373,15 +375,13 @@ class TestFitThetasContract:
         bodies = _counted(monkeypatch, _BODIES)
         scalar = _counted(monkeypatch, [(baselines, "probit_mle"), (estimator, "snn_intercept"),
                                         (baselines, "h90_intercept"), (baselines, "as98_intercept"),
-                                        (baselines, "ols_selected"), (registry, "fit")])
+                                        (baselines, "ols_selected"), (baselines, "heckman_two_step"),
+                                        (registry, "fit")])
         messages = set()
         for config in self.CONFIGS:
             del bodies[:], scalar[:]
             thetas = fit_thetas(block, config)
-            if config.method == "ols":
-                assert bodies == [] and scalar == ["ols_selected"] * len(block)
-            else:
-                assert len(bodies) == 1 and scalar == [], config
+            assert len(bodies) == 1 and scalar == [], config
             # this module's R = 1 functions and ``fit`` are the functions,
             # not the counted rebindings
             messages.update(_assert_block_fit(thetas, datasets, config, generating))
@@ -407,6 +407,76 @@ class TestFitThetasContract:
             assert registry._fit_block(block, config)[1][i] == want
 
 
+class TestLeastSquaresOracle:
+    """OLS and the two-step's rows, after the failure rule, against the
+    ``lstsq`` fits of one draw at a time in ``oracles``: on 2080 dgp1 and
+    dgp2 draws at n = 25 and 100 and on ``_failing_block``'s rows, the same
+    reason in every row, and each coefficient and OLS standard error within
+    1e-11 * max(1, |value|) where the row stands."""
+
+    @staticmethod
+    def _blocks():
+        cells = [(0.0, 2.0), (0.5, 1.5), (0.95, 1.0), (0.5, 2.0)]
+        for family in ("dgp1", "dgp2"):
+            for n in (25, 100):
+                draws = [simulate(DgpSpec(family, n, rho=rho, alpha=alpha, seed=seed))
+                         for rho, alpha in cells for seed in range(130)]
+                yield [draw.dataset for draw in draws]
+        _, datasets, _ = _failing_block(100)
+        base = datasets[0]
+        X = base.X.copy()
+        X[:, 3] = X[:, 2]
+        yield datasets + [dataclasses.replace(base, X=X)]  # collinear slopes
+
+    @staticmethod
+    def _oracle(data):
+        """{method: (coefficients with the SEs, reason)} by the oracles."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef, se, reason = ols_lstsq(data)
+            gamma, _ = _alone(probit_mle, data.d, data.Z)
+            two_step, two_step_reason = two_step_lstsq(data, gamma)
+        if reason is None and not math.isfinite(coef[0]):
+            reason = "non-finite theta"
+        elif reason is None and not np.isfinite(se).all():
+            reason = "non-finite std_errors"
+        if two_step_reason is None and not math.isfinite(two_step[0]):
+            two_step_reason = "non-finite theta"
+        return {"ols": (None if reason else np.concatenate([coef, se]), reason),
+                "heckman": (two_step, two_step_reason)}
+
+    def test_rows_match_lstsq(self):
+        seen = {"ols": set(), "heckman": set()}
+        draws = 0
+        for datasets in self._blocks():
+            block = Block(datasets, [{} for _ in datasets])
+            oracle = [self._oracle(data) for data in datasets]
+            for method in ("ols", "heckman"):
+                rows, reasons = registry._fit_block(block, EstimatorConfig(method))
+                got = np.column_stack([rows.theta, *([rows.beta, rows.std_errors] if method == "ols"
+                                                     else [rows.beta, rows.lambda_coef])])
+                for i, (reason, (want, want_reason)) in enumerate(zip(reasons, (o[method] for o in oracle))):
+                    assert reason == want_reason, (method, i)
+                    seen[method].add(reason)
+                    if reason is None:
+                        err = np.abs(got[i] - want) / np.maximum(1.0, np.abs(want))
+                        assert err.max() <= 1e-11, (method, i, err.max())
+            draws += len(datasets)
+        assert draws >= 2000 + 12
+        assert seen["ols"] >= {None, "insufficient selected observations", "singular design",
+                               "non-finite std_errors"}
+        # the two-step reports no standard error, so none fails its row
+        assert seen["heckman"] >= {None, "insufficient selected observations", "singular design",
+                                   "probit failed"}
+        assert not any(reason and "std_err" in reason for reason in seen["heckman"])
+
+    def test_scaled_row_fails_ols_only_on_its_standard_errors(self):
+        names, datasets, _ = _failing_block(100)
+        block = Block(datasets, [{} for _ in datasets])
+        i = names.index("scaled")
+        assert registry._fit_block(block, EstimatorConfig("ols"))[1][i] == "non-finite std_errors"
+        assert registry._fit_block(block, EstimatorConfig("heckman"))[1][i] is None
+
+
 class TestFitIsTheBlockFit:
     """``fit`` runs the block fit on a block of one dataset: one stacked body
     call, no public R = 1 call, and the nuisance stored in ``fitted``."""
@@ -416,8 +486,8 @@ class TestFitIsTheBlockFit:
         (EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3), nuisance="probit"), "_snn_rows"),
         (EstimatorConfig("h90"), "_tail_rows"),
         (EstimatorConfig("as98", nuisance="probit"), "_as98_rows"),
-        (EstimatorConfig("heckman"), "_probit_newton"),
-        (EstimatorConfig("ols"), None),
+        (EstimatorConfig("heckman"), "_two_step_rows"),
+        (EstimatorConfig("ols"), "_ols_rows"),
     ])
     def test_one_body_call_and_no_r1_call(self, config, body, monkeypatch):
         draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=4))
@@ -426,12 +496,9 @@ class TestFitIsTheBlockFit:
         bodies = _counted(monkeypatch, _BODIES)
         scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (baselines, "h90_intercept"),
                                         (baselines, "as98_intercept"), (baselines, "probit_mle"),
-                                        (baselines, "ols_selected")])
+                                        (baselines, "ols_selected"), (baselines, "heckman_two_step")])
         result, _ = fit(draw.dataset, config, fitted)
-        if body is None:
-            assert bodies == [] and scalar == ["ols_selected"]
-        else:
-            assert bodies == [body] and scalar == [], config
+        assert bodies == [body] and scalar == [], config
         want, _ = _reference(draw.dataset, config, fitted[None])
         assert np.float64(result.theta).tobytes() == np.float64(want.theta).tobytes()
 
