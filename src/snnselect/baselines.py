@@ -11,7 +11,7 @@ from scipy import special
 from .data import Dataset
 from .estimator import InterceptEstimate, _one_row, residualized_outcome
 from .exceptions import EstimationError
-from .numerics import inverse_mills, normal_pdf
+from .numerics import _ls_rows, inverse_mills, normal_pdf
 
 __all__ = [
     "TailRule",
@@ -69,33 +69,6 @@ class TwoStepFit(NamedTuple):
     lambda_coef: float
 
 
-def _ls_rows(D: np.ndarray, A: np.ndarray, Y: np.ndarray):
-    """Least squares of each row of Y (R, n) on its design A (R, n, p) over
-    the row's selected observations (D = 1), with classical standard errors:
-    one SVD of the stacked design, each row's unselected observations zeroed.
-
-    A row's rank counts its singular values above eps * max(m, p) * s_max,
-    m its selected count, which is ``lstsq``'s rule on the selected rows.
-    Returns (coef, std_errors, errors): both (R, p), and errors mapping a
-    row with m <= p or a rank below p to its message.
-    """
-    p = A.shape[2]
-    m = np.count_nonzero(D, axis=1)
-    A = A * D[:, :, None]
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > (np.finfo(float).eps * np.maximum(m, p) * s[:, 0])[:, None]
-    # V / s: coef = (V / s) U'y, and (A'A)^-1 = (V / s)(V / s)'
-    Vs = Vt.swapaxes(1, 2) * np.divide(1.0, s, out=np.zeros(s.shape), where=keep)[:, None, :]
-    DY = D * Y
-    coef = (Vs @ (U.swapaxes(1, 2) @ DY[:, :, None]))[:, :, 0]
-    resid = DY - (A @ coef[:, :, None])[:, :, 0]
-    s2 = np.vecdot(resid, resid) / np.maximum(m - p, 1)
-    std_errors = np.sqrt(s2[:, None] * np.vecdot(Vs, Vs))
-    errors = dict.fromkeys(np.flatnonzero(keep.sum(axis=1) < p), "singular design")
-    errors.update(dict.fromkeys(np.flatnonzero(m <= p), "insufficient selected observations"))
-    return coef, std_errors, errors
-
-
 def _with_intercept(*columns: np.ndarray) -> np.ndarray:
     """The (R, n, p) design: a column of ones, then the (R, n, .) columns."""
     return np.concatenate([np.ones(columns[0].shape[:2] + (1,)), *columns], axis=2)
@@ -104,7 +77,7 @@ def _with_intercept(*columns: np.ndarray) -> np.ndarray:
 def _ols_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """OLS of each row of Y (R, n) on (1, X) over its selected observations;
     returns (OlsFit of stacked fields, errors)."""
-    coef, std_errors, errors = _ls_rows(D, _with_intercept(X), Y)
+    coef, _, std_errors, errors = _ls_rows(D, _with_intercept(X), Y)
     return OlsFit(coef[:, 0], coef[:, 1:], std_errors), errors
 
 
@@ -224,32 +197,26 @@ def probit_mle(d: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return G[0]
 
 
-def _two_step_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
-                   G: np.ndarray | None = None):
+def _two_step_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray):
     """The two-step of each row of D and Y (R, n), X (R, n, k), Z (R, n, l):
-    the stacked probit of D on Z, unless its (R, l) estimates ``G`` are
-    given, then least squares of Y on (1, X, lambda(Z gamma)) over the
-    selected observations.  A row whose probit failed is fitted on a zero
-    gamma and named "probit failed".  Returns (TwoStepFit of stacked
-    fields, errors)."""
-    failed = np.zeros(len(D), dtype=bool)
-    if G is None:
-        G, failed = _probit_newton(D, Z)
-        G[failed] = 0.0
+    the stacked probit of D on Z, then least squares of Y on (1, X,
+    lambda(Z gamma)) over the selected observations.  A row whose probit
+    failed is fitted on a zero gamma and named "probit failed".  Returns
+    (TwoStepFit of stacked fields, errors)."""
+    G, failed = _probit_newton(D, Z)
+    G[failed] = 0.0
     lam = inverse_mills((Z @ G[:, :, None])[:, :, 0])
-    coef, _, errors = _ls_rows(D, _with_intercept(X, lam[:, :, None]), Y)
+    coef, _, _, errors = _ls_rows(D, _with_intercept(X, lam[:, :, None]), Y)
     errors.update(dict.fromkeys(np.flatnonzero(failed), "probit failed"))
     return TwoStepFit(coef[:, 0], coef[:, 1:-1], coef[:, -1]), errors
 
 
-def heckman_two_step(data: Dataset, gamma: np.ndarray | None = None) -> TwoStepFit:
+def heckman_two_step(data: Dataset) -> TwoStepFit:
     """Two-step correction: probit of d on Z, then least squares of y on
-    (1, X, lambda(Z'gamma)) over the selected subsample.  A given ``gamma``
-    is taken as the probit's estimate on this sample, and the probit is not
-    run again.  This is the one-row call of ``_two_step_rows``, the stacked
-    body the Monte Carlo engine runs on R samples at once."""
-    G = None if gamma is None else np.asarray(gamma, dtype=float)[None]
-    return _one_row(*_two_step_rows(data.d[None], data.X[None], data.y[None], data.Z[None], G))
+    (1, X, lambda(Z'gamma)) over the selected subsample.  This is the
+    one-row call of ``_two_step_rows``, the stacked body the Monte Carlo
+    engine runs on R samples at once."""
+    return _one_row(*_two_step_rows(data.d[None], data.X[None], data.y[None], data.Z[None]))
 
 
 def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, tau: np.ndarray):

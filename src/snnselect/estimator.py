@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import EstimationError
-from .numerics import eval_kernel, kernel_l2, kernel_moment
+from .numerics import _ls_rows, eval_kernel, kernel_l2, kernel_moment
 from .ranks import eta_hat
 
 __all__ = [
@@ -150,9 +150,9 @@ def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
     failed row to its EstimationError message.
 
     Each row runs the same arithmetic as its R = 1 call: whole-row products
-    are ``vecdot`` and ``sum(axis=1)`` over contiguous rows.  The rare
-    branches run one row at a time: the plug-in's polynomial pilot, where
-    the tail gate passes, and the widening of a window with one rank.
+    are ``vecdot`` and ``sum(axis=1)`` over contiguous rows, and the
+    plug-in's polynomial pilot is one stacked least-squares fit.  The only
+    branch run one row at a time is the widening of a window with one rank.
     """
     t = eta - 1.0
     errors = {}
@@ -203,24 +203,6 @@ def snn_intercept(
                                rule or BandwidthRule.plug_in()))
 
 
-def _polynomial_pilot(t: np.ndarray, W: np.ndarray, degree: int):
-    """Global least-squares polynomial fit of W on t.
-
-    Returns (coef, sigma2, se_top) where ``se_top`` is the classical standard
-    error of the leading (degree-th) coefficient.
-    """
-    T = np.vander(t, degree + 1, increasing=True)
-    coef, _, rank, _ = np.linalg.lstsq(T, W, rcond=None)
-    if rank < degree + 1:
-        return coef, float("nan"), float("inf")
-    resid = W - T @ coef
-    dof = max(t.shape[0] - (degree + 1), 1)
-    sigma2 = float(resid @ resid) / dof
-    gram_inv = np.linalg.inv(T.T @ T)
-    se_top = math.sqrt(max(sigma2 * gram_inv[degree, degree], 0.0))
-    return coef, sigma2, se_top
-
-
 def _upper_tail_ratio(idx: np.ndarray) -> np.ndarray:
     """Spread of the upper tail relative to the upper shoulder of the index,
     per row of idx (R, n).
@@ -265,31 +247,33 @@ def _plug_in_from_ranks(
 
     The tail-ratio gate needs only the index, so it is checked, for all rows
     at once, before the polynomial pilot: when it fails, the pilot could not
-    change the result.  The pilot runs one row at a time.
+    change the result.  One ``_ls_rows`` call fits the pilot of every row
+    whose tail gate passed; a row where that fit is singular (too few
+    distinct ranks) gets the clamp.
     """
-    if t.shape[1] < 30:
+    n = t.shape[1]
+    if n < 30:
         raise EstimationError("insufficient sample")
-    h = np.full(t.shape[0], BANDWIDTH_CLAMP[1])
-    for r in np.flatnonzero(_upper_tail_ratio(idx) <= _TAIL_RATIO_MAX):  # a NaN ratio fails too
-        h[r] = _pilot_bandwidth(t[r], W[r], p, scale)
-    return h
-
-
-def _pilot_bandwidth(t: np.ndarray, W: np.ndarray, p: int, scale: float) -> float:
-    """The plug-in bandwidth of one row whose tail gate passed: the formula
-    from its polynomial pilot, or the clamp if the pilot's curvature is
-    insignificant."""
     lo, hi = BANDWIDTH_CLAMP
-    coef, sigma2, se_top = _polynomial_pilot(t, W, p)
-    c_top = float(coef[p])
-    if not (math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > _CURVATURE_Z * se_top):
-        return hi
-    m_p = math.factorial(p) * c_top
+    h = np.full(t.shape[0], hi)
+    rows = np.flatnonzero(_upper_tail_ratio(idx) <= _TAIL_RATIO_MAX)  # a NaN ratio fails too
+    if rows.size == 0:
+        return h
+    # the columns (1, t, ..., t^p) by np.vander's running product
+    T = np.empty((rows.size, n, p + 1))
+    T[:, :, 0] = 1.0
+    T[:, :, 1:] = t[rows, :, None]
+    np.multiply.accumulate(T[:, :, 1:], axis=2, out=T[:, :, 1:])
+    coef, sigma2, se, errors = _ls_rows(np.ones((rows.size, n)), T, W[rows])
+    c_top, se_top = coef[:, p], se[:, p]
+    curved = np.isfinite(se_top) & (se_top > 0.0) & (np.abs(c_top) > _CURVATURE_Z * se_top)
+    curved[list(errors)] = False
+    # the formula, on the rows whose curvature is significant only
+    m_p = math.factorial(p) * c_top[curved]
+    num = (math.factorial(p) ** 2) * np.maximum(sigma2[curved], 0.0) * kernel_l2(p)
     kappa = kernel_moment(p, p)
-    rk = kernel_l2(p)
-    num = (math.factorial(p) ** 2) * max(sigma2, 0.0) * rk
-    den = 2.0 * p * kappa * kappa * m_p * m_p * t.shape[0]
-    if den <= 0.0 or num <= 0.0:
-        return hi
-    h = scale * (num / den) ** (1.0 / (2 * p + 1))
-    return float(min(max(h, lo), hi))
+    den = 2.0 * p * kappa * kappa * m_p * m_p * n
+    ok = (den > 0.0) & (num > 0.0)
+    h_star = scale * (num[ok] / den[ok]) ** (1.0 / (2 * p + 1))
+    h[rows[curved][ok]] = np.minimum(np.maximum(h_star, lo), hi)
+    return h

@@ -1,7 +1,10 @@
-"""Smoothing kernels, their exact moments, and Gaussian special functions.
+"""Smoothing kernels, their exact moments, Gaussian special functions, and
+the one stacked least-squares body.
 
-Everything here is a pure function of its arguments and safe to call
-concurrently.
+``_ls_rows`` fits every least-squares problem of the package: OLS on the
+selected subsample, the two-step's second stage and the plug-in
+bandwidth's polynomial pilot.  Everything here is a pure function of its
+arguments and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -104,3 +107,31 @@ def inverse_mills(t):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _ls_rows(D: np.ndarray, A: np.ndarray, Y: np.ndarray):
+    """Least squares of each row of Y (R, n) on its design A (R, n, p) over
+    the row's selected observations (D = 1), with classical standard errors:
+    one SVD of the stacked design, each row's unselected observations zeroed.
+
+    A row's rank counts its singular values above eps * max(m, p) * s_max,
+    m its selected count, which is ``lstsq``'s rule on the selected rows.
+    Returns (coef, s2, std_errors, errors): coef and std_errors (R, p), s2
+    (R,) the residual variance on m - p degrees of freedom (at least 1), and
+    errors mapping a row with m <= p or a rank below p to its message.
+    """
+    p = A.shape[2]
+    m = np.count_nonzero(D, axis=1)
+    A = A * D[:, :, None]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > (np.finfo(float).eps * np.maximum(m, p) * s[:, 0])[:, None]
+    # V / s: coef = (V / s) U'y, and (A'A)^-1 = (V / s)(V / s)'
+    Vs = Vt.swapaxes(1, 2) * np.divide(1.0, s, out=np.zeros(s.shape), where=keep)[:, None, :]
+    DY = D * Y
+    coef = (Vs @ (U.swapaxes(1, 2) @ DY[:, :, None]))[:, :, 0]
+    resid = DY - (A @ coef[:, :, None])[:, :, 0]
+    s2 = np.vecdot(resid, resid) / np.maximum(m - p, 1)
+    std_errors = np.sqrt(s2[:, None] * np.vecdot(Vs, Vs))
+    errors = dict.fromkeys(np.flatnonzero(keep.sum(axis=1) < p), "singular design")
+    errors.update(dict.fromkeys(np.flatnonzero(m <= p), "insufficient selected observations"))
+    return coef, s2, std_errors, errors

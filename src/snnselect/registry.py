@@ -5,10 +5,11 @@ the one function that runs it.
 one settings record.  ``fit_thetas`` runs a config over a ``Block`` of
 same-shaped datasets, and ``fit`` is that block fit on one dataset.  A
 method's ``fit(block, cfg)`` returns its stacked rows and {row: reason}
-from one stacked pass; OLS and the two-step's second stage share one
-masked least-squares body.  OLS and the two-step estimate their own slopes
-and fit no nuisance.  One failure rule, in ``_fit_block``, names each row's
-reason, and no fit is rerun.  The adapters reach the stacked bodies and the
+from one stacked pass; OLS, the two-step's second stage and snn's plug-in
+pilot share one stacked least-squares body, ``numerics._ls_rows``.  OLS
+and the two-step estimate their own slopes and fit no nuisance.  One
+failure rule, in ``_fit_block``, adds to that dict each row's reason, and
+no fit is rerun.  The adapters reach the stacked bodies and the
 nuisance fit through their modules, so that rebinding a module attribute
 (as a profiler or a test does) reaches every call.
 """
@@ -140,8 +141,7 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     EstimationError("non-finite <quantity>"); no fit returns one.
     """
     fitted = {} if fitted is None else fitted
-    rows, reasons = _fit_block(Block([data], [fitted]), config)
-    result = estimator._one_row(rows, {} if reasons[0] is None else {0: reasons[0]})
+    result = estimator._one_row(*_fit_block(Block([data], [fitted]), config))
     return result, (fitted[config.nuisance][0] if METHODS[config.method].needs_nuisance else result.beta)
 
 
@@ -225,28 +225,29 @@ class Block:
 
 
 def _fit_block(block: Block, config: EstimatorConfig):
-    """The method's rows over the block, and the failure rule: each row's
-    reason, an (R,) object array that is None where the row's fit stands.
-    The first that applies wins: the row's stored nuisance error, the
-    method's error, a non-finite theta, a non-finite standard error."""
+    """The method's rows over the block, and the failure rule: {row: reason}
+    for every row whose fit does not stand.  The first that applies wins:
+    the row's stored nuisance error, the method's error, a non-finite
+    theta, a non-finite standard error."""
     method = METHODS[config.method]
     with np.errstate(over="ignore", invalid="ignore"):
         stored = block.under(config.nuisance)["errors"] if method.needs_nuisance else {}
         rows, errors = method.fit(block, config)
     errors = {**errors, **stored}
-    reasons = np.full(len(block), None, dtype=object)
-    reasons[list(errors)] = list(errors.values())
     for name in ("theta", "std_error", "std_errors"):
         value = getattr(rows, name, None)
         if value is not None:
             finite = np.isfinite(value).reshape(len(block), -1).all(axis=1)
-            reasons = np.where(np.equal(reasons, None) & ~finite, f"non-finite {name}", reasons)
-    return rows, reasons
+            for row in np.flatnonzero(~finite):
+                errors.setdefault(row, f"non-finite {name}")
+    return rows, errors
 
 
 def fit_thetas(block: Block, config: EstimatorConfig) -> np.ndarray:
     """``fit(block.datasets[i], config, block.fitted[i])[0].theta`` for
     every i, NaN where that raises EstimationError: one block fit of every
     dataset, with no fit rerun."""
-    rows, reasons = _fit_block(block, config)
-    return np.where(np.equal(reasons, None), rows.theta, math.nan)
+    rows, errors = _fit_block(block, config)
+    thetas = np.array(rows.theta, dtype=float)
+    thetas[list(errors)] = math.nan
+    return thetas

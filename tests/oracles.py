@@ -199,3 +199,42 @@ def two_step_lstsq(data, gamma):
     lam = math.sqrt(2.0 / math.pi) / special.erfcx(-(data.Z @ gamma) / math.sqrt(2.0))
     coef, _, reason = _lstsq_on_selected(data, np.column_stack([np.ones(data.n), data.X, lam]))
     return coef, reason
+
+
+def polynomial_pilot(t: np.ndarray, W: np.ndarray, degree: int):
+    """Global least-squares polynomial fit of W on t through ``lstsq``.
+
+    Returns (coef, sigma2, se_top) where ``se_top`` is the classical standard
+    error of the leading (degree-th) coefficient from inv(T'T); a rank
+    deficient fit gives sigma2 NaN and se_top inf.
+    """
+    T = np.vander(t, degree + 1, increasing=True)
+    coef, _, rank, _ = np.linalg.lstsq(T, W, rcond=None)
+    if rank < degree + 1:
+        return coef, float("nan"), float("inf")
+    resid = W - T @ coef
+    dof = max(t.shape[0] - (degree + 1), 1)
+    sigma2 = float(resid @ resid) / dof
+    gram_inv = np.linalg.inv(T.T @ T)
+    se_top = math.sqrt(max(sigma2 * gram_inv[degree, degree], 0.0))
+    return coef, sigma2, se_top
+
+
+def pilot_bandwidth(t: np.ndarray, W: np.ndarray, p: int, scale: float,
+                    clamp: tuple[float, float] = (0.05, 2.0), z: float = 3.5):
+    """The plug-in bandwidth of one row whose tail gate passed, one scalar
+    step at a time from ``polynomial_pilot``: (h, formula), ``formula``
+    False where the pilot's curvature is insignificant (|c_p| <= z * se) or
+    the formula's terms are not positive, and h then the upper clamp."""
+    lo, hi = clamp
+    coef, sigma2, se_top = polynomial_pilot(t, W, p)
+    c_top = float(coef[p])
+    if not (math.isfinite(se_top) and se_top > 0.0 and abs(c_top) > z * se_top):
+        return hi, False
+    kappa = 0.2 if p == 2 else -1.0 / 21.0
+    l2 = 0.6 if p == 2 else 1.25
+    num = (math.factorial(p) ** 2) * max(sigma2, 0.0) * l2
+    den = 2.0 * p * kappa * kappa * (math.factorial(p) * c_top) ** 2 * t.shape[0]
+    if den <= 0.0 or num <= 0.0:
+        return hi, False
+    return min(max(scale * (num / den) ** (1.0 / (2 * p + 1)), lo), hi), True

@@ -205,11 +205,6 @@ class TestHeckmanTwoStep:
         with pytest.raises(EstimationError, match="probit failed"):
             heckman_two_step(data)
 
-    def test_given_gamma_is_the_first_stage(self):
-        data = probit_sample(500, [1.0, 0.5], seed=34)
-        gamma = probit_mle(data.d, data.Z)
-        assert repr(heckman_two_step(data, gamma)) == repr(heckman_two_step(data))
-
     def test_lambda_constrained_to_zero_is_ols(self):
         # dropping the correction column reduces step 2 to selected-sample OLS
         data = probit_sample(500, [1.0, 0.5], seed=30)

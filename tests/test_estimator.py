@@ -255,27 +255,28 @@ class TestPlugInBandwidth:
         def no_pilot(*args):
             raise AssertionError("pilot fitted after the tail gate failed")
 
-        monkeypatch.setattr(estimator, "_polynomial_pilot", no_pilot)
+        monkeypatch.setattr(estimator, "_ls_rows", no_pilot)
         draw = simulate(DgpSpec("dgp2", 200, rho=0.5, alpha=1.5, seed=3))
         h = plug_in_h(draw.dataset, draw.beta0, draw.gamma0)
         assert h == BANDWIDTH_CLAMP[1]
 
     def test_both_gates_pass_gives_formula_via_pilot(self, monkeypatch):
         pilots = []
-        real = estimator._polynomial_pilot
+        real = estimator._ls_rows
 
         def counted(*args):
             pilots.append(real(*args))
             return pilots[-1]
 
-        monkeypatch.setattr(estimator, "_polynomial_pilot", counted)
+        monkeypatch.setattr(estimator, "_ls_rows", counted)
         data = uniform_index_data(5000, lambda q: (q - 1.0) ** 2, 1.0, seed=17)
         h = plug_in_h(data, np.zeros(1), np.array([1.0]))
         lo, hi = BANDWIDTH_CLAMP
         assert lo < h < hi and len(pilots) == 1
         # the formula with the exact kernel constants (kappa_2 = 0.2, IntK2 = 0.6)
-        coef, sigma2, _ = pilots[0]
-        oracle = mse_optimal_bandwidth(sigma2=sigma2, m_p=2.0 * coef[2], n=data.n)
+        coef, sigma2, _, errors = pilots[0]
+        assert coef.shape == (1, 3) and not errors
+        oracle = mse_optimal_bandwidth(sigma2=sigma2[0], m_p=2.0 * coef[0, 2], n=data.n)
         assert h == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_small_sample_precondition(self):

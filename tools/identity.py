@@ -39,6 +39,12 @@ PLANS = {
         [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.05))]
         + _FIVE[1:],
         rhos=(0.5,), alphas=(2.0, 1.0), reps=30), 0),
+    # CI's dgp1 n=100 table, where some draws fit the plug-in's polynomial pilot
+    "dgp1-pilot": (TablePlan(
+        "dgp1", 100,
+        [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3)),
+         EstimatorConfig("h90"), EstimatorConfig("as98")],
+        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
 }
 
 
