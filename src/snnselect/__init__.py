@@ -2,15 +2,7 @@
 smoothing, plus baseline estimators, simulation designs, a deterministic
 Monte Carlo harness, and a two-group decomposition with bootstrap SEs."""
 
-from .baselines import (
-    TailRule,
-    as98_intercept,
-    h90_intercept,
-    heckman_two_step,
-    ols_selected,
-    probit_mle,
-    smooth_tail_weight,
-)
+from .baselines import TailRule, probit_mle, smooth_tail_weight
 from .data import Dataset
 from .decompose import (
     BootstrapSummary,
@@ -25,7 +17,6 @@ from .estimator import (
     BandwidthRule,
     InterceptEstimate,
     residualized_outcome,
-    snn_intercept,
     undersmoothing_bandwidth,
 )
 from .exceptions import DataError, EstimationError, SnnSelectError
@@ -56,7 +47,14 @@ from .nuisance import (
     silverman_bandwidth,
 )
 from .ranks import eta_hat
-from .registry import EstimatorConfig
+from .registry import (
+    EstimatorConfig,
+    as98_intercept,
+    h90_intercept,
+    heckman_two_step,
+    ols_selected,
+    snn_intercept,
+)
 from .seeding import derive_seed
 
 __version__ = "0.1.0"

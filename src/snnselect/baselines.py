@@ -1,5 +1,7 @@
 """Comparison estimators: OLS on the selected subsample, the two-step
-parametric correction, and the two tail-mean estimators."""
+parametric correction, and the two tail-mean estimators, each a body that
+fits R samples of one n at once.  ``registry.fit`` runs them, and
+``registry.ols_selected`` and its siblings are that fit on one sample."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,8 +10,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .data import Dataset
-from .estimator import InterceptEstimate, _one_row, residualized_outcome
+from .estimator import InterceptEstimate
 from .exceptions import EstimationError
 from .numerics import _ls_rows, inverse_mills, normal_pdf
 
@@ -17,11 +18,7 @@ __all__ = [
     "TailRule",
     "OlsFit",
     "TwoStepFit",
-    "ols_selected",
     "probit_mle",
-    "heckman_two_step",
-    "h90_intercept",
-    "as98_intercept",
     "smooth_tail_weight",
 ]
 
@@ -79,13 +76,6 @@ def _ols_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray):
     returns (OlsFit of stacked fields, errors)."""
     coef, _, std_errors, errors = _ls_rows(D, _with_intercept(X), Y)
     return OlsFit(coef[:, 0], coef[:, 1:], std_errors), errors
-
-
-def ols_selected(data: Dataset) -> OlsFit:
-    """Least squares of y on (1, X) over the selected subsample.  This is
-    the one-row call of ``_ols_rows``, the stacked body the Monte Carlo
-    engine runs on R samples at once."""
-    return _one_row(*_ols_rows(data.d[None], data.X[None], data.y[None]))
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -211,14 +201,6 @@ def _two_step_rows(D: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray):
     return TwoStepFit(coef[:, 0], coef[:, 1:-1], coef[:, -1]), errors
 
 
-def heckman_two_step(data: Dataset) -> TwoStepFit:
-    """Two-step correction: probit of d on Z, then least squares of y on
-    (1, X, lambda(Z'gamma)) over the selected subsample.  This is the
-    one-row call of ``_two_step_rows``, the stacked body the Monte Carlo
-    engine runs on R samples at once."""
-    return _one_row(*_two_step_rows(data.d[None], data.X[None], data.y[None], data.Z[None]))
-
-
 def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, tau: np.ndarray):
     """Mean of the selection-masked residuals weighted by s(index - b_n), the
     ramp of span tau (tau = 0 gives the hard threshold 1{index > b_n}),
@@ -244,18 +226,6 @@ def _tail_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule, ta
         effective_n=np.count_nonzero(wd > 0.0, axis=1),
     )
     return rows, dict.fromkeys(np.flatnonzero(empty), "empty tail")
-
-
-def h90_intercept(
-    data: Dataset, beta: np.ndarray, gamma: np.ndarray, rule: TailRule | None = None
-) -> InterceptEstimate:
-    """Mean of the selection-masked residuals over the selected upper tail
-    of the index (hard threshold at the ``rule.quantile`` sample quantile):
-    the tau = 0 case of ``as98_intercept``'s weighting.  This is the one-row
-    call of ``_tail_rows``, the stacked body the Monte Carlo engine runs on
-    R samples at once."""
-    return _one_row(*_tail_rows(data.d[None], (data.Z @ gamma)[None],
-                                residualized_outcome(data, beta)[None], rule or TailRule(), np.zeros(1)))
 
 
 def smooth_tail_weight(u, tau):
@@ -311,16 +281,3 @@ def _as98_rows(D: np.ndarray, idx: np.ndarray, W: np.ndarray, rule: TailRule):
     quantile of the row's selected index values.  A row without a selected
     observation has no tau, and its tail is empty."""
     return _tail_rows(D, idx, W, rule, _selected_quantile(idx, D > 0.5, rule.tau_quantile))
-
-
-def as98_intercept(
-    data: Dataset, beta: np.ndarray, gamma: np.ndarray, rule: TailRule | None = None
-) -> InterceptEstimate:
-    """Smooth-weighted tail mean: weights s(index - b_n) ramp from 0 to 1
-    over a span tau set to the ``rule.tau_quantile`` quantile of the index
-    over the selected subsample (only selected observations carry weight).
-    tau <= 0 reduces to the hard-threshold tail mean.  This is the one-row
-    call of ``_as98_rows``, the stacked body the Monte Carlo engine runs on
-    R samples at once."""
-    return _one_row(*_as98_rows(data.d[None], (data.Z @ gamma)[None],
-                                residualized_outcome(data, beta)[None], rule or TailRule()))

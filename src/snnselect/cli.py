@@ -307,26 +307,27 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
-    """Run one command and write the text it returns, once, to stdout or --out."""
+    """Run one command and write the text it returns, once, to stdout or --out.
+    A file that cannot be read or written (OSError) is an input error."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         text = _COMMANDS[args.command](args)
+        if text is not None:  # None: the command wrote its own file
+            text = text if text.endswith("\n") else text + "\n"
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                args.out.write_text(text, encoding="utf-8")
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
-    except (EstimationError,) as exc:
+    except EstimationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if text is not None:  # None: the command wrote its own file
-        text = text if text.endswith("\n") else text + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            args.out.write_text(text, encoding="utf-8")
     return 0
 
 

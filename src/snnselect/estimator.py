@@ -4,7 +4,8 @@ The intercept of the outcome equation is estimated as the level, at rank one,
 of a locally linear fit of the selection-masked residuals on the rank
 transform of the selection index.  The local fit is anchored at the upper
 boundary of the rank scale, where the probability of selection approaches
-one.
+one.  ``_snn_rows`` fits R samples of one n at once; ``registry.fit`` runs
+it, and ``registry.snn_intercept`` is that fit on one sample.
 """
 from __future__ import annotations
 
@@ -17,13 +18,11 @@ import numpy as np
 from .data import Dataset
 from .exceptions import EstimationError
 from .numerics import _ls_rows, eval_kernel, kernel_l2, kernel_moment
-from .ranks import eta_hat
 
 __all__ = [
     "BandwidthRule",
     "InterceptEstimate",
     "residualized_outcome",
-    "snn_intercept",
     "undersmoothing_bandwidth",
     "BANDWIDTH_CLAMP",
 ]
@@ -94,14 +93,6 @@ def undersmoothing_bandwidth(n: int, p: int = 2, c: float = 0.5) -> float:
     if c <= 0:
         raise ValueError("c must be positive")
     return c * float(n) ** (-1.0 / (2 * p + 1))
-
-
-def _one_row(rows: NamedTuple, errors: dict):
-    """A stacked body's R = 1 result: its record with row 0 of each field (a
-    Python scalar for a field of one value per row), or its error raised."""
-    if errors:
-        raise EstimationError(errors[0])
-    return rows._make(value[0] if value.ndim > 1 else value[0].item() for value in rows)
 
 
 def _local_linear_solve(t: np.ndarray, K: np.ndarray, W: np.ndarray):
@@ -176,31 +167,6 @@ def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
     sigma2 = np.vecdot(K, resid * resid) / ksum
     se = np.sqrt(np.maximum(sigma2, 0.0) * np.vecdot(w, w))
     return InterceptEstimate(theta, se, h, np.count_nonzero(K > 0.0, axis=1)), errors
-
-
-def snn_intercept(
-    data: Dataset,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    kernel_order: int = 2,
-    rule: BandwidthRule | None = None,
-) -> InterceptEstimate:
-    """Locally linear boundary estimate of the outcome intercept.
-
-    With ranks eta_i and t_i = eta_i - 1, solves the kernel-weighted least
-    squares fit of W on (1, t) and returns the level at t = 0.  The standard
-    error is sqrt(sigma2(1) * sum(w_i^2)) with w the equivalent intercept
-    weights and sigma2(1) the kernel-weighted mean squared residual of the
-    local fit; for h -> 0 this is the finite-sample version of
-    sigma2(1) * Int K^2 / (n h).  ``kernel_order`` is one of
-    ``numerics.KERNEL_ORDERS``.  This is the one-row call of ``_snn_rows``,
-    the stacked body the Monte Carlo engine runs on R samples at once.
-    """
-    eta = eta_hat(data.Z, gamma)
-    idx = data.Z @ gamma
-    W = residualized_outcome(data, beta)
-    return _one_row(*_snn_rows(eta[None], idx[None], W[None], kernel_order,
-                               rule or BandwidthRule.plug_in()))
 
 
 def _upper_tail_ratio(idx: np.ndarray) -> np.ndarray:

@@ -3,15 +3,17 @@ the one function that runs it.
 
 ``METHODS`` is the one list of valid method names; ``EstimatorConfig`` the
 one settings record.  ``fit_thetas`` runs a config over a ``Block`` of
-same-shaped datasets, and ``fit`` is that block fit on one dataset.  A
-method's ``fit(block, cfg)`` returns its stacked rows and {row: reason}
+same-shaped datasets, and ``fit`` is that block fit on one dataset; the
+five public estimators (``snn_intercept``, ``ols_selected``,
+``heckman_two_step``, ``h90_intercept``, ``as98_intercept``) are ``fit``.
+A method's ``fit(block, cfg)`` returns its stacked rows and {row: reason}
 from one stacked pass; OLS, the two-step's second stage and snn's plug-in
 pilot share one stacked least-squares body, ``numerics._ls_rows``.  OLS
 and the two-step estimate their own slopes and fit no nuisance.  One
 failure rule, in ``_fit_block``, adds to that dict each row's reason, and
-no fit is rerun.  The adapters reach the stacked bodies and the
-nuisance fit through their modules, so that rebinding a module attribute
-(as a profiler or a test does) reaches every call.
+no fit is rerun.  The adapters reach the stacked bodies and the nuisance
+fit through their modules, so that rebinding a module attribute (as a
+profiler or a test does) reaches every call.
 """
 from __future__ import annotations
 
@@ -23,12 +25,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, estimator, nuisance, ranks
-from .baselines import TailRule
-from .estimator import BandwidthRule
+from .baselines import OlsFit, TailRule, TwoStepFit
+from .data import Dataset
+from .estimator import BandwidthRule, InterceptEstimate
 from .exceptions import EstimationError
 from .numerics import _check_order
 
-__all__ = ["Method", "METHODS", "EstimatorConfig", "Block", "fit", "fit_thetas"]
+__all__ = [
+    "Method", "METHODS", "EstimatorConfig", "Block", "fit", "fit_thetas",
+    "snn_intercept", "ols_selected", "heckman_two_step", "h90_intercept", "as98_intercept",
+]
 
 
 class Method(NamedTuple):
@@ -41,8 +47,8 @@ class Method(NamedTuple):
 
 
 def _snn_fit(block, cfg):
-    """snn's stacked body, after the check that ``eta_hat`` makes before the
-    R = 1 call's body: a zero gamma is a "degenerate index"."""
+    """snn's stacked body, after the check that ``eta_hat`` makes: a zero
+    gamma is a "degenerate index"."""
     arrays = block.under(cfg.nuisance)
     flat = dict.fromkeys(np.flatnonzero(~arrays["gamma"].any(axis=1)), "degenerate index")
     try:
@@ -141,8 +147,65 @@ def fit(data, config: EstimatorConfig, fitted: dict | None = None):
     EstimationError("non-finite <quantity>"); no fit returns one.
     """
     fitted = {} if fitted is None else fitted
-    result = estimator._one_row(*_fit_block(Block([data], [fitted]), config))
+    result = _one_row(*_fit_block(Block([data], [fitted]), config))
     return result, (fitted[config.nuisance][0] if METHODS[config.method].needs_nuisance else result.beta)
+
+
+def _one_row(rows: NamedTuple, errors: dict):
+    """A stacked body's R = 1 result: its record with row 0 of each field (a
+    Python scalar for a field of one value per row), or its error raised."""
+    if errors:
+        raise EstimationError(errors[0])
+    return rows._make(value[0] if value.ndim > 1 else value[0].item() for value in rows)
+
+
+def snn_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray, kernel_order: int = 2,
+                  rule: BandwidthRule | None = None) -> InterceptEstimate:
+    """Locally linear boundary estimate of the outcome intercept.
+
+    With ranks eta_i and t_i = eta_i - 1, solves the kernel-weighted least
+    squares fit of W on (1, t) and returns the level at t = 0.  The standard
+    error is sqrt(sigma2(1) * sum(w_i^2)) with w the equivalent intercept
+    weights and sigma2(1) the kernel-weighted mean squared residual of the
+    local fit; for h -> 0 this is the finite-sample version of
+    sigma2(1) * Int K^2 / (n h).  ``kernel_order`` is one of
+    ``numerics.KERNEL_ORDERS``.  This is ``fit`` with (beta, gamma) as the
+    nuisance.
+    """
+    return fit(data, EstimatorConfig("snn", kernel_order, rule or BandwidthRule.plug_in()),
+               {None: (beta, gamma)})[0]
+
+
+def ols_selected(data: Dataset) -> OlsFit:
+    """Least squares of y on (1, X) over the selected subsample: ``fit``
+    of the method ``ols``."""
+    return fit(data, EstimatorConfig("ols"))[0]
+
+
+def heckman_two_step(data: Dataset) -> TwoStepFit:
+    """Two-step correction: probit of d on Z, then least squares of y on
+    (1, X, lambda(Z'gamma)) over the selected subsample: ``fit`` of the
+    method ``heckman``."""
+    return fit(data, EstimatorConfig("heckman"))[0]
+
+
+def h90_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray,
+                  rule: TailRule | None = None) -> InterceptEstimate:
+    """Mean of the selection-masked residuals over the selected upper tail
+    of the index (hard threshold at the ``rule.quantile`` sample quantile):
+    the tau = 0 case of ``as98_intercept``'s weighting.  This is ``fit``
+    with (beta, gamma) as the nuisance."""
+    return fit(data, EstimatorConfig("h90", tail=rule or TailRule()), {None: (beta, gamma)})[0]
+
+
+def as98_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray,
+                   rule: TailRule | None = None) -> InterceptEstimate:
+    """Smooth-weighted tail mean: weights s(index - b_n) ramp from 0 to 1
+    over a span tau set to the ``rule.tau_quantile`` quantile of the index
+    over the selected subsample (only selected observations carry weight).
+    tau <= 0 reduces to the hard-threshold tail mean.  This is ``fit`` with
+    (beta, gamma) as the nuisance."""
+    return fit(data, EstimatorConfig("as98", tail=rule or TailRule()), {None: (beta, gamma)})[0]
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -189,10 +252,11 @@ class Block:
         """The block's arrays under the nuisance ``key``, where each row has
         its own dataset's (beta, gamma) from ``fitted[key]``.  A missing
         entry is fitted and stored there, or the EstimationError its fit
-        raised.  ``errors``, {row: the message of its stored nuisance error}
-        (such a row holds zeros below); ``gamma`` (R, l); ``index`` (R, n),
-        each row bitwise data.Z @ gamma; ``residuals`` (R, n), each row
-        bitwise ``residualized_outcome(data, beta)``."""
+        raised.  A beta that is not of shape (k,), or a gamma not of shape
+        (l,), raises ValueError.  ``errors``, {row: the message of its stored
+        nuisance error} (such a row holds zeros below); ``gamma`` (R, l);
+        ``index`` (R, n), each row bitwise data.Z @ gamma; ``residuals``
+        (R, n), each row bitwise ``residualized_outcome(data, beta)``."""
         if key not in self._under:
             errors = {}
             B = np.zeros((len(self), self.datasets[0].k))
@@ -209,8 +273,12 @@ class Block:
                         fitted[key] = exc
                 if isinstance(fitted[key], EstimationError):
                     errors[i] = str(fitted[key])
-                else:
-                    B[i], G[i] = fitted[key]
+                    continue
+                beta, gamma = fitted[key]
+                if np.shape(beta) != B.shape[1:] or np.shape(gamma) != G.shape[1:]:
+                    raise ValueError(f"beta and gamma need shapes {B.shape[1:]} and {G.shape[1:]},"
+                                     f" not {np.shape(beta)} and {np.shape(gamma)}")
+                B[i], G[i] = beta, gamma
             self._under[key] = {"errors": errors, "gamma": G,
                                 "index": (self.Z @ G[:, :, None])[:, :, 0],
                                 "residuals": self.D * (self.Y - (self.X @ B[:, :, None])[:, :, 0])}

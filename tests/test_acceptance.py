@@ -16,13 +16,13 @@ from snnselect.baselines import smooth_tail_weight
 from snnselect.data import Dataset
 from snnselect.decompose import DecompositionConfig, bootstrap_se, decompose
 from snnselect.dgp import DgpSpec, identification_ratio, simulate
-from snnselect.estimator import BandwidthRule, snn_intercept
+from snnselect.estimator import BandwidthRule
 from snnselect.exceptions import EstimationError
 from snnselect.montecarlo import EstimatorConfig, TablePlan, rate_check, run_cell, run_table
 from snnselect.numerics import inverse_mills, kernel_l2, kernel_moment
 from snnselect.nuisance import robinson_beta
 from snnselect.ranks import eta_hat
-from snnselect.registry import fit
+from snnselect.registry import fit, snn_intercept
 
 BASE_SEED = 20260809
 WORKERS = 4
@@ -303,7 +303,7 @@ class TestCriterion6:
             worst_snn = max(worst_snn, abs(est.theta - snn_bruteforce(d, y, X, Z, beta, gamma, h)))
             if not np.array_equal(eta_hat(Z, gamma), eta_hat_bruteforce(Z, gamma)):
                 worst_eta = math.inf
-        from snnselect.baselines import ols_selected
+        from snnselect.registry import ols_selected
 
         for _ in range(20):
             n, k = 120, 3

@@ -11,10 +11,6 @@ from oracles import as98_bruteforce, h90_bruteforce, ols_bruteforce
 from snnselect.baselines import (
     TailRule,
     _probit_newton,
-    as98_intercept,
-    h90_intercept,
-    heckman_two_step,
-    ols_selected,
     probit_mle,
     smooth_tail_weight,
 )
@@ -23,6 +19,7 @@ from snnselect.dgp import DgpSpec, simulate
 from snnselect.estimator import residualized_outcome
 from snnselect.exceptions import EstimationError
 from snnselect.numerics import inverse_mills
+from snnselect.registry import as98_intercept, h90_intercept, heckman_two_step, ols_selected
 
 
 def make_data(d, y, X, Z):

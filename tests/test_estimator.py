@@ -13,10 +13,10 @@ from snnselect.estimator import (
     BANDWIDTH_CLAMP,
     BandwidthRule,
     residualized_outcome,
-    snn_intercept,
     undersmoothing_bandwidth,
 )
 from snnselect.exceptions import EstimationError
+from snnselect.registry import snn_intercept
 
 
 def make_data(d, y, X, Z):

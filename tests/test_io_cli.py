@@ -383,6 +383,20 @@ class TestCli:
         assert capsys.readouterr().err == "numerical failure: non-finite std_errors\n"
         assert not out.exists()
 
+    def test_estimate_on_a_directory_exits_1(self, tmp_path, capsys):
+        assert cli_main(["estimate", str(tmp_path), *_SIM_COLUMNS, "--estimator", "ols"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["kernel-check"], ["simulate", "--n", "50"]])
+    def test_out_in_a_missing_directory_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == "" and not out.parent.exists()
+
     def test_mc_table_deterministic_across_workers(self, tmp_path):
         args = [
             "mc-table", "--dgp", "dgp1", "--n", "60", "--reps", "12",

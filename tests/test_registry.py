@@ -14,7 +14,19 @@ from snnselect.dgp import FAMILIES, DgpSpec, simulate
 from snnselect.exceptions import EstimationError
 from snnselect.numerics import KERNEL_ORDERS
 from snnselect.nuisance import GAMMA_METHODS
-from snnselect.registry import METHODS, Block, EstimatorConfig, _stacked, fit
+from snnselect.registry import (
+    METHODS,
+    Block,
+    EstimatorConfig,
+    _stacked,
+    as98_intercept,
+    fit,
+    fit_thetas,
+    h90_intercept,
+    heckman_two_step,
+    ols_selected,
+    snn_intercept,
+)
 
 
 def _choices(parser, dest):
@@ -110,24 +122,75 @@ class TestNonFiniteOutput:
         draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
         return dataclasses.replace(draw.dataset, y=draw.dataset.y * 1e200), draw.beta0 * 1e200, draw.gamma0
 
-    @pytest.mark.parametrize("method, quantity", [
-        ("snn", "std_error"), ("ols", "std_errors"), ("h90", "std_error"), ("as98", "std_error"),
-    ])
+    CASES = [("snn", "std_error"), ("ols", "std_errors"), ("h90", "std_error"),
+             ("as98", "std_error")]
+
+    @classmethod
+    def _calls(cls, method):
+        """The method by ``fit`` and by its public one-sample function, each
+        on the overflowing draw."""
+        data, beta, gamma = cls._overflowing_draw()
+        public = {
+            "snn": lambda: snn_intercept(data, beta, gamma),
+            "ols": lambda: ols_selected(data),
+            "heckman": lambda: heckman_two_step(data),
+            "h90": lambda: h90_intercept(data, beta, gamma),
+            "as98": lambda: as98_intercept(data, beta, gamma),
+        }[method]
+        return [lambda: fit(data, EstimatorConfig(method), {None: (beta, gamma)})[0], public]
+
+    def _assert_named_error(self, method, quantity, action):
+        for call in self._calls(method):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                with pytest.raises(EstimationError, match=f"^non-finite {quantity}$"):
+                    call()
+
+    @pytest.mark.parametrize("method, quantity", CASES)
     def test_named_error_under_warnings_as_errors(self, method, quantity):
         # as CI runs the suite, with -X dev -W error: the overflow must
         # surface as the named error, not as a bare RuntimeWarning
-        data, beta, gamma = self._overflowing_draw()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(EstimationError, match=f"^non-finite {quantity}$"):
-                fit(data, EstimatorConfig(method), {None: (beta, gamma)})
+        self._assert_named_error(method, quantity, "error")
+
+    @pytest.mark.parametrize("method, quantity", CASES)
+    def test_named_error_with_warnings_shown(self, method, quantity):
+        self._assert_named_error(method, quantity, "default")
 
     def test_finite_fits_pass_through(self):
-        data, beta, gamma = self._overflowing_draw()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result, _ = fit(data, EstimatorConfig("heckman"), {None: (beta, gamma)})
-        assert abs(result.theta) < float("inf")
+        for call in self._calls("heckman"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = call()
+            assert abs(result.theta) < float("inf")
+
+
+class TestNuisanceShape:
+    """A beta that is not (k,) or a gamma that is not (l,) is rejected, not
+    broadcast over the coefficients."""
+
+    @pytest.mark.parametrize("method", ["snn", "h90", "as98"])
+    @pytest.mark.parametrize("wrong", ["beta", "gamma", "both"])
+    def test_wrong_length_raises(self, method, wrong):
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
+        beta = [1.0] if wrong != "gamma" else draw.beta0
+        gamma = [0.5] if wrong != "beta" else draw.gamma0
+        with pytest.raises(ValueError, match="shapes"):
+            fit(draw.dataset, EstimatorConfig(method), {None: (beta, gamma)})
+        with pytest.raises(ValueError, match="shapes"):
+            fit_thetas(Block([draw.dataset] * 2, [{None: (draw.beta0, draw.gamma0)},
+                                                  {None: (beta, gamma)}]), EstimatorConfig(method))
+
+    def test_public_function_and_column_vector(self):
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
+        with pytest.raises(ValueError, match="shapes"):
+            snn_intercept(draw.dataset, [1.0], [0.5])
+        with pytest.raises(ValueError, match="shapes"):
+            h90_intercept(draw.dataset, draw.beta0, draw.gamma0[:, None])
+
+    def test_right_shapes_as_lists_fit(self):
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
+        as_list = snn_intercept(draw.dataset, list(draw.beta0), list(draw.gamma0))
+        assert as_list == snn_intercept(draw.dataset, draw.beta0, draw.gamma0)
 
 
 class TestBlockOfOne:

@@ -2,12 +2,14 @@
 
 Every row of a stacked snn, h90, as98 or rank body is bitwise the R = 1
 call on its sample, and a row that fails there is in the body's errors
-with the same reason.  Since ``fit`` is the block fit on a block of one,
-the block fit is checked against the public R = 1 calls: over a block,
-``fit_thetas`` gives each dataset's R = 1 theta, NaN exactly where the
-failure rule written out in ``_reference`` finds a reason, and ``fit``
-raises that reason, for every method, without calling the R = 1 functions
-or ``fit``."""
+with the same reason.  Since ``fit`` is the block fit on a block of one, and
+the public R = 1 functions are ``fit``, the block fit is checked against
+``_reference``: each body called on one row whose inputs are built apart
+from ``Block``, by ``eta_hat``, ``data.Z @ gamma`` and
+``residualized_outcome``.  Over a block, ``fit_thetas`` gives each
+dataset's reference theta, NaN exactly where the failure rule written out
+in ``_reference`` finds a reason, and ``fit`` raises that reason, for every
+method, without calling the R = 1 functions or ``fit``."""
 import dataclasses
 import math
 
@@ -19,21 +21,28 @@ from snnselect import baselines, estimator, nuisance, registry
 from snnselect.baselines import (
     TailRule,
     _as98_rows,
+    _ols_rows,
     _selected_quantile,
     _tail_rows,
-    as98_intercept,
-    h90_intercept,
-    heckman_two_step,
-    ols_selected,
+    _two_step_rows,
     probit_mle,
 )
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
-from snnselect.estimator import BandwidthRule, _snn_rows, residualized_outcome, snn_intercept
+from snnselect.estimator import BandwidthRule, _snn_rows, residualized_outcome
 from snnselect.exceptions import EstimationError
 from snnselect.nuisance import fit_nuisance
 from snnselect.ranks import _rank_rows, eta_hat
-from snnselect.registry import METHODS, Block, EstimatorConfig, fit, fit_thetas
+from snnselect.registry import (
+    METHODS,
+    Block,
+    EstimatorConfig,
+    as98_intercept,
+    fit,
+    fit_thetas,
+    h90_intercept,
+    snn_intercept,
+)
 
 N = 100
 
@@ -83,23 +92,35 @@ def _alone(fn, *args):
         return None, str(exc)
 
 
+def _row0(rows, errors):
+    """Row 0 of a stacked body's (rows, errors), or its error raised."""
+    if errors:
+        raise EstimationError(errors[0])
+    return rows._make(value[0] if value.ndim > 1 else value[0].item() for value in rows)
+
+
 def _reference(data, config, generating):
-    """(result, reason) of one dataset by the public R = 1 call, with the
-    failure rule written out: the nuisance fit's error, then the call's
-    error, then a non-finite theta, then a non-finite standard error.
-    ``generating`` is the (beta, gamma) of ``nuisance=None``."""
+    """(result, reason) of one dataset by its method's body on one row, with
+    the failure rule written out: the nuisance fit's error, then the body's
+    error (for snn, ``eta_hat``'s first), then a non-finite theta, then a
+    non-finite standard error.  ``generating`` is the (beta, gamma) of
+    ``nuisance=None``."""
     beta, gamma = generating
     if METHODS[config.method].needs_nuisance and config.nuisance is not None:
         est, message = _alone(fit_nuisance, data, config.nuisance)
         if message is not None:
             return None, message
         beta, gamma = est.beta, est.gamma
+    if METHODS[config.method].needs_nuisance:
+        index, W = (data.Z @ gamma)[None], residualized_outcome(data, beta)[None]
+    D, X, Y, Z = data.d[None], data.X[None], data.y[None], data.Z[None]
     one = {
-        "snn": lambda: snn_intercept(data, beta, gamma, config.kernel_order, config.bandwidth),
-        "h90": lambda: h90_intercept(data, beta, gamma, config.tail),
-        "as98": lambda: as98_intercept(data, beta, gamma, config.tail),
-        "ols": lambda: ols_selected(data),
-        "heckman": lambda: heckman_two_step(data),
+        "snn": lambda: _row0(*_snn_rows(eta_hat(data.Z, gamma)[None], index, W,
+                                        config.kernel_order, config.bandwidth)),
+        "h90": lambda: _row0(*_tail_rows(D, index, W, config.tail, np.zeros(1))),
+        "as98": lambda: _row0(*_as98_rows(D, index, W, config.tail)),
+        "ols": lambda: _row0(*_ols_rows(D, X, Y)),
+        "heckman": lambda: _row0(*_two_step_rows(D, X, Y, Z)),
     }[config.method]
     with np.errstate(over="ignore", invalid="ignore"):
         result, message = _alone(one)
@@ -273,7 +294,7 @@ class TestFitThetas:
         _, datasets, beta, gamma = _mixed_samples()
         nuisances = [(beta, np.zeros_like(gamma))] * len(datasets)
         calls = self._count_stacked(monkeypatch)
-        scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (registry, "fit")])
+        scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "fit")])
         block = Block(datasets, [{None: nuisance} for nuisance in nuisances])
         thetas = fit_thetas(block, EstimatorConfig("snn"))
         assert np.isnan(thetas).all()
@@ -313,8 +334,8 @@ class TestFitThetas:
         block = Block(draws, [{} for _ in draws])
         block.under("probit")  # the nuisance fits, before anything is counted
         calls = self._count_stacked(monkeypatch)
-        scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (baselines, "h90_intercept"),
-                                        (baselines, "as98_intercept"), (registry, "fit")])
+        scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "h90_intercept"),
+                                        (registry, "as98_intercept"), (registry, "fit")])
         for config in configs:
             del calls[:], scalar[:]
             thetas = fit_thetas(block, config)
@@ -356,8 +377,8 @@ def _failing_block(n):
 
 
 class TestFitThetasContract:
-    """``fit_thetas`` on one block, and ``fit`` on each dataset, against the
-    public R = 1 calls, for every method and both nuisance sources."""
+    """``fit_thetas`` on one block, and ``fit`` on each dataset, against
+    ``_reference``, for every method and both nuisance sources."""
 
     CONFIGS = [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.05)),
                EstimatorConfig("ols"), EstimatorConfig("heckman"), EstimatorConfig("h90"),
@@ -373,17 +394,17 @@ class TestFitThetasContract:
         for i in (names.index("constant-d"), names.index("separated")):
             assert str(block.fitted[i]["probit"]) == "probit failed"
         bodies = _counted(monkeypatch, _BODIES)
-        scalar = _counted(monkeypatch, [(baselines, "probit_mle"), (estimator, "snn_intercept"),
-                                        (baselines, "h90_intercept"), (baselines, "as98_intercept"),
-                                        (baselines, "ols_selected"), (baselines, "heckman_two_step"),
+        scalar = _counted(monkeypatch, [(baselines, "probit_mle"), (registry, "snn_intercept"),
+                                        (registry, "h90_intercept"), (registry, "as98_intercept"),
+                                        (registry, "ols_selected"), (registry, "heckman_two_step"),
                                         (registry, "fit")])
         messages = set()
         for config in self.CONFIGS:
             del bodies[:], scalar[:]
             thetas = fit_thetas(block, config)
             assert len(bodies) == 1 and scalar == [], config
-            # this module's R = 1 functions and ``fit`` are the functions,
-            # not the counted rebindings
+            # the bodies ``_reference`` calls and this module's ``fit`` are
+            # the functions, not the counted rebindings
             messages.update(_assert_block_fit(thetas, datasets, config, generating))
         if n == 25:
             assert "insufficient sample" in messages
@@ -398,10 +419,8 @@ class TestFitThetasContract:
         names, datasets, generating = _failing_block(100)
         i = names.index("zero-gamma")
         block = Block(datasets, [{None: nuisance} for nuisance in generating])
-        for config, one in ((EstimatorConfig("snn"), snn_intercept),
-                            (EstimatorConfig("h90"), h90_intercept),
-                            (EstimatorConfig("as98"), as98_intercept)):
-            _, want = _alone(one, datasets[i], *generating[i])
+        for config in (EstimatorConfig("snn"), EstimatorConfig("h90"), EstimatorConfig("as98")):
+            _, want = _reference(datasets[i], config, generating[i])
             assert want == ("degenerate index" if config.method == "snn" else "empty tail")
             assert _alone(fit, datasets[i], config, {None: generating[i]})[1] == want
             assert registry._fit_block(block, config)[1].get(i) == want
@@ -565,9 +584,9 @@ class TestFitIsTheBlockFit:
         est = fit_nuisance(draw.dataset, "probit")
         fitted = {None: (draw.beta0, draw.gamma0), "probit": (est.beta, est.gamma)}
         bodies = _counted(monkeypatch, _BODIES)
-        scalar = _counted(monkeypatch, [(estimator, "snn_intercept"), (baselines, "h90_intercept"),
-                                        (baselines, "as98_intercept"), (baselines, "probit_mle"),
-                                        (baselines, "ols_selected"), (baselines, "heckman_two_step")])
+        scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "h90_intercept"),
+                                        (registry, "as98_intercept"), (baselines, "probit_mle"),
+                                        (registry, "ols_selected"), (registry, "heckman_two_step")])
         result, _ = fit(draw.dataset, config, fitted)
         assert bodies == [body] and scalar == [], config
         want, _ = _reference(draw.dataset, config, fitted[None])
