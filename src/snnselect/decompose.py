@@ -14,7 +14,8 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import EstimationError
-from .registry import EstimatorConfig, fit
+from .nuisance import GAMMA_METHODS
+from .registry import METHODS, EstimatorConfig, fit
 from .seeding import derive_seed, generator, processes, run_tasks
 
 __all__ = [
@@ -32,9 +33,10 @@ class DecompositionConfig:
     """Pipeline settings for one decomposition run.
 
     ``estimator`` is the intercept fit run on each group.  A method that
-    needs the nuisance gets one fit per group (so ``estimator.nuisance``
-    must name a gamma method), whose slopes also enter B; OLS and the
-    two-step carry their own slope estimates and fit no nuisance.
+    needs the nuisance gets one fit per group, whose slopes also enter B, so
+    its ``estimator.nuisance`` must name a gamma method (ValueError
+    otherwise); OLS and the two-step carry their own slope estimates and fit
+    no nuisance.
     """
 
     estimator: EstimatorConfig = EstimatorConfig(nuisance="klein_spady")
@@ -43,6 +45,10 @@ class DecompositionConfig:
     def __post_init__(self) -> None:
         if self.weighting not in WEIGHTINGS:
             raise ValueError("weighting must be 'group0' or 'group1'")
+        if METHODS[self.estimator.method].needs_nuisance and self.estimator.nuisance is None:
+            raise ValueError(f"{self.estimator.method} on observed groups needs a nuisance of"
+                             f" {GAMMA_METHODS}: nuisance=None pins the generating beta and gamma"
+                             " of a simulated draw")
 
 
 @dataclass(frozen=True)

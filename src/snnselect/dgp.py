@@ -153,7 +153,9 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
     F0 is the index distribution (normal with variance alpha under dgp1,
     standard Cauchy under dgp2) and g_V the selection-error density.
     Finiteness of the ratio as q -> 1 is the identification diagnostic:
-    it diverges for alpha < 1 under both families.
+    it diverges for alpha < 1 under both families.  A q outside [0, 1]
+    raises ValueError; one within 1e-9 of 0 or 1 raises
+    EstimationError("out of numeric range").
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown DGP family: {family!r}")
@@ -165,6 +167,8 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.all(np.isfinite(q_arr)):
         raise ValueError("q must be finite")
+    if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
+        raise ValueError("q must lie in [0, 1]")
     if np.any(q_arr < 1e-9) or np.any(q_arr > 1.0 - 1e-9):
         raise EstimationError("out of numeric range")
     with np.errstate(over="raise"):

@@ -98,7 +98,7 @@ def _read_header(fh, schema: CsvSchema) -> list:
 
 def _parse_columns(path: Path, schema: CsvSchema):
     """(table, groups) by one C parse per dtype; ValueError on any file it cannot take."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         # a repeated name: the last column wins, as in csv.DictReader
         index = {name: i for i, name in enumerate(_read_header(fh, schema))}
         start = fh.tell()
@@ -124,7 +124,7 @@ def _parse_columns(path: Path, schema: CsvSchema):
 
 def _walk_rows(path: Path, schema: CsvSchema):
     """(table, groups) cell by cell; DataError naming every unparseable row."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.DictReader(fh, fieldnames=_read_header(fh, schema)))
     if not rows:
         raise DataError("empty file")

@@ -159,8 +159,7 @@ def _run_chunk(task):
     for lo in range(start, stop, per_block):
         reps = range(lo, min(lo + per_block, stop))
         draws = [simulate(spec.with_seed(derive_seed(base_seed, label, rep))) for rep in reps]
-        block = Block([draw.dataset for draw in draws],
-                      [{None: (draw.beta0, draw.gamma0)} for draw in draws])
+        block = Block([draw.dataset for draw in draws], [(draw.beta0, draw.gamma0) for draw in draws])
         for e, est in enumerate(estimators):
             out[e, lo - start:lo - start + len(reps)] = fit_thetas(block, est)
     return out

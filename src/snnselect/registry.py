@@ -6,6 +6,8 @@ one settings record.  ``fit_thetas`` runs a config over a ``Block`` of
 same-shaped datasets, and ``fit`` is that block fit on one dataset; the
 five public estimators (``snn_intercept``, ``ols_selected``,
 ``heckman_two_step``, ``h90_intercept``, ``as98_intercept``) are ``fit``.
+The block owns the nuisance: it takes only simulated draws' generating
+(beta, gamma) and fits any other once per dataset and gamma method.
 A method's ``fit(block, cfg)`` returns its stacked rows and {row: reason}
 from one stacked pass; OLS, the two-step's second stage and snn's plug-in
 pilot share one stacked least-squares body, ``numerics._ls_rows``.  OLS
@@ -108,9 +110,9 @@ class EstimatorConfig:
 
     ``nuisance`` is where a method that needs beta and gamma gets them:
     ``None`` pins them to the generating values a simulated draw carries
-    (the simulation design of record); a name of ``nuisance.GAMMA_METHODS``
-    fits them first.  OLS and the two-step estimate their own slopes and
-    never use the nuisance either way.
+    (the simulation design of record), passed as ``fit``'s ``truth``; a
+    name of ``nuisance.GAMMA_METHODS`` fits them first.  OLS and the
+    two-step estimate their own slopes and never use the nuisance.
     """
 
     method: str = "snn"
@@ -131,24 +133,22 @@ class EstimatorConfig:
         return METHODS[self.method].label(self)
 
 
-def fit(data, config: EstimatorConfig, fitted: dict | None = None):
+def fit(data, config: EstimatorConfig, truth=None):
     """Run one intercept fit; returns (the method's result, the slopes it used).
 
     This is ``fit_thetas``'s block fit on one dataset; a reason for failing
-    is raised as EstimationError.  A method that needs the nuisance takes
-    (beta, gamma) from ``fitted[config.nuisance]``.  A missing entry is
-    fitted and stored there, or the EstimationError its fit raised, so
-    configs that share ``fitted`` share one nuisance fit per gamma method,
-    and its failure.  The generating values of ``nuisance=None`` exist only
-    for simulated draws, whose caller puts them in ``fitted[None]``; without
-    them this raises ValueError.
+    is raised as EstimationError.  ``truth`` is the generating (beta, gamma)
+    of a simulated draw, read only by a method that needs the nuisance under
+    ``nuisance=None``, which without it raises ValueError; a gamma method
+    as ``config.nuisance`` fits them instead.
 
     A theta or standard error that overflowed to inf or NaN raises
     EstimationError("non-finite <quantity>"); no fit returns one.
     """
-    fitted = {} if fitted is None else fitted
-    result = _one_row(*_fit_block(Block([data], [fitted]), config))
-    return result, (fitted[config.nuisance][0] if METHODS[config.method].needs_nuisance else result.beta)
+    block = Block([data], None if truth is None else [truth])
+    result = _one_row(*_fit_block(block, config))
+    needs = METHODS[config.method].needs_nuisance
+    return result, (block.under(config.nuisance)["beta"][0] if needs else result.beta)
 
 
 def _one_row(rows: NamedTuple, errors: dict):
@@ -173,7 +173,7 @@ def snn_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray, kernel_ord
     nuisance.
     """
     return fit(data, EstimatorConfig("snn", kernel_order, rule or BandwidthRule.plug_in()),
-               {None: (beta, gamma)})[0]
+               (beta, gamma))[0]
 
 
 def ols_selected(data: Dataset) -> OlsFit:
@@ -195,7 +195,7 @@ def h90_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray,
     of the index (hard threshold at the ``rule.quantile`` sample quantile):
     the tau = 0 case of ``as98_intercept``'s weighting.  This is ``fit``
     with (beta, gamma) as the nuisance."""
-    return fit(data, EstimatorConfig("h90", tail=rule or TailRule()), {None: (beta, gamma)})[0]
+    return fit(data, EstimatorConfig("h90", tail=rule or TailRule()), (beta, gamma))[0]
 
 
 def as98_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray,
@@ -205,7 +205,7 @@ def as98_intercept(data: Dataset, beta: np.ndarray, gamma: np.ndarray,
     over the selected subsample (only selected observations carry weight).
     tau <= 0 reduces to the hard-threshold tail mean.  This is ``fit`` with
     (beta, gamma) as the nuisance."""
-    return fit(data, EstimatorConfig("as98", tail=rule or TailRule()), {None: (beta, gamma)})[0]
+    return fit(data, EstimatorConfig("as98", tail=rule or TailRule()), (beta, gamma))[0]
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -218,15 +218,15 @@ def _stacked(arrays) -> np.ndarray:
 
 
 class Block:
-    """Datasets of one n and l, each with the ``fitted`` dict that ``fit``
-    takes for it, and the stacked arrays that the stacked fits of a block
-    share, each built on first use and then kept for every config.  The
-    stacked fits only read them: on a block of one they may be the
-    dataset's own arrays."""
+    """Datasets of one n and l, with the generating (beta, gamma) of each
+    when they are simulated draws (``truths``), and the stacked arrays that
+    the stacked fits of a block share, each built on first use and then
+    kept for every config.  The stacked fits only read them: on a block of
+    one they may be the dataset's own arrays."""
 
-    def __init__(self, datasets, fitted):
+    def __init__(self, datasets, truths=None):
         self.datasets = list(datasets)
-        self.fitted = list(fitted)
+        self.truths = None if truths is None else list(truths)
         self._under = {}
 
     def __len__(self) -> int:
@@ -249,37 +249,37 @@ class Block:
         return _stacked([data.y for data in self.datasets])
 
     def under(self, key) -> dict:
-        """The block's arrays under the nuisance ``key``, where each row has
-        its own dataset's (beta, gamma) from ``fitted[key]``.  A missing
-        entry is fitted and stored there, or the EstimationError its fit
-        raised.  A beta that is not of shape (k,), or a gamma not of shape
-        (l,), raises ValueError.  ``errors``, {row: the message of its stored
-        nuisance error} (such a row holds zeros below); ``gamma`` (R, l);
-        ``index`` (R, n), each row bitwise data.Z @ gamma; ``residuals``
-        (R, n), each row bitwise ``residualized_outcome(data, beta)``."""
+        """The block's arrays under the nuisance ``key``: each row has its
+        dataset's (beta, gamma) from ``truths`` for ``key=None`` (ValueError
+        without them), else from one ``fit_nuisance`` call, whose
+        EstimationError fails that row.  A beta that is not of shape (k,), or
+        a gamma not of shape (l,), raises ValueError.  ``errors``, {row: the
+        message of its nuisance error} (such a row holds zeros below);
+        ``beta`` (R, k); ``gamma`` (R, l); ``index`` (R, n), each row bitwise
+        data.Z @ gamma; ``residuals`` (R, n), each row bitwise
+        ``residualized_outcome(data, beta)``."""
         if key not in self._under:
+            if key is None and self.truths is None:
+                raise ValueError("nuisance=None needs the generating beta and gamma"
+                                 " of a simulated draw")
             errors = {}
             B = np.zeros((len(self), self.datasets[0].k))
             G = np.zeros((len(self), self.datasets[0].l))
-            for i, (data, fitted) in enumerate(zip(self.datasets, self.fitted)):
-                if key not in fitted:
-                    if key is None:
-                        raise ValueError("nuisance=None needs the generating beta and gamma"
-                                         " of a simulated draw")
+            for i, data in enumerate(self.datasets):
+                if key is None:
+                    beta, gamma = self.truths[i]
+                else:
                     try:
                         est = nuisance.fit_nuisance(data, key)
-                        fitted[key] = (est.beta, est.gamma)
                     except EstimationError as exc:
-                        fitted[key] = exc
-                if isinstance(fitted[key], EstimationError):
-                    errors[i] = str(fitted[key])
-                    continue
-                beta, gamma = fitted[key]
+                        errors[i] = str(exc)
+                        continue
+                    beta, gamma = est.beta, est.gamma
                 if np.shape(beta) != B.shape[1:] or np.shape(gamma) != G.shape[1:]:
                     raise ValueError(f"beta and gamma need shapes {B.shape[1:]} and {G.shape[1:]},"
                                      f" not {np.shape(beta)} and {np.shape(gamma)}")
                 B[i], G[i] = beta, gamma
-            self._under[key] = {"errors": errors, "gamma": G,
+            self._under[key] = {"errors": errors, "beta": B, "gamma": G,
                                 "index": (self.Z @ G[:, :, None])[:, :, 0],
                                 "residuals": self.D * (self.Y - (self.X @ B[:, :, None])[:, :, 0])}
         return self._under[key]
@@ -295,13 +295,13 @@ class Block:
 def _fit_block(block: Block, config: EstimatorConfig):
     """The method's rows over the block, and the failure rule: {row: reason}
     for every row whose fit does not stand.  The first that applies wins:
-    the row's stored nuisance error, the method's error, a non-finite
+    the row's nuisance error, the method's error, a non-finite
     theta, a non-finite standard error."""
     method = METHODS[config.method]
     with np.errstate(over="ignore", invalid="ignore"):
-        stored = block.under(config.nuisance)["errors"] if method.needs_nuisance else {}
+        unfitted = block.under(config.nuisance)["errors"] if method.needs_nuisance else {}
         rows, errors = method.fit(block, config)
-    errors = {**errors, **stored}
+    errors = {**errors, **unfitted}
     for name in ("theta", "std_error", "std_errors"):
         value = getattr(rows, name, None)
         if value is not None:
@@ -312,7 +312,7 @@ def _fit_block(block: Block, config: EstimatorConfig):
 
 
 def fit_thetas(block: Block, config: EstimatorConfig) -> np.ndarray:
-    """``fit(block.datasets[i], config, block.fitted[i])[0].theta`` for
+    """``fit(block.datasets[i], config, block.truths[i])[0].theta`` for
     every i, NaN where that raises EstimationError: one block fit of every
     dataset, with no fit rerun."""
     rows, errors = _fit_block(block, config)

@@ -263,7 +263,7 @@ class TestProbitNuisanceDirection:
         fitted, true = [], []
         for seed in range(1000, 1100):
             draw = simulate(DgpSpec("dgp2", 1000, rho=0.5, alpha=2.0, seed=seed))
-            generating = {None: (draw.beta0, draw.gamma0)}
+            generating = (draw.beta0, draw.gamma0)
             true.append(fit(draw.dataset, EstimatorConfig("snn"), generating)[0].theta)
             try:
                 fitted.append(fit(draw.dataset, EstimatorConfig("snn", nuisance="probit"))[0].theta)

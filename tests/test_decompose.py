@@ -205,9 +205,12 @@ class TestConfigValidation:
             DecompositionConfig(EstimatorConfig(method="magic"))
 
     def test_generating_nuisance_needs_a_simulated_draw(self):
-        # observed data carry no generating beta and gamma to pin
+        # observed data carry no generating beta and gamma to pin, so the
+        # config is refused when it is built, before any fit or replicate
         data = group_sample(300, 1.0, seed=81)
-        with pytest.raises(ValueError, match="generating"):
-            decompose(data, data, DecompositionConfig(EstimatorConfig(nuisance=None)))
+        for method in ("snn", "h90", "as98"):
+            with pytest.raises(ValueError, match="generating") as info:
+                DecompositionConfig(EstimatorConfig(method, nuisance=None))
+            assert "klein_spady" in str(info.value) and "probit" in str(info.value)
         ols = DecompositionConfig(EstimatorConfig("ols", nuisance=None))
         assert decompose(data, data, ols).intercept_difference == 0.0

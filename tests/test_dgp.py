@@ -197,6 +197,16 @@ class TestIdentificationRatio:
             identification_ratio("dgp1", 2.0, 1e-12)
         with pytest.raises(EstimationError, match="out of numeric range"):
             identification_ratio("dgp2", 1.0, 1.0)
+        # the ends of [0, 1] are inside the domain, outside the numeric range
+        for q in (0.0, 1.0 - 1e-10):
+            with pytest.raises(EstimationError, match="out of numeric range"):
+                identification_ratio("dgp1", 2.0, q)
+
+    @pytest.mark.parametrize("q", [-0.5, -1e-300, 1.0 + 1e-15, 1.5, [0.5, 2.0]])
+    def test_q_outside_unit_interval(self, q):
+        for family in ("dgp1", "dgp2"):
+            with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\]$"):
+                identification_ratio(family, 2.0, q)
 
     def test_validation(self):
         with pytest.raises(ValueError):

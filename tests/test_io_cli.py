@@ -242,6 +242,27 @@ class TestParsePaths:
             load_csv(p, schema)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, walks", [
+        (_HEAD + "1,2,3,4,5\n0,0,1,2,3\n", False),
+        (_HEAD + '1,"2.5",3,4,5\n0,0,1,2,3\n', True),
+    ], ids=["unquoted", "quoted-cell"])
+    def test_byte_order_mark_loads_like_the_plain_file(self, tmp_path, monkeypatch, text, walks):
+        # a spreadsheet's "CSV UTF-8" starts with EF BB BF before the header
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        walked = []
+        walk = io_csv._walk_rows
+        monkeypatch.setattr(io_csv, "_walk_rows", lambda *args: walked.append(1) or walk(*args))
+        want = _load_outcome(plain, SCHEMA)
+        assert not isinstance(want, str)
+        del walked[:]
+        assert _load_outcome(marked, SCHEMA) == want
+        assert bool(walked) == walks
+        # written back, it carries no mark
+        save_dataset_csv(plain, load_csv(marked, SCHEMA), SCHEMA)
+        assert plain.read_bytes().startswith(b"d,y,")
+
     def test_saved_file_never_walks_rows(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("row walk used for a file save_dataset_csv wrote")
@@ -491,6 +512,14 @@ class TestCli:
     def test_ident_check_non_finite_q_exit_1(self, capsys):
         assert cli_main(["ident-check", "--q-min", "nan"]) == 1
         assert "error: q must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, q", [("--q-min", "-0.5"), ("--q-max", "1.5")])
+    def test_ident_check_q_outside_unit_interval_exit_1(self, capsys, flag, q):
+        # a usage error, not a numerical failure (exit 2)
+        assert cli_main(["ident-check", flag, q]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: q must lie in [0, 1]" in captured.err
 
     def test_ident_check_no_points_exit_1(self, capsys):
         assert cli_main(["ident-check", "--points", "0"]) == 1

@@ -335,9 +335,9 @@ class TestNuisanceBundle:
             NuisanceEstimates(np.array([np.nan]), np.array([1.0]))
 
 
-def _theta_or_reason(data, config, fitted):
+def _theta_or_reason(data, config):
     try:
-        return fit(data, config, fitted)[0].theta
+        return fit(data, config)[0].theta
     except EstimationError as exc:
         return str(exc)
 
@@ -353,11 +353,10 @@ class TestIndexDirection:
         flip = np.ones(data.l)
         flip[0] = -1.0
         flipped = make_data(data.d, data.y, data.X * flip[:data.k], data.Z * flip)
-        fitted, fitted_flipped = {}, {}
         for method in ("snn", "h90", "as98"):
             config = EstimatorConfig(method, nuisance="probit")
-            a = _theta_or_reason(data, config, fitted)
-            b = _theta_or_reason(flipped, config, fitted_flipped)
+            a = _theta_or_reason(data, config)
+            b = _theta_or_reason(flipped, config)
             if isinstance(a, str):
                 assert a == b, method
             else:

@@ -137,7 +137,7 @@ class TestNonFiniteOutput:
             "h90": lambda: h90_intercept(data, beta, gamma),
             "as98": lambda: as98_intercept(data, beta, gamma),
         }[method]
-        return [lambda: fit(data, EstimatorConfig(method), {None: (beta, gamma)})[0], public]
+        return [lambda: fit(data, EstimatorConfig(method), (beta, gamma))[0], public]
 
     def _assert_named_error(self, method, quantity, action):
         for call in self._calls(method):
@@ -175,10 +175,10 @@ class TestNuisanceShape:
         beta = [1.0] if wrong != "gamma" else draw.beta0
         gamma = [0.5] if wrong != "beta" else draw.gamma0
         with pytest.raises(ValueError, match="shapes"):
-            fit(draw.dataset, EstimatorConfig(method), {None: (beta, gamma)})
+            fit(draw.dataset, EstimatorConfig(method), (beta, gamma))
         with pytest.raises(ValueError, match="shapes"):
-            fit_thetas(Block([draw.dataset] * 2, [{None: (draw.beta0, draw.gamma0)},
-                                                  {None: (beta, gamma)}]), EstimatorConfig(method))
+            fit_thetas(Block([draw.dataset] * 2, [(draw.beta0, draw.gamma0), (beta, gamma)]),
+                       EstimatorConfig(method))
 
     def test_public_function_and_column_vector(self):
         draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
@@ -217,12 +217,12 @@ class TestBlockOfOne:
         for a in arrays:
             a.flags.writeable = False  # a fit that wrote to the dataset would raise
         data = Dataset(*arrays)
-        block = Block([data], [{}])
+        block = Block([data])
         assert np.shares_memory(block.D, data.d) and np.shares_memory(block.Z, data.Z)
         for method in METHODS:
             for key in (None, "probit"):
-                fitted = {None: (draw.beta0, draw.gamma0)}
-                result, _ = fit(data, EstimatorConfig(method, nuisance=key), fitted)
-                strided, _ = fit(draw.dataset, EstimatorConfig(method, nuisance=key), dict(fitted))
+                truth = (draw.beta0, draw.gamma0)
+                result, _ = fit(data, EstimatorConfig(method, nuisance=key), truth)
+                strided, _ = fit(draw.dataset, EstimatorConfig(method, nuisance=key), truth)
                 assert np.float64(result.theta).tobytes() == np.float64(strided.theta).tobytes()
         assert [a.tobytes() for a in arrays] == before

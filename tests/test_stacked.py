@@ -140,7 +140,7 @@ def _assert_block_fit(thetas, datasets, config, nuisances):
         want, reason = _reference(data, config, nuisances[i])
         expected = math.nan if want is None else want.theta
         assert np.float64(thetas[i]).tobytes() == np.float64(expected).tobytes(), (config, i, reason)
-        got, message = _alone(fit, data, config, {None: nuisances[i]})
+        got, message = _alone(fit, data, config, nuisances[i])
         assert message == reason, (config, i)
         if want is not None:
             assert np.float64(got[0].theta).tobytes() == np.float64(want.theta).tobytes(), (config, i)
@@ -274,7 +274,7 @@ class TestFitThetas:
         """Each config in one stacked call over the block, with theta i
         bitwise the R = 1 call on dataset i and its (beta, gamma)."""
         for config in self.CONFIGS:
-            block = Block(datasets, [{None: (beta.copy(), gamma.copy())} for beta, gamma in nuisances])
+            block = Block(datasets, [(beta.copy(), gamma.copy()) for beta, gamma in nuisances])
             del stacked_calls[:]  # the R = 1 references below call the bodies too
             thetas = fit_thetas(block, config)
             assert len(stacked_calls) == 1, config
@@ -295,7 +295,7 @@ class TestFitThetas:
         nuisances = [(beta, np.zeros_like(gamma))] * len(datasets)
         calls = self._count_stacked(monkeypatch)
         scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "fit")])
-        block = Block(datasets, [{None: nuisance} for nuisance in nuisances])
+        block = Block(datasets, nuisances)
         thetas = fit_thetas(block, EstimatorConfig("snn"))
         assert np.isnan(thetas).all()
         assert calls == ["_snn_rows"] and scalar == []
@@ -307,11 +307,10 @@ class TestFitThetas:
         # means' standard errors overflow; those rows must fail alone
         _, datasets, beta, gamma = _mixed_samples()
         scaled = [dataclasses.replace(data, y=data.y * 1e200) for data in datasets]
-        fitted = [{None: (beta * 1e200, gamma)} for _ in scaled]
+        truths = [(beta * 1e200, gamma)] * len(scaled)
         for method in ("snn", "h90", "as98"):
-            thetas = fit_thetas(Block(scaled, fitted), EstimatorConfig(method))
-            messages = _assert_block_fit(thetas, scaled, EstimatorConfig(method),
-                                         [nuisance[None] for nuisance in fitted])
+            thetas = fit_thetas(Block(scaled, truths), EstimatorConfig(method))
+            messages = _assert_block_fit(thetas, scaled, EstimatorConfig(method), truths)
             # all but the three samples built to fail otherwise or not at all
             assert messages.count("non-finite std_error") >= len(scaled) - 3, method
 
@@ -331,7 +330,7 @@ class TestFitThetas:
         draws[5] = Dataset(np.ones(base.n), base.y, base.X, base.Z)
         # the configs that fit every draw whose nuisance fit succeeds
         configs = [dataclasses.replace(self.CONFIGS[i], nuisance="probit") for i in (0, 2, 3)]
-        block = Block(draws, [{} for _ in draws])
+        block = Block(draws)
         block.under("probit")  # the nuisance fits, before anything is counted
         calls = self._count_stacked(monkeypatch)
         scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "h90_intercept"),
@@ -344,8 +343,7 @@ class TestFitThetas:
             reasons = _assert_block_fit(thetas, draws, config, [(None, None)] * len(draws))
             assert [i for i, reason in enumerate(reasons) if reason] == [2, 5], config
             assert reasons[2] == reasons[5] == "probit failed", config
-        for i in (2, 5):
-            assert str(block.fitted[i]["probit"]) == "probit failed"
+        assert block.under("probit")["errors"] == {2: "probit failed", 5: "probit failed"}
 
 
 def _failing_block(n):
@@ -389,10 +387,10 @@ class TestFitThetasContract:
     @pytest.mark.parametrize("n", [100, 25])
     def test_each_theta_is_fit_alone(self, n, monkeypatch):
         names, datasets, generating = _failing_block(n)
-        block = Block(datasets, [{None: nuisance} for nuisance in generating])
+        block = Block(datasets, generating)
         block.under("probit")  # the nuisance fits, before anything is counted
         for i in (names.index("constant-d"), names.index("separated")):
-            assert str(block.fitted[i]["probit"]) == "probit failed"
+            assert block.under("probit")["errors"][i] == "probit failed"
         bodies = _counted(monkeypatch, _BODIES)
         scalar = _counted(monkeypatch, [(baselines, "probit_mle"), (registry, "snn_intercept"),
                                         (registry, "h90_intercept"), (registry, "as98_intercept"),
@@ -418,11 +416,11 @@ class TestFitThetasContract:
         # on their empty tail; the block row and ``fit`` name it the same
         names, datasets, generating = _failing_block(100)
         i = names.index("zero-gamma")
-        block = Block(datasets, [{None: nuisance} for nuisance in generating])
+        block = Block(datasets, generating)
         for config in (EstimatorConfig("snn"), EstimatorConfig("h90"), EstimatorConfig("as98")):
             _, want = _reference(datasets[i], config, generating[i])
             assert want == ("degenerate index" if config.method == "snn" else "empty tail")
-            assert _alone(fit, datasets[i], config, {None: generating[i]})[1] == want
+            assert _alone(fit, datasets[i], config, generating[i])[1] == want
             assert registry._fit_block(block, config)[1].get(i) == want
 
 
@@ -467,7 +465,7 @@ class TestLeastSquaresOracle:
         seen = {"ols": set(), "heckman": set()}
         draws = 0
         for datasets in self._blocks():
-            block = Block(datasets, [{} for _ in datasets])
+            block = Block(datasets)
             oracle = [self._oracle(data) for data in datasets]
             for method in ("ols", "heckman"):
                 rows, reasons = registry._fit_block(block, EstimatorConfig(method))
@@ -491,7 +489,7 @@ class TestLeastSquaresOracle:
 
     def test_scaled_row_fails_ols_only_on_its_standard_errors(self):
         names, datasets, _ = _failing_block(100)
-        block = Block(datasets, [{} for _ in datasets])
+        block = Block(datasets)
         i = names.index("scaled")
         assert registry._fit_block(block, EstimatorConfig("ols"))[1].get(i) == "non-finite std_errors"
         assert registry._fit_block(block, EstimatorConfig("heckman"))[1].get(i) is None
@@ -569,7 +567,7 @@ class TestPilotOracle:
 
 class TestFitIsTheBlockFit:
     """``fit`` runs the block fit on a block of one dataset: one stacked body
-    call, no public R = 1 call, and the nuisance stored in ``fitted``."""
+    call, no public R = 1 call, and the nuisance the block fits."""
 
     @pytest.mark.parametrize("config, body", [
         (EstimatorConfig("snn"), "_snn_rows"),
@@ -582,40 +580,50 @@ class TestFitIsTheBlockFit:
     def test_one_body_call_and_no_r1_call(self, config, body, monkeypatch):
         draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=4))
         est = fit_nuisance(draw.dataset, "probit")
-        fitted = {None: (draw.beta0, draw.gamma0), "probit": (est.beta, est.gamma)}
+        truth = (draw.beta0, draw.gamma0)
+        fits = []
+        monkeypatch.setattr(nuisance, "fit_nuisance", lambda data, key: fits.append(key) or est)
         bodies = _counted(monkeypatch, _BODIES)
         scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "h90_intercept"),
                                         (registry, "as98_intercept"), (baselines, "probit_mle"),
                                         (registry, "ols_selected"), (registry, "heckman_two_step")])
-        result, _ = fit(draw.dataset, config, fitted)
+        result, _ = fit(draw.dataset, config, truth)
         assert bodies == [body] and scalar == [], config
-        want, _ = _reference(draw.dataset, config, fitted[None])
+        assert fits == [config.nuisance] * (config.nuisance is not None), config
+        want, _ = _reference(draw.dataset, config, truth)
         assert np.float64(result.theta).tobytes() == np.float64(want.theta).tobytes()
 
-    def test_fitted_receives_the_nuisance_fit_or_its_error(self, monkeypatch):
-        data = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=4)).dataset
+    def test_block_fits_each_nuisance_once_and_keeps_its_error(self, monkeypatch):
+        # every config on a block shares one fit_nuisance call per dataset
+        # and key; a failed row is named by its kept message, not refitted
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=4))
+        data = draw.dataset
         constant = Dataset(np.ones(data.n), data.y, data.X, data.Z)
-        fits = _counted(monkeypatch, [(nuisance, "fit_nuisance")])
-        fitted = {}
-        _, beta = fit(data, EstimatorConfig("snn", nuisance="probit"), fitted)
         est = fit_nuisance(data, "probit")
-        assert list(fitted) == ["probit"] and fitted["probit"][0] is beta
-        assert [a.tobytes() for a in fitted["probit"]] == [est.beta.tobytes(), est.gamma.tobytes()]
-        fit(data, EstimatorConfig("h90", nuisance="probit"), fitted)  # shares the fit
-        assert fits == ["fit_nuisance"]
-        failed = {}
-        for method in ("as98", "snn"):  # the second raises the stored error
-            with pytest.raises(EstimationError, match="^probit failed$"):
-                fit(constant, EstimatorConfig(method, nuisance="probit"), failed)
-        assert fits == ["fit_nuisance"] * 2
-        assert list(failed) == ["probit"] and isinstance(failed["probit"], EstimationError)
-        assert str(failed["probit"]) == "probit failed"
-        untouched = {}
+        fits = _counted(monkeypatch, [(nuisance, "fit_nuisance")])
+        block = Block([data, constant], [(draw.beta0, draw.gamma0)] * 2)
+        for method in ("snn", "h90", "as98"):
+            for key in ("probit", None):
+                errors = registry._fit_block(block, EstimatorConfig(method, nuisance=key))[1]
+                assert errors == ({1: "probit failed"} if key else {}), (method, key)
         for method in ("ols", "heckman"):  # estimate their own slopes
-            fit(data, EstimatorConfig(method, nuisance="probit"), untouched)
-        assert untouched == {} and fits == ["fit_nuisance"] * 2
+            registry._fit_block(block, EstimatorConfig(method, nuisance="probit"))
+        assert fits == ["fit_nuisance"] * 2
+        arrays = block.under("probit")
+        assert arrays["errors"] == {1: "probit failed"}
+        assert [arrays["beta"][0].tobytes(), arrays["gamma"][0].tobytes()] == [est.beta.tobytes(),
+                                                                              est.gamma.tobytes()]
+        assert not arrays["beta"][1].any() and not arrays["gamma"][1].any()
+        # fit alone: its slopes are its block's beta row; a failure is raised
+        _, beta = fit(data, EstimatorConfig("snn", nuisance="probit"))
+        assert beta.tobytes() == est.beta.tobytes()
+        with pytest.raises(EstimationError, match="^probit failed$"):
+            fit(constant, EstimatorConfig("as98", nuisance="probit"))
+        assert fits == ["fit_nuisance"] * 4
         with pytest.raises(ValueError, match="generating"):
-            fit(data, EstimatorConfig("snn"), {})
+            fit(data, EstimatorConfig("snn"))
+        with pytest.raises(ValueError, match="generating"):
+            fit_thetas(Block([data]), EstimatorConfig("h90"))
 
 
 class TestSelectedQuantile:

@@ -65,6 +65,15 @@ PLANS = {
         [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3)),
          EstimatorConfig("h90"), EstimatorConfig("as98")],
         rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    # the probit nuisance fitted once per draw and shared by four configs,
+    # where a draw whose probit fails fails every one of them
+    "dgp2-probit-nuisance": (TablePlan(
+        "dgp2", 100,
+        [EstimatorConfig("snn", nuisance="probit"),
+         EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3), nuisance="probit"),
+         EstimatorConfig("h90", nuisance="probit"), EstimatorConfig("as98", nuisance="probit"),
+         EstimatorConfig("ols")],
+        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
 }
 
 
