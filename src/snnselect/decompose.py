@@ -12,6 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .baselines import probit_mle
 from .data import Dataset
 from .exceptions import EstimationError
 from .nuisance import GAMMA_METHODS
@@ -68,9 +69,9 @@ class DecompositionReport:
         return asdict(self)
 
 
-def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
+def _fit_group(data: Dataset, config: DecompositionConfig, tag: str, start):
     try:
-        result, beta = fit(data, config.estimator)
+        result, beta = fit(data, config.estimator, start=start)
     except EstimationError as exc:
         raise EstimationError(f"{tag}: {exc}") from exc
     sel = data.selected()
@@ -81,11 +82,15 @@ def _fit_group(data: Dataset, config: DecompositionConfig, tag: str):
     return result.theta, np.asarray(beta, dtype=float), ybar, xbar
 
 
-def decompose(data0: Dataset, data1: Dataset, config: DecompositionConfig | None = None) -> DecompositionReport:
-    """Full two-group decomposition with the configured pipeline."""
+def decompose(data0: Dataset, data1: Dataset, config: DecompositionConfig | None = None,
+              starts=(None, None)) -> DecompositionReport:
+    """Full two-group decomposition with the configured pipeline.
+
+    ``starts`` are the two groups' probit starts (``registry.fit``'s
+    ``start``), which ``bootstrap_se`` gives its replicates."""
     config = config or DecompositionConfig()
-    th0, b0, ybar0, xbar0 = _fit_group(data0, config, "group0")
-    th1, b1, ybar1, xbar1 = _fit_group(data1, config, "group1")
+    th0, b0, ybar0, xbar0 = _fit_group(data0, config, "group0", starts[0])
+    th1, b1, ybar1, xbar1 = _fit_group(data1, config, "group1", starts[1])
     gap = ybar1 - ybar0
     if config.weighting == "group0":
         A = (th1 - th0) + float(xbar0 @ (b1 - b0))
@@ -117,15 +122,28 @@ def _resample(data: Dataset, seed: int) -> Dataset:
     return data.take(rows)
 
 
+def _probit_start(data: Dataset, config: DecompositionConfig, tag: str):
+    """The group's unnormalised full-sample probit MLE, the same fit that
+    ``nuisance.probit_gamma`` makes, when the estimator fits the probit
+    nuisance; None otherwise.  A failed fit raises with the group's tag."""
+    est = config.estimator
+    if not (METHODS[est.method].needs_nuisance and est.nuisance == "probit"):
+        return None
+    try:
+        return probit_mle(data.d, data.Z)
+    except EstimationError as exc:
+        raise EstimationError(f"{tag}: {exc}") from exc
+
+
 def _bootstrap_chunk(task) -> list:
     """Replicates [start, stop): each one's quantities, None where it failed."""
-    data0, data1, config, seed, start, stop = task
+    data0, data1, config, starts, seed, start, stop = task
     out = []
     for b in range(start, stop):
         r0 = _resample(data0, derive_seed(seed, "bootstrap:group0", b))
         r1 = _resample(data1, derive_seed(seed, "bootstrap:group1", b))
         try:
-            out.append(decompose(r0, r1, config).quantities())
+            out.append(decompose(r0, r1, config, starts=starts).quantities())
         except EstimationError:
             out.append(None)
     return out
@@ -143,6 +161,16 @@ def bootstrap_se(
 
     SEs are sample standard deviations of each reported quantity over the
     successful replications; failed replications are counted and excluded.
+    Under the probit nuisance a replicate's probit is the k-step bootstrap's
+    (Davidson & MacKinnon 1999, Int. Econ. Rev. 40; Andrews 2002,
+    Econometrica 70): k = 2 Newton steps from its group's unnormalised
+    full-sample probit MLE, with no score test.  A fit whose second step
+    still moved an index by 0.1 or more iterates on to convergence, so a
+    resample without an MLE fails on separation or divergence as a fully
+    iterated replicate does.  That MLE is fitted once per group before any
+    replicate, and a group whose fit fails raises its tagged
+    EstimationError ("group0: probit failed").  Every other nuisance and
+    estimator is refitted in full in each replicate.
     The replicates run as contiguous chunks, about 8 per process used, on
     ``workers`` processes of which the caller is one (``seeding.run_tasks``);
     each replicate's resamples are keyed by its index, and the results are
@@ -152,7 +180,8 @@ def bootstrap_se(
         raise EstimationError("bootstrap failed")
     config = config or DecompositionConfig()
     chunks = np.array_split(np.arange(n_boot), min(n_boot, 8 * processes(workers)))
-    tasks = [(data0, data1, config, seed, int(c[0]), int(c[-1]) + 1) for c in chunks]
+    starts = (_probit_start(data0, config, "group0"), _probit_start(data1, config, "group1"))
+    tasks = [(data0, data1, config, starts, seed, int(c[0]), int(c[-1]) + 1) for c in chunks]
     ok = [q for chunk in run_tasks(_bootstrap_chunk, tasks, workers) for q in chunk if q is not None]
     if len(ok) < 2:
         raise EstimationError("bootstrap failed")

@@ -56,12 +56,16 @@ class NuisanceEstimates:
         object.__setattr__(self, "gamma", gamma)
 
 
-def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady") -> NuisanceEstimates:
+def fit_nuisance(data: Dataset, gamma_method: str = "klein_spady",
+                 start: np.ndarray | None = None) -> NuisanceEstimates:
     """Selection coefficients then Robinson outcome slopes; every nuisance
-    fit in the package goes through here."""
+    fit in the package goes through here.  ``start`` is ``probit_gamma``'s,
+    for the probit alone (ValueError with ``klein_spady``)."""
     if gamma_method not in GAMMA_METHODS:
         raise ValueError(f"unknown gamma method {gamma_method!r}; valid: {GAMMA_METHODS}")
-    gamma = probit_gamma(data) if gamma_method == "probit" else klein_spady_gamma(data)
+    if start is not None and gamma_method != "probit":
+        raise ValueError("a start is for the probit nuisance")
+    gamma = probit_gamma(data, start) if gamma_method == "probit" else klein_spady_gamma(data)
     beta = robinson_beta(data, gamma)
     return NuisanceEstimates(beta=beta, gamma=gamma)
 
@@ -70,7 +74,8 @@ def silverman_bandwidth(index: np.ndarray) -> float:
     """Rule-of-thumb pilot 1.06 * scale * n^(-1/5), robust scale via the IQR."""
     index = np.asarray(index, dtype=float)
     n = index.shape[0]
-    iqr = float(np.quantile(index, 0.75) - np.quantile(index, 0.25))
+    q25, q75 = np.quantile(index, [0.25, 0.75])
+    iqr = float(q75 - q25)
     scale = min(float(index.std()), iqr / 1.349) if iqr > 0 else float(index.std())
     if scale <= 0.0:
         raise EstimationError("degenerate index")
@@ -136,11 +141,17 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
     return est, valid
 
 
-def probit_gamma(data: Dataset) -> np.ndarray:
+def probit_gamma(data: Dataset, start: np.ndarray | None = None) -> np.ndarray:
     """Probit MLE rescaled so the first component is exactly 1 or -1: its
     sign is kept, and with it the direction of the index, which the rank
-    transform and the tail means read."""
-    g = probit_mle(data.d, data.Z)
+    transform and the tail means read.
+
+    With ``start``, the unnormalised probit MLE of the sample that ``data``
+    resamples, the fit is instead the k-step estimate from there: two
+    Newton steps with no score test, iterated on only when the second still
+    moved an index by 0.1 or more (``baselines._probit_newton``).
+    """
+    g = probit_mle(data.d, data.Z, start)
     if abs(g[0]) <= 1e-8:
         raise EstimationError("normalization impossible")
     return g / abs(g[0])
@@ -266,12 +277,12 @@ def robinson_beta(
     idx = (data.Z @ gamma)[sel]
     if bandwidth is None:
         bandwidth = silverman_bandwidth(idx)
-    cols = np.column_stack([data.y[sel], data.X[sel]])
-    smooth, valid = _loo_epanechnikov(idx, cols, bandwidth)
+    y, X = data.y[sel], data.X[sel]
+    smooth, valid = _loo_epanechnikov(idx, np.column_stack([y, X]), bandwidth)
     if int(valid.sum()) < data.k + 2:
         raise EstimationError("singular design")
-    ry = data.y[sel][valid] - smooth[valid, 0]
-    rX = data.X[sel][valid] - smooth[valid, 1:]
+    ry = y[valid] - smooth[valid, 0]
+    rX = X[valid] - smooth[valid, 1:]
     coef, _, rank, _ = np.linalg.lstsq(rX, ry, rcond=None)
     if rank < data.k:
         raise EstimationError("singular design")

@@ -7,7 +7,8 @@ same-shaped datasets, and ``fit`` is that block fit on one dataset; the
 five public estimators (``snn_intercept``, ``ols_selected``,
 ``heckman_two_step``, ``h90_intercept``, ``as98_intercept``) are ``fit``.
 The block owns the nuisance: it takes only simulated draws' generating
-(beta, gamma) and fits any other once per dataset and gamma method.
+(beta, gamma), or a probit start for a bootstrap resample, and fits any
+other once per dataset and gamma method.
 A method's ``fit(block, cfg)`` returns its stacked rows and {row: reason}
 from one stacked pass; OLS, the two-step's second stage and snn's plug-in
 pilot share one stacked least-squares body, ``numerics._ls_rows``.  OLS
@@ -133,19 +134,20 @@ class EstimatorConfig:
         return METHODS[self.method].label(self)
 
 
-def fit(data, config: EstimatorConfig, truth=None):
+def fit(data, config: EstimatorConfig, truth=None, start=None):
     """Run one intercept fit; returns (the method's result, the slopes it used).
 
     This is ``fit_thetas``'s block fit on one dataset; a reason for failing
     is raised as EstimationError.  ``truth`` is the generating (beta, gamma)
     of a simulated draw, read only by a method that needs the nuisance under
     ``nuisance=None``, which without it raises ValueError; a gamma method
-    as ``config.nuisance`` fits them instead.
+    as ``config.nuisance`` fits them instead.  ``start`` is the probit
+    nuisance fit's (``nuisance.probit_gamma``).
 
     A theta or standard error that overflowed to inf or NaN raises
     EstimationError("non-finite <quantity>"); no fit returns one.
     """
-    block = Block([data], None if truth is None else [truth])
+    block = Block([data], None if truth is None else [truth], None if start is None else [start])
     result = _one_row(*_fit_block(block, config))
     needs = METHODS[config.method].needs_nuisance
     return result, (block.under(config.nuisance)["beta"][0] if needs else result.beta)
@@ -219,14 +221,16 @@ def _stacked(arrays) -> np.ndarray:
 
 class Block:
     """Datasets of one n and l, with the generating (beta, gamma) of each
-    when they are simulated draws (``truths``), and the stacked arrays that
-    the stacked fits of a block share, each built on first use and then
-    kept for every config.  The stacked fits only read them: on a block of
-    one they may be the dataset's own arrays."""
+    when they are simulated draws (``truths``), the start of each one's
+    probit nuisance fit when they are bootstrap resamples (``starts``), and
+    the stacked arrays that the stacked fits of a block share, each built
+    on first use and then kept for every config.  The stacked fits only
+    read them: on a block of one they may be the dataset's own arrays."""
 
-    def __init__(self, datasets, truths=None):
+    def __init__(self, datasets, truths=None, starts=None):
         self.datasets = list(datasets)
         self.truths = None if truths is None else list(truths)
+        self.starts = None if starts is None else list(starts)
         self._under = {}
 
     def __len__(self) -> int:
@@ -251,10 +255,11 @@ class Block:
     def under(self, key) -> dict:
         """The block's arrays under the nuisance ``key``: each row has its
         dataset's (beta, gamma) from ``truths`` for ``key=None`` (ValueError
-        without them), else from one ``fit_nuisance`` call, whose
-        EstimationError fails that row.  A beta that is not of shape (k,), or
-        a gamma not of shape (l,), raises ValueError.  ``errors``, {row: the
-        message of its nuisance error} (such a row holds zeros below);
+        without them), else from one ``fit_nuisance`` call, given its start
+        from ``starts``, whose EstimationError fails that row.  A beta that
+        is not of shape (k,), or a gamma not of shape (l,), raises
+        ValueError.  ``errors``, {row: the message of its nuisance error}
+        (such a row holds zeros below);
         ``beta`` (R, k); ``gamma`` (R, l); ``index`` (R, n), each row bitwise
         data.Z @ gamma; ``residuals`` (R, n), each row bitwise
         ``residualized_outcome(data, beta)``."""
@@ -270,7 +275,8 @@ class Block:
                     beta, gamma = self.truths[i]
                 else:
                     try:
-                        est = nuisance.fit_nuisance(data, key)
+                        start = None if self.starts is None else self.starts[i]
+                        est = nuisance.fit_nuisance(data, key, start)
                     except EstimationError as exc:
                         errors[i] = str(exc)
                         continue

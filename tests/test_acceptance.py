@@ -389,8 +389,8 @@ class TestCriterion8:
         calls = [0]
 
         # bootstrap_se looks decompose up at call time, so this sees every replicate
-        def checked(a, b, config):
-            rep = decompose(a, b, config)
+        def checked(a, b, config, starts):
+            rep = decompose(a, b, config, starts=starts)
             viol = abs(rep.gap_overall - (rep.component_A + rep.component_B + rep.component_C))
             identity_viol[0] = max(identity_viol[0], viol)
             calls[0] += 1

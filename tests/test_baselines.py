@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import special
 from scipy.special import ndtr
 
 from oracles import as98_bruteforce, h90_bruteforce, ols_bruteforce
+import snnselect.baselines as baselines
 from snnselect.baselines import (
     TailRule,
     _probit_newton,
@@ -176,6 +178,112 @@ class TestProbitStack:
         with pytest.raises(EstimationError, match="probit failed"):
             probit_mle((z[:, 0] > 0).astype(float), z)
         assert calls
+
+
+# sha256 of the bytes of (G, failed) from _probit_newton on _mixed_probit_stack(),
+# iterated from zero to convergence, as recorded before the k-step existed
+MIXED_STACK_DIGEST = "929d02876f0d"
+
+
+def _separable_sample():
+    """d = 1{z0 > 0} with every |z0| above 0.1: a start of 60 on z0 already
+    classifies every row with a margin of at least 4."""
+    z = np.random.default_rng(31).normal(size=(120, 7))
+    z = z[np.abs(z[:, 0]) > 0.1]
+    return (z[:, 0] > 0).astype(float), z
+
+
+def _counted_verdicts(monkeypatch) -> list:
+    """Record every separation verdict _probit_newton reaches."""
+    verdicts = []
+    real = baselines._separated
+    monkeypatch.setattr(baselines, "_separated",
+                        lambda d, xb: verdicts.append(real(d, xb)) or verdicts[-1])
+    return verdicts
+
+
+class TestKStepNewton:
+    def test_default_is_the_fully_iterated_fit(self):
+        names, D, Z = _mixed_probit_stack()
+        G, failed = _probit_newton(D, Z)
+        digest = hashlib.sha256(G.tobytes() + failed.tobytes()).hexdigest()[:12]
+        assert digest == MIXED_STACK_DIGEST
+
+    def test_unsettled_start_iterates_on_as_the_fully_iterated_fit(self):
+        # from zero every row's second step still moves an index by 0.1 or
+        # more, so each goes on under the fully iterated rule to its bits
+        names, D, Z = _mixed_probit_stack()
+        G, failed = _probit_newton(D, Z)
+        G0, failed0 = _probit_newton(D, Z, np.zeros(G.shape))
+        assert G0.tobytes() == G.tobytes() and (failed0 == failed).all()
+
+    def test_k_steps_from_the_mle_stay_there(self, monkeypatch):
+        data = probit_sample(2000, [1.0, -0.5, 0.25], seed=36)
+        mle = probit_mle(data.d, data.Z)
+        for steps in (1, baselines._PROBIT_START_STEPS, 5):
+            monkeypatch.setattr(baselines, "_PROBIT_START_STEPS", steps)
+            assert np.abs(probit_mle(data.d, data.Z, mle) - mle).max() <= 1e-12
+
+    def test_every_member_matches_its_scalar_fit(self):
+        names, D, Z = _mixed_probit_stack()
+        mle, _ = _probit_newton(D, Z)
+        # a different start in every row: its MLE scaled, zero where it has
+        # none; the rows near their MLE end after k steps, the others go on
+        G0 = np.where(np.isnan(mle), 0.0, mle) * np.linspace(0.5, 1.5, len(D))[:, None]
+        G0[names.index("separated"), 0] = 60.0
+        scalar = [_probit_newton(D[i:i + 1], Z[i:i + 1], G0[i:i + 1]) for i in range(len(D))]
+        for members in ([*range(len(D))], [*range(len(D))][::-1], [0, 9, 3, 11], [8, 10]):
+            G, failed = _probit_newton(D[members], Z[members], G0[members])
+            for row, i in enumerate(members):
+                assert failed[row] == scalar[i][1][0], names[i]
+                assert G[row].tobytes() == scalar[i][0][0].tobytes(), names[i]
+
+    @pytest.mark.parametrize("kind", ["constant", "singular", "diverging", "separated",
+                                      "separated-near-its-start"])
+    def test_each_failure_kind_fails_the_k_step(self, kind, monkeypatch):
+        names, D, Z = _mixed_probit_stack()
+        d, z, start = D[0], Z[0], np.zeros(Z.shape[2])
+        if kind == "constant":
+            d = np.ones_like(d)
+        elif kind == "singular":  # a zero column
+            z = np.column_stack([z[:, :-1], np.zeros(len(d))])
+        elif kind == "diverging":  # a separating coefficient past 1e4 at the first step
+            d, z = D[names.index("diverging")], Z[names.index("diverging")]
+        elif kind == "separated":
+            d, z = _separable_sample()
+            start[0] = 60.0
+        else:
+            # the start is the MLE of the same rows with 8 outcomes flipped,
+            # as a resample's start is its full sample's: finite, and two
+            # steps from it classify no row with a margin of 4
+            d, z = _separable_sample()
+            flipped = d.copy()
+            rows = np.random.default_rng(3).choice(len(d), 8, replace=False)
+            flipped[rows] = 1.0 - flipped[rows]
+            start = probit_mle(flipped, z)
+        verdicts = _counted_verdicts(monkeypatch)
+        with pytest.raises(EstimationError, match="^probit failed$"):
+            probit_mle(d, z, start)
+        if kind.startswith("separated"):
+            assert verdicts == [True]  # failed on the verdict, not on divergence
+
+    def test_no_score_test(self, monkeypatch):
+        # with one step allowed, a fit from zero fails on its score norm; a
+        # k-step fit of one step that settled near the MLE stands, short of it
+        monkeypatch.setattr(baselines, "_PROBIT_MAX_ITER", 1)
+        monkeypatch.setattr(baselines, "_PROBIT_START_STEPS", 1)
+        data = probit_sample(2000, [1.0, -0.5, 0.25], seed=37)
+        with pytest.raises(EstimationError, match="probit failed"):
+            probit_mle(data.d, data.Z)
+        monkeypatch.setattr(baselines, "_PROBIT_MAX_ITER", 100)
+        mle = probit_mle(data.d, data.Z)
+        monkeypatch.setattr(baselines, "_PROBIT_MAX_ITER", 1)
+        one_step = probit_mle(data.d, data.Z, mle + 0.01)
+        assert 1e-6 < np.abs(one_step - mle).max() < 1e-3
+        # a start whose step still moves an index by 0.1 goes on, and here
+        # runs out of steps with its score test
+        with pytest.raises(EstimationError, match="probit failed"):
+            probit_mle(data.d, data.Z, mle + 0.05)
 
 
 class TestHeckmanTwoStep:

@@ -34,8 +34,30 @@ def group_sample(n, theta, seed, rho=0.0, beta=(1.0, -0.5), gamma=(1.0, 0.8, 0.4
 
 PROBIT = EstimatorConfig(nuisance="probit")
 FAST = DecompositionConfig(PROBIT)
-# bootstrap SE of the intercept difference in TestBootstrap.test_se_pinned_bitwise
+# bootstrap SE of the intercept difference in TestBootstrap.test_se_pinned_bitwise,
+# with fully iterated replicates, and with the k-step replicates bootstrap_se runs
 PINNED_SE = "0.13415521822679896"
+PINNED_SE_K_STEP = "0.13421292452933975"
+
+
+@pytest.fixture
+def fully_iterated(monkeypatch):
+    """Replicates without a probit start: each iterates its probit from zero
+    to convergence, as the full-sample fit does."""
+    monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "_probit_start",
+                        lambda data, config, tag: None)
+
+
+def criterion9_sample(nn, theta, seed):
+    """tests/test_acceptance.py's criterion-9 generator: four selection
+    covariates, the first two of them the outcome's."""
+    g = np.random.default_rng(seed)
+    Z = g.normal(size=(nn, 4))
+    v = g.normal(size=nn)
+    d = (Z @ np.array([1.0, 0.8, 0.5, 0.3]) >= v).astype(float)
+    X = Z[:, :2]
+    y = d * (theta + X @ np.array([1.0, -0.5]) + g.normal(size=nn))
+    return Dataset(d=d, y=y, X=X, Z=Z)
 
 
 class TestDecompose:
@@ -160,11 +182,13 @@ class TestBootstrap:
         reports = []
 
         # bootstrap_se looks decompose up at call time, so this sees every replicate
-        def checked(a, b, config):
-            rep = decompose(a, b, config)
+        def checked(a, b, config, starts):
+            rep = decompose(a, b, config, starts=starts)
             assert rep.gap_overall == pytest.approx(
                 rep.component_A + rep.component_B + rep.component_C, abs=1e-12
             )
+            # a k-step replicate: both groups' probits start at their full-sample fit
+            assert all(start is not None for start in starts)
             reports.append(rep)
             return rep
 
@@ -173,13 +197,68 @@ class TestBootstrap:
         assert summary.n_failed == 0
         assert len(reports) == 12
 
-    def test_se_pinned_bitwise(self):
+    def test_se_pinned_bitwise(self, fully_iterated):
         # pins the resampling streams: the Philox draws of every replicate
         d0 = group_sample(400, 1.0, seed=81, rho=0.5)
         d1 = group_sample(400, 1.3, seed=82, rho=0.25)
         summary = bootstrap_se(d0, d1, FAST, n_boot=8, seed=9)
         assert summary.n_failed == 0
         assert repr(summary.ses["intercept_difference"]) == PINNED_SE
+
+    def test_k_step_se_pinned_bitwise(self):
+        # the same streams, each replicate's probit two Newton steps from its
+        # group's full-sample fit
+        d0 = group_sample(400, 1.0, seed=81, rho=0.5)
+        d1 = group_sample(400, 1.3, seed=82, rho=0.25)
+        summary = bootstrap_se(d0, d1, FAST, n_boot=8, seed=9)
+        assert summary.n_failed == 0
+        assert repr(summary.ses["intercept_difference"]) == PINNED_SE_K_STEP
+
+    def test_k_step_agrees_with_fully_iterated(self, monkeypatch):
+        # criterion 9's design at B = 200: every SE within 1% relative of the
+        # fully iterated replicates', and the same replicates fail
+        d0, d1 = criterion9_sample(4000, 1.0, 31), criterion9_sample(4000, 1.5, 32)
+        k_step = bootstrap_se(d0, d1, FAST, n_boot=200, seed=20)
+        monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "_probit_start",
+                            lambda data, config, tag: None)
+        reference = bootstrap_se(d0, d1, FAST, n_boot=200, seed=20)
+        assert k_step.n_failed == reference.n_failed
+        assert list(k_step.ses) == list(reference.ses)
+        for name, se in reference.ses.items():
+            assert abs(k_step.ses[name] - se) <= 0.01 * se, name
+
+    def test_k_step_fails_the_replicates_that_have_no_mle(self, monkeypatch):
+        # group 0's selection is six times as sharp at n = 120, so many
+        # resamples separate; two steps from the full-sample fit do not show
+        # it, and the replicate must still fail as the fully iterated one does
+        d0 = group_sample(120, 1.0, seed=100, gamma=(6.0, 4.8, 2.4))
+        d1 = group_sample(120, 1.2, seed=200)
+        k_step = bootstrap_se(d0, d1, FAST, n_boot=100, seed=0)
+        monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "_probit_start",
+                            lambda data, config, tag: None)
+        reference = bootstrap_se(d0, d1, FAST, n_boot=100, seed=0)
+        assert reference.n_failed > 0
+        assert k_step.n_failed == reference.n_failed
+        for name, se in reference.ses.items():
+            assert abs(k_step.ses[name] - se) <= 0.01 * se, name
+
+    def test_failed_start_raises_before_any_replicate(self, monkeypatch):
+        # group 1's selection is d = 1{z0 > 0}: its full-sample probit separates
+        d0 = group_sample(300, 1.0, seed=85)
+        d1 = group_sample(300, 1.2, seed=86)
+        separated = make_data((d1.Z[:, 0] > 0).astype(float), d1.y, d1.X, d1.Z)
+
+        def no_replicates(*args):
+            raise AssertionError("replicates ran")
+
+        monkeypatch.setattr(importlib.import_module("snnselect.decompose"), "run_tasks",
+                            no_replicates)
+        with pytest.raises(EstimationError, match="^group1: probit failed$"):
+            bootstrap_se(d0, separated, FAST, n_boot=20, seed=11, workers=2)
+        # the methods without the probit nuisance need no start
+        ols = DecompositionConfig(EstimatorConfig("ols"))
+        with pytest.raises(AssertionError, match="replicates ran"):
+            bootstrap_se(d0, separated, ols, n_boot=20, seed=11)
 
     def test_default_statistic_covers_every_quantity(self):
         d0 = group_sample(500, 1.0, seed=79)

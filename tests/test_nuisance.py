@@ -79,13 +79,26 @@ class TestProbitGamma:
         assert g[1] == pytest.approx(0.8, abs=0.1)
 
     def test_normalization_impossible(self, monkeypatch):
-        # the guard is numeric: a first coefficient within 1e-8 of zero
+        # the guard is numeric: a first coefficient within 1e-8 of zero, for
+        # the fully iterated fit and for the k-step fit from a start alike
         import snnselect.nuisance as nuis
 
-        monkeypatch.setattr(nuis, "probit_mle", lambda d, Z: np.array([5e-9, 1.0]))
+        monkeypatch.setattr(nuis, "probit_mle", lambda d, Z, start: np.array([5e-9, 1.0]))
         data = selection_sample(200, [0.0, 1.0], seed=39)
-        with pytest.raises(EstimationError, match="normalization impossible"):
-            nuis.probit_gamma(data)
+        for start in (None, np.array([0.5, 1.0])):
+            with pytest.raises(EstimationError, match="normalization impossible"):
+                nuis.probit_gamma(data, start)
+
+    def test_start_takes_k_steps(self):
+        # a start means the k-step fit from it, then the same normalization
+        data = selection_sample(400, [1.0, 0.5], seed=41)
+        start = np.array([0.9, 0.4])
+        g = nuisance.probit_mle(data.d, data.Z, start)
+        expected = (g / abs(g[0])).tobytes()
+        assert probit_gamma(data, start).tobytes() == expected
+        assert nuisance.fit_nuisance(data, "probit", start).gamma.tobytes() == expected
+        with pytest.raises(ValueError, match="probit"):
+            nuisance.fit_nuisance(data, "klein_spady", start)
 
     def test_constant_outcome(self):
         rng = np.random.default_rng(40)
@@ -374,6 +387,25 @@ class TestSilverman:
     def test_degenerate_index(self):
         with pytest.raises(EstimationError, match="degenerate index"):
             silverman_bandwidth(np.zeros(100))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=200),
+        st.tuples(st.sampled_from(["normal", "cauchy"]), st.integers(5, 5000),
+                  st.integers(0, 2**32 - 1)).map(
+            lambda t: getattr(np.random.default_rng(t[2]),
+                              "standard_" + t[0])(size=t[1]).tolist()),
+    ))
+    def test_bitwise_the_two_quantile_calls(self, values):
+        # both quartiles from one np.quantile call are the two calls' bits
+        x = np.asarray(values)
+        iqr = float(np.quantile(x, 0.75) - np.quantile(x, 0.25))
+        scale = min(float(x.std()), iqr / 1.349) if iqr > 0 else float(x.std())
+        if scale <= 0.0:
+            with pytest.raises(EstimationError, match="degenerate index"):
+                silverman_bandwidth(x)
+        else:
+            assert repr(silverman_bandwidth(x)) == repr(1.06 * scale * len(x) ** (-0.2))
 
 
 _IMPORT_FOOTPRINT = """

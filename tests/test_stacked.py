@@ -582,7 +582,7 @@ class TestFitIsTheBlockFit:
         est = fit_nuisance(draw.dataset, "probit")
         truth = (draw.beta0, draw.gamma0)
         fits = []
-        monkeypatch.setattr(nuisance, "fit_nuisance", lambda data, key: fits.append(key) or est)
+        monkeypatch.setattr(nuisance, "fit_nuisance", lambda data, key, start: fits.append(key) or est)
         bodies = _counted(monkeypatch, _BODIES)
         scalar = _counted(monkeypatch, [(registry, "snn_intercept"), (registry, "h90_intercept"),
                                         (registry, "as98_intercept"), (baselines, "probit_mle"),

@@ -14,7 +14,10 @@ fit, and prints one line
     one-row -> sha256(repr(outcomes))[:12] (F fits, E failed)
 
 It imports those estimators from ``snnselect`` alone, so the same script
-runs on any tree that exports them.  Hashes are of bits, so they hold on
+runs on any tree that exports them.  The plan ``decompose-probit`` hashes
+the full-sample quantities of a two-group decomposition under the probit
+nuisance with the bootstrap SEs and failure count of B = 20 replicates,
+at workers 1 and 2, and exits 1 when they differ between worker counts.  Hashes are of bits, so they hold on
 one host; another BLAS build may change them.
 
     python tools/identity.py             # every plan
@@ -31,9 +34,12 @@ import numpy as np
 
 from snnselect import (
     BandwidthRule,
+    DecompositionConfig,
     DgpSpec,
     EstimationError,
     as98_intercept,
+    bootstrap_se,
+    decompose,
     h90_intercept,
     heckman_two_step,
     ols_selected,
@@ -78,7 +84,8 @@ PLANS = {
 
 
 ONE_ROW = "one-row"
-NAMES = [*PLANS, ONE_ROW]
+DECOMPOSE = "decompose-probit"
+NAMES = [*PLANS, ONE_ROW, DECOMPOSE]
 
 
 def _digest(value) -> str:
@@ -107,6 +114,17 @@ def _one_row_outcomes():
                         yield str(exc)
 
 
+def _decompose_outcome(workers: int):
+    """The full-sample quantities of two fixed dgp1 groups of 600 rows under
+    snn with the probit nuisance, then the SEs and failure count of a
+    B = 20 bootstrap on ``workers`` processes."""
+    group0 = simulate(DgpSpec("dgp1", 600, rho=0.5, alpha=2.0, theta0=1.0, seed=11)).dataset
+    group1 = simulate(DgpSpec("dgp1", 600, rho=0.25, alpha=1.5, theta0=1.4, seed=12)).dataset
+    config = DecompositionConfig(EstimatorConfig("snn", nuisance="probit"))
+    boot = bootstrap_se(group0, group1, config, n_boot=20, seed=13, workers=workers)
+    return decompose(group0, group1, config).quantities(), dict(boot.ses), boot.n_failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="print the plan names and exit")
@@ -122,17 +140,21 @@ def main(argv=None) -> int:
             failed = sum(isinstance(outcome, str) for outcome in outcomes)
             print(f"{name} -> {_digest(outcomes)} ({len(outcomes)} fits, {failed} failed)", flush=True)
             continue
-        plan, seed = PLANS[name]
         hashes = set()
         for workers in WORKERS:
-            panels = run_table(plan, base_seed=seed, workers=workers).panels
-            digest = _digest(panels)
+            if name == DECOMPOSE:
+                outcome = _decompose_outcome(workers)
+            else:
+                plan, seed = PLANS[name]
+                outcome = run_table(plan, base_seed=seed, workers=workers).panels
+            digest = _digest(outcome)
             hashes.add(digest)
             print(f"{name} workers={workers} -> {digest}", flush=True)
-        for label, panel in panels.items():
-            print(f"  {label} -> {_digest(panel)}")
+        if name != DECOMPOSE:
+            for label, panel in outcome.items():
+                print(f"  {label} -> {_digest(panel)}")
         if len(hashes) > 1:
-            print(f"{name}: panels differ between workers {WORKERS}", file=sys.stderr)
+            print(f"{name}: results differ between workers {WORKERS}", file=sys.stderr)
             status = 1
     return status
 
