@@ -75,8 +75,6 @@ def _fit_group(data: Dataset, config: DecompositionConfig, tag: str, start):
     except EstimationError as exc:
         raise EstimationError(f"{tag}: {exc}") from exc
     sel = data.selected()
-    if not np.any(sel):
-        raise EstimationError(f"{tag}: insufficient selected observations")
     ybar = float(data.y[sel].mean())
     xbar = data.X[sel].mean(axis=0)
     return result.theta, np.asarray(beta, dtype=float), ybar, xbar

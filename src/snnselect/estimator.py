@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .exceptions import EstimationError
 from .numerics import _ls_rows, eval_kernel, kernel_l2, kernel_moment
 
 __all__ = [
@@ -124,44 +123,34 @@ def _two_ranks_weighted(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.any((t < 0.0) & (u > -1.0), axis=-1)
 
 
-def _window_bandwidth(t: np.ndarray, h: float) -> float:
-    """Widen h by 1.5x (up to the cap) until >= 2 distinct ranks have
-    weight, for one row t."""
-    cap = BANDWIDTH_CLAMP[1]
-    while not _two_ranks_weighted(t, t / h):
-        if h >= cap:
-            raise EstimationError("degenerate local design")
-        h = min(h * _WIDEN_FACTOR, cap)
-    return h
-
-
 def _snn_rows(eta, idx, W, kernel_order: int, rule: BandwidthRule):
     """The snn fit of each row of the (R, n) ranks, index values and W;
     returns (InterceptEstimate of stacked fields, errors), errors mapping a
-    failed row to its EstimationError message.
+    failed row to its reason.
 
     Each row runs the same arithmetic as its R = 1 call: whole-row products
     are ``vecdot`` and ``sum(axis=1)`` over contiguous rows, and the
-    plug-in's polynomial pilot is one stacked least-squares fit.  The only
-    branch run one row at a time is the widening of a window with one rank.
+    plug-in's polynomial pilot is one stacked least-squares fit.  The rows
+    whose window holds one rank widen together, each step h -> 1.5 h up to
+    the cap; a row still at one rank at the cap has a singular local fit,
+    so the solve gives it "degenerate local design".  No row is fitted
+    apart from the others.
     """
     t = eta - 1.0
-    errors = {}
     if rule.kind == "fixed":
-        h = np.full(t.shape[0], rule.value)
+        h, errors = np.full(t.shape[0], rule.value), {}
     else:
-        h = _plug_in_from_ranks(t, idx, W, kernel_order, rule.value)
+        h, errors = _plug_in_from_ranks(t, idx, W, kernel_order, rule.value)
+    cap = BANDWIDTH_CLAMP[1]
     u = t / h[:, None]
-    for r in np.flatnonzero(~_two_ranks_weighted(t, u)):
-        try:
-            h[r] = _window_bandwidth(t[r], h[r])
-        except EstimationError as exc:
-            errors[r] = str(exc)
-        u[r] = t[r] / h[r]
+    narrow = np.flatnonzero(~_two_ranks_weighted(t, u) & (h < cap))
+    while narrow.size:
+        h[narrow] = np.minimum(h[narrow] * _WIDEN_FACTOR, cap)
+        u[narrow] = t[narrow] / h[narrow, None]
+        narrow = narrow[~_two_ranks_weighted(t[narrow], u[narrow]) & (h[narrow] < cap)]
     K = eval_kernel(kernel_order, u)
     theta, slope, w, degenerate = _local_linear_solve(t, K, W)
-    for r in np.flatnonzero(degenerate):
-        errors.setdefault(r, "degenerate local design")
+    errors = {**dict.fromkeys(np.flatnonzero(degenerate), "degenerate local design"), **errors}
     resid = W - (theta[:, None] + slope[:, None] * t)
     ksum = np.where(degenerate, 1.0, K.sum(axis=1))
     sigma2 = np.vecdot(K, resid * resid) / ksum
@@ -189,10 +178,12 @@ def _plug_in_from_ranks(
     W: np.ndarray,
     p: int,
     scale: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     """Estimated MSE-optimal bandwidth for the boundary locally linear fit,
     per row of the centred ranks t = eta_hat - 1, the index values and W
-    (each (R, n)), and the kernel order p.
+    (each (R, n)), and the kernel order p; returns (h, errors), errors
+    mapping every row to "insufficient sample" below 30 observations, where
+    each h is the upper clamp.
 
     The rule evaluates
 
@@ -217,14 +208,14 @@ def _plug_in_from_ranks(
     whose tail gate passed; a row where that fit is singular (too few
     distinct ranks) gets the clamp.
     """
-    n = t.shape[1]
-    if n < 30:
-        raise EstimationError("insufficient sample")
+    R, n = t.shape
     lo, hi = BANDWIDTH_CLAMP
-    h = np.full(t.shape[0], hi)
+    h = np.full(R, hi)
+    if n < 30:
+        return h, dict.fromkeys(range(R), "insufficient sample")
     rows = np.flatnonzero(_upper_tail_ratio(idx) <= _TAIL_RATIO_MAX)  # a NaN ratio fails too
     if rows.size == 0:
-        return h
+        return h, {}
     # the columns (1, t, ..., t^p) by np.vander's running product
     T = np.empty((rows.size, n, p + 1))
     T[:, :, 0] = 1.0
@@ -242,4 +233,4 @@ def _plug_in_from_ranks(
     ok = (den > 0.0) & (num > 0.0)
     h_star = scale * (num[ok] / den[ok]) ** (1.0 / (2 * p + 1))
     h[rows[curved][ok]] = np.minimum(np.maximum(h_star, lo), hi)
-    return h
+    return h, {}

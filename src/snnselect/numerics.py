@@ -1,10 +1,12 @@
 """Smoothing kernels, their exact moments, Gaussian special functions, and
 the one stacked least-squares body.
 
-``_ls_rows`` fits every least-squares problem of the package: OLS on the
-selected subsample, the two-step's second stage and the plug-in
-bandwidth's polynomial pilot.  Everything here is a pure function of its
-arguments and safe to call concurrently.
+``_ls_rows`` fits the stacked least-squares problems: OLS on the selected
+subsample, the two-step's second stage and the plug-in bandwidth's
+polynomial pilot.  Robinson's double-residual regression and snn's local
+line (``estimator._local_linear_solve``'s closed form) are fitted apart.
+Everything here is a pure function of its arguments and safe to call
+concurrently.
 """
 from __future__ import annotations
 

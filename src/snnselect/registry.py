@@ -54,12 +54,8 @@ def _snn_fit(block, cfg):
     gamma is a "degenerate index"."""
     arrays = block.under(cfg.nuisance)
     flat = dict.fromkeys(np.flatnonzero(~arrays["gamma"].any(axis=1)), "degenerate index")
-    try:
-        rows, errors = estimator._snn_rows(block.ranks(cfg.nuisance), arrays["index"],
-                                           arrays["residuals"], cfg.kernel_order, cfg.bandwidth)
-    except EstimationError as exc:  # the plug-in below 30 observations fails every row
-        rows = estimator.InterceptEstimate(*[np.full(len(block), math.nan)] * 4)
-        errors = dict.fromkeys(range(len(block)), str(exc))
+    rows, errors = estimator._snn_rows(block.ranks(cfg.nuisance), arrays["index"],
+                                       arrays["residuals"], cfg.kernel_order, cfg.bandwidth)
     return rows, {**errors, **flat}
 
 

@@ -126,6 +126,24 @@ class TestDecompose:
         with pytest.raises(EstimationError, match="group1"):
             decompose(good, bad, FAST)
 
+    @pytest.mark.parametrize("method, nuisance, reason", [
+        ("snn", "probit", "probit failed"),
+        ("h90", "probit", "probit failed"),
+        ("as98", "probit", "probit failed"),
+        ("heckman", "probit", "probit failed"),
+        ("snn", "klein_spady", "degenerate outcome"),
+        ("ols", None, "insufficient selected observations"),
+    ])
+    def test_group_with_no_selected_row_fails_in_its_fit(self, method, nuisance, reason):
+        # every method refuses a group with no selected row before its
+        # selected means are taken
+        good = group_sample(600, 1.0, seed=69)
+        bad = make_data(np.zeros(600), np.zeros(600), good.X, good.Z)
+        config = DecompositionConfig(EstimatorConfig(method, nuisance=nuisance))
+        with pytest.raises(EstimationError) as info:
+            decompose(good, bad, config)
+        assert str(info.value) == f"group1: {reason}"
+
 
 class TestBootstrap:
     def test_mean_difference_matches_analytic_se(self):

@@ -238,8 +238,39 @@ class TestRowsMatchAlone:
 
     def test_plug_in_on_a_small_sample_fails_every_row(self):
         index, W = self.index[:, :20], self.W[:, :20]
-        with pytest.raises(EstimationError, match="insufficient sample"):
-            _snn_rows(_rank_rows(index), index, W, 2, BandwidthRule.plug_in())
+        _, errors = _snn_rows(_rank_rows(index), index, W, 2, BandwidthRule.plug_in())
+        assert errors == dict.fromkeys(range(len(index)), "insufficient sample")
+        draw = simulate(DgpSpec("dgp1", 20, rho=0.5, seed=0))
+        with pytest.raises(EstimationError, match="^insufficient sample$"):
+            fit(draw.dataset, EstimatorConfig("snn"), (draw.beta0, draw.gamma0))
+
+
+def test_windows_widen_together():
+    """At h = 0.05 and n = 100 a window holds one rank when 5 or more index
+    values tie at the top: rows with 1, 4, 6 and 20 tied need 0, 0, 1 and 4
+    widenings by 1.5, each bitwise its R = 1 call, and a row whose ranks all
+    tie reaches the cap with one rank."""
+    rng = np.random.default_rng(3)
+    tops = (1, 4, 6, 20)
+    index = rng.normal(size=(len(tops) + 1, N))
+    for row, k in enumerate(tops):
+        index[row, np.argsort(index[row])[-k:]] = index[row].max()
+    index[-1] = 0.5
+    W = rng.normal(size=index.shape)
+    eta, rule = _rank_rows(index), BandwidthRule.fixed(0.05)
+    alone = [_alone(lambda r=r: _row0(*_snn_rows(eta[r:r + 1], index[r:r + 1], W[r:r + 1], 2,
+                                                   rule))) for r in range(len(index))]
+    for steps, (result, message) in zip((0, 0, 1, 4), alone):
+        assert message is None
+        h = 0.05
+        for _ in range(steps):
+            h = min(h * 1.5, estimator.BANDWIDTH_CLAMP[1])
+        assert result.bandwidth == h
+    assert alone[-1][1] == "degenerate local design"
+    for members in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 4], [3]):
+        rows, errors = _snn_rows(eta[members], index[members], W[members], 2, rule)
+        for row, r in enumerate(members):
+            _assert_rows_match(f"row {r}", rows, errors, row, *alone[r])
 
 
 def _counted(monkeypatch, targets):
@@ -532,9 +563,10 @@ class TestPilotOracle:
         seen = {"singular": 0, "tied": 0, "formula": 0, "clamp": 0}
         for t, idx, W, p in self._blocks():
             del pilots[:]
-            h = estimator._plug_in_from_ranks(t, idx, W, p, 1.0)
+            h, reasons = estimator._plug_in_from_ranks(t, idx, W, p, 1.0)
+            assert reasons == {}
             # a formula row's h scales with ``scale``, a clamped row's does not
-            formula = estimator._plug_in_from_ranks(t, idx, W, p, 1e-12) == lo
+            formula = estimator._plug_in_from_ranks(t, idx, W, p, 1e-12)[0] == lo
             assert len(pilots) == 2
             coef, sigma2, se, errors = pilots[0]
             rows = np.flatnonzero(estimator._upper_tail_ratio(idx) <= 1.2)

@@ -80,6 +80,13 @@ PLANS = {
          EstimatorConfig("h90", nuisance="probit"), EstimatorConfig("as98", nuisance="probit"),
          EstimatorConfig("ols")],
         rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    # dgp1 at n = 40, where every draw's window at a fixed h of 0.01 or
+    # 0.001 holds one rank and widens before it fits
+    "widening": (TablePlan(
+        "dgp1", 40,
+        [EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.01)),
+         EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.001)), EstimatorConfig("snn")],
+        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
 }
 
 
