@@ -8,11 +8,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .estimator import InterceptEstimate
 from .exceptions import EstimationError
-from .numerics import _ls_rows, inverse_mills, normal_pdf
+from .numerics import _ls_rows, _special, inverse_mills, normal_pdf
 
 __all__ = [
     "TailRule",
@@ -118,7 +117,8 @@ def _separated(d: np.ndarray, xb: np.ndarray) -> bool:
     without such a row needs the sum."""
     if np.any(np.where(d == 1.0, xb, -xb) < _SEPARATION_MARGIN):
         return False
-    loglik = float(d @ special.log_ndtr(xb) + (1.0 - d) @ special.log_ndtr(-xb))
+    log_ndtr = _special().log_ndtr
+    loglik = float(d @ log_ndtr(xb) + (1.0 - d) @ log_ndtr(-xb))
     return loglik > -1e-6
 
 
@@ -157,7 +157,7 @@ def _probit_newton(D: np.ndarray, Z: np.ndarray,
             break
         xb = (Za @ g[:, :, None])[:, :, 0]
         # np.maximum/np.minimum clip as np.clip does, at less call overhead
-        cdf = np.minimum(np.maximum(special.ndtr(xb), 1e-300), 1.0 - 1e-16)
+        cdf = np.minimum(np.maximum(_special().ndtr(xb), 1e-300), 1.0 - 1e-16)
         pdf = normal_pdf(xb)
         lam1 = pdf / cdf
         lam0 = pdf / np.maximum(1.0 - cdf, 1e-300)
@@ -200,12 +200,18 @@ def probit_mle(d: np.ndarray, Z: np.ndarray, start: np.ndarray | None = None) ->
     from ``start`` (l,) (``_probit_newton``).
 
     Raises "probit failed" on divergence (coefficient norm > 1e4), separation
-    or a degenerate outcome, and ValueError for a d that is not 0/1.
+    or a degenerate outcome, and ValueError for a d that is not 0/1, a d and
+    Z of different lengths, or a non-finite Z.
     """
     d = np.asarray(d, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
+    if d.ndim != 1 or Z.ndim != 2 or d.shape[0] != Z.shape[0]:
+        raise ValueError(f"probit outcome of shape {d.shape} does not match "
+                         f"regressors of shape {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise ValueError("probit regressors must be finite")
     G0 = None if start is None else np.asarray(start, dtype=float)[None]
     G, failed = _probit_newton(d[None], Z[None], G0)
     if failed[0]:

@@ -18,7 +18,7 @@ from .estimator import BandwidthRule
 from .exceptions import DataError, EstimationError
 from .io_csv import CsvSchema, default_schema, load_csv, save_dataset_csv
 from .montecarlo import DEFAULT_ALPHAS, DEFAULT_RHOS, TablePlan, rate_check, run_table
-from .numerics import KERNEL_ORDERS, kernel_l2, kernel_moment
+from .numerics import KERNEL_ORDERS, _special, kernel_l2, kernel_moment
 from .nuisance import GAMMA_METHODS
 from .registry import METHODS, EstimatorConfig, fit
 
@@ -304,6 +304,10 @@ _COMMANDS = {
     "kernel-check": _cmd_kernel_check,
     "ident-check": _cmd_ident_check,
 }
+# The commands that never call scipy.special.  Every other one loads it
+# before it runs: before it reads its data, so a large CSV's arrays do not
+# sit below the module in the heap, and before any pool forks.
+_WITHOUT_SPECIAL = ("simulate", "kernel-check")
 
 
 def cli_main(argv=None) -> int:
@@ -312,6 +316,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command not in _WITHOUT_SPECIAL:
+            _special()
         text = _COMMANDS[args.command](args)
         if text is not None:  # None: the command wrote its own file
             text = text if text.endswith("\n") else text + "\n"

@@ -11,10 +11,10 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .data import Dataset
 from .exceptions import EstimationError
+from .numerics import _special
 from .seeding import generator
 
 __all__ = [
@@ -175,7 +175,7 @@ def identification_ratio(family: str, alpha: float, q) -> float | np.ndarray:
         try:
             if family == "dgp1":
                 s = math.sqrt(alpha)
-                x = s * special.ndtri(q_arr)
+                x = s * _special().ndtri(q_arr)
                 # phi(x)/phi(x/s) written as one exponential to dodge underflow
                 out = s * np.exp(-0.5 * x * x * (1.0 - 1.0 / alpha))
             else:

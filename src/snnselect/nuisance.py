@@ -10,7 +10,10 @@ leave-one-out Epanechnikov engine, O(n log n) over the sorted index:
 so importing the package, and every path that fits no Klein-Spady nuisance
 (the probit nuisance, the generating values, OLS and the two-step), never
 loads it.  A process pays for that import, about 0.2 s and 22 MB, on its
-first Klein-Spady fit.
+first Klein-Spady fit.  The probit, where the Klein-Spady fit starts, reaches
+``scipy.special`` through ``numerics._special``, so the first probit of a
+process that has not loaded it yet pays about 0.25 s and 19 MB more; the
+generating values and Robinson's regression need neither module.
 """
 from __future__ import annotations
 

@@ -7,14 +7,21 @@ polynomial pilot.  Robinson's double-residual regression and snn's local
 line (``estimator._local_linear_solve``'s closed form) are fitted apart.
 Everything here is a pure function of its arguments and safe to call
 concurrently.
+
+``_special`` is the package's one way to ``scipy.special``: it imports the
+module on its first call, so ``import snnselect`` loads no scipy.  The
+probit (``ndtr``, ``log_ndtr``), ``inverse_mills`` (``erfcx``) and
+``dgp.identification_ratio`` (``ndtri``) use it; ``cli_main`` and
+``run_tasks`` call it early, before a command reads its data and before a
+pool forks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "KERNEL_ORDERS",
@@ -34,6 +41,15 @@ _EPAN4_B = -35.0 / 8.0
 # A kernel is named by its order alone: order 2 is the Epanechnikov weight
 # (3/4)(1 - u^2) on [-1, 1], order 4 that weight times _EPAN4_A + _EPAN4_B u^2.
 KERNEL_ORDERS = (2, 4)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call (about 0.25 s and 19 MB)
+    and the same module object on every later one."""
+    from scipy import special
+
+    return special
 
 
 def _check_order(order: int) -> None:
@@ -105,7 +121,7 @@ def inverse_mills(t):
     left tail where both φ and Φ underflow.
     """
     t = np.asarray(t, dtype=float)
-    out = math.sqrt(2.0 / math.pi) / special.erfcx(-t / math.sqrt(2.0))
+    out = math.sqrt(2.0 / math.pi) / _special().erfcx(-t / math.sqrt(2.0))
     if out.ndim == 0:
         return float(out)
     return out

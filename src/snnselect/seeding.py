@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .numerics import _special
+
 __all__ = ["derive_seed", "generator", "processes", "run_tasks"]
 
 
@@ -48,13 +50,16 @@ def run_tasks(fn, tasks, workers: int) -> list:
     unequal tasks balance themselves.  ``fn`` and the tasks must pickle.  An
     exception from any task propagates after the pool has stopped.  The pool
     uses the platform's default start method; where that is fork (Linux),
-    workers start without importing numpy and scipy again.
+    workers start without importing numpy and scipy again: the caller loads
+    ``scipy.special`` just before it forks, so no worker imports its own copy
+    on a first probit.
     """
     tasks = list(tasks)
     procs = min(processes(workers), len(tasks))
     if procs <= 1:
         return [fn(task) for task in tasks]
     results = [None] * len(tasks)
+    _special()
     pool = ProcessPoolExecutor(max_workers=procs - 1)
     try:
         futures = [pool.submit(fn, task) for task in tasks]

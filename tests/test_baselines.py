@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestProbit:
         g = probit_mle(d, z)
         assert g.shape == (1,)
         assert g.tobytes() == probit_mle(d, z[:, None]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regressor_is_named(self, bad):
+        # before any arithmetic: no RuntimeWarning, and not "probit failed"
+        z = np.array([[1.0, 0.3], [1.0, -0.2], [1.0, 0.8], [1.0, -1.1]])
+        z[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="probit regressors must be finite"):
+                probit_mle(np.array([0.0, 1.0, 1.0, 0.0]), z)
+
+    def test_length_mismatch_names_both_shapes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"shape \(3,\) does not match regressors of shape \(4, 2\)"):
+                probit_mle(np.array([0.0, 1.0, 1.0]), np.ones((4, 2)))
 
 
 def _probit_or_none(d, Z):

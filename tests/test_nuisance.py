@@ -1,9 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +5,6 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from oracles import ks_loglik_bruteforce, loo_nw_bruteforce
-import snnselect
 from snnselect import nuisance
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
@@ -411,36 +404,66 @@ class TestSilverman:
 _IMPORT_FOOTPRINT = """
 import json, sys
 from pathlib import Path
-out, seen = Path(sys.argv[1]), {}
+out, steps = Path(sys.argv[1]), sys.argv[2:]
 import snnselect
-seen["import snnselect"] = "scipy.optimize" in sys.modules
+seen = {"import snnselect": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
 from snnselect.cli import cli_main
 from snnselect.montecarlo import TablePlan, run_table
 from snnselect.registry import EstimatorConfig
-assert cli_main(["simulate", "--n", "400", "--rho", "0.5", "--seed", "3", "--out", str(out / "s.csv")]) == 0
-seen["simulate"] = "scipy.optimize" in sys.modules
-assert cli_main(["estimate", str(out / "s.csv"), "--outcome-col", "y", "--selection-col", "d",
-                 "--x-cols", "x1,x2,x3,x4", "--z-cols", "z1,z2,z3,z4,z5,z6,z7",
-                 "--nuisance", "probit", "--format", "json", "--out", str(out / "e.json")]) == 0
-seen["estimate --nuisance probit"] = "scipy.optimize" in sys.modules
-configs = [EstimatorConfig(m) for m in ("ols", "heckman", "h90", "as98")]
-configs.append(EstimatorConfig("snn", nuisance="probit"))
-run_table(TablePlan("dgp2", 200, configs, rhos=(0.5,), alphas=(2.0,), reps=3), 7, workers=1)
-seen["run_table"] = "scipy.optimize" in sys.modules
-snnselect.klein_spady_gamma(snnselect.load_csv(out / "s.csv", snnselect.default_schema(4, 7)))
-seen["klein_spady_gamma"] = "scipy.optimize" in sys.modules
+
+def cli(*argv, code=0):
+    assert cli_main(list(argv)) == code, argv
+
+def table(*configs):
+    run_table(TablePlan("dgp2", 200, list(configs), rhos=(0.5,), alphas=(2.0,), reps=3), 7, workers=1)
+
+csv = str(out / "s.csv")
+columns = ("--outcome-col", "y", "--selection-col", "d", "--x-cols", "x1,x2,x3,x4",
+           "--z-cols", "z1,z2,z3,z4,z5,z6,z7")
+STEPS = {
+    "simulate": lambda: cli("simulate", "--n", "400", "--rho", "0.5", "--seed", "3", "--out", csv),
+    "kernel-check": lambda: cli("kernel-check", "--format", "json", "--out", str(out / "k.json")),
+    "true-nuisance table": lambda: table(*(EstimatorConfig(m) for m in ("snn", "ols", "h90", "as98"))),
+    # the module loads before the command reads its data
+    "estimate of a missing file": lambda: cli("estimate", str(out / "missing.csv"), *columns, code=1),
+    "estimate --nuisance probit": lambda: cli(
+        "estimate", csv, *columns, "--nuisance", "probit", "--format", "json", "--out", str(out / "e.json")),
+    "heckman table": lambda: table(EstimatorConfig("heckman"), EstimatorConfig("snn", nuisance="probit")),
+    "klein_spady_gamma": lambda: snnselect.klein_spady_gamma(
+        snnselect.load_csv(csv, snnselect.default_schema(4, 7))),
+}
+for step in steps:
+    STEPS[step]()
+    seen[step] = {m: m in sys.modules for m in ("scipy.special", "scipy.optimize")}
 print(json.dumps(seen))
 """
 
 
-def test_only_the_klein_spady_fit_loads_scipy_optimize(tmp_path):
-    # a fresh interpreter: this one has imported scipy.optimize already
-    src = str(Path(snnselect.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path)], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout.splitlines()[-1]) == {
-        "import snnselect": False, "simulate": False, "estimate --nuisance probit": False,
-        "run_table": False, "klein_spady_gamma": True,
+@pytest.fixture(scope="module")
+def footprints(fresh_python, tmp_path_factory):
+    """Which scipy modules are loaded after each step.  One interpreter runs
+    every path in turn; a second runs only the heckman table, so that the
+    table is the first to need scipy.special."""
+    out = str(tmp_path_factory.mktemp("footprint"))
+    chain = fresh_python(_IMPORT_FOOTPRINT, out, "simulate", "kernel-check", "true-nuisance table",
+                         "estimate of a missing file", "estimate --nuisance probit", "klein_spady_gamma")
+    return chain, fresh_python(_IMPORT_FOOTPRINT, out, "heckman table")
+
+
+def test_only_the_klein_spady_fit_loads_scipy_optimize(footprints):
+    chain, heckman = footprints
+    assert {step: seen["scipy.optimize"] for step, seen in chain.items() if step != "import snnselect"} == {
+        "simulate": False, "kernel-check": False, "true-nuisance table": False,
+        "estimate of a missing file": False, "estimate --nuisance probit": False, "klein_spady_gamma": True,
     }
+    assert heckman["heckman table"]["scipy.optimize"] is False
+
+
+def test_scipy_special_loads_at_first_use_or_command_start(footprints):
+    chain, heckman = footprints
+    assert chain["import snnselect"] == [] and heckman["import snnselect"] == []
+    assert {step: seen["scipy.special"] for step, seen in chain.items() if step != "import snnselect"} == {
+        "simulate": False, "kernel-check": False, "true-nuisance table": False,
+        "estimate of a missing file": True, "estimate --nuisance probit": True, "klein_spady_gamma": True,
+    }
+    assert heckman["heckman table"]["scipy.special"] is True

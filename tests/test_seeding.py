@@ -68,3 +68,29 @@ class TestRunTasks:
         with pytest.raises(RuntimeError, match="in a worker"):
             run_tasks(_fail_outside, [os.getpid()] * 6, 2)
         assert multiprocessing.active_children() == []
+
+
+_FORKED_WORKERS = """
+import json, os, sys, time
+from snnselect.seeding import processes, run_tasks
+
+def task(i):
+    time.sleep(0.02)
+    return os.getpid(), "scipy.special" in sys.modules
+
+loaded = "scipy.special" in sys.modules
+print(json.dumps({"caller": os.getpid(), "loaded before": loaded, "processes": processes(2),
+                  "tasks": run_tasks(task, range(8), 2)}))
+"""
+
+
+def test_forked_workers_inherit_scipy_special(fresh_python):
+    # on the host's own CPUs
+    out = fresh_python(_FORKED_WORKERS)
+    assert out["loaded before"] is False
+    in_workers = [loaded for pid, loaded in out["tasks"] if pid != out["caller"]]
+    if out["processes"] == 1:
+        assert in_workers == []  # nothing forked
+    else:
+        # the worker holds the first task before the caller reaches it
+        assert in_workers and all(in_workers)
