@@ -257,6 +257,7 @@ def _cmd_rate_check(args) -> str:
 
 
 def _cmd_estimate(args) -> str:
+    _special()  # loaded before the CSV, so its arrays do not sit below it in the heap
     data = load_csv(args.data, _schema_from_args(args))
     result, _ = fit(data, _fit_config(args))
     payload = {**METHODS[args.estimator].report(result), "method": args.estimator}
@@ -264,6 +265,7 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_decompose(args) -> str:
+    _special()  # as in _cmd_estimate
     data0, data1 = load_csv(args.data, _schema_from_args(args))
     config = DecompositionConfig(_fit_config(args), args.weighting)
     quantities = decompose(data0, data1, config).quantities()
@@ -304,10 +306,6 @@ _COMMANDS = {
     "kernel-check": _cmd_kernel_check,
     "ident-check": _cmd_ident_check,
 }
-# The commands that never call scipy.special.  Every other one loads it
-# before it runs: before it reads its data, so a large CSV's arrays do not
-# sit below the module in the heap, and before any pool forks.
-_WITHOUT_SPECIAL = ("simulate", "kernel-check")
 
 
 def cli_main(argv=None) -> int:
@@ -316,8 +314,6 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command not in _WITHOUT_SPECIAL:
-            _special()
         text = _COMMANDS[args.command](args)
         if text is not None:  # None: the command wrote its own file
             text = text if text.endswith("\n") else text + "\n"

@@ -9,11 +9,7 @@ Everything here is a pure function of its arguments and safe to call
 concurrently.
 
 ``_special`` is the package's one way to ``scipy.special``: it imports the
-module on its first call, so ``import snnselect`` loads no scipy.  The
-probit (``ndtr``, ``log_ndtr``), ``inverse_mills`` (``erfcx``) and
-``dgp.identification_ratio`` (``ndtri``) use it; ``cli_main`` and
-``run_tasks`` call it early, before a command reads its data and before a
-pool forks.
+module on its first call, so ``import snnselect`` loads no scipy.
 """
 from __future__ import annotations
 

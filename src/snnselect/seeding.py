@@ -50,9 +50,9 @@ def run_tasks(fn, tasks, workers: int) -> list:
     unequal tasks balance themselves.  ``fn`` and the tasks must pickle.  An
     exception from any task propagates after the pool has stopped.  The pool
     uses the platform's default start method; where that is fork (Linux),
-    workers start without importing numpy and scipy again: the caller loads
-    ``scipy.special`` just before it forks, so no worker imports its own copy
-    on a first probit.
+    workers start without importing numpy and scipy again: ``scipy.special``
+    is loaded here just before the fork, so no worker imports its own copy on
+    a first probit.
     """
     tasks = list(tasks)
     procs = min(processes(workers), len(tasks))

@@ -424,6 +424,12 @@ STEPS = {
     "simulate": lambda: cli("simulate", "--n", "400", "--rho", "0.5", "--seed", "3", "--out", csv),
     "kernel-check": lambda: cli("kernel-check", "--format", "json", "--out", str(out / "k.json")),
     "true-nuisance table": lambda: table(*(EstimatorConfig(m) for m in ("snn", "ols", "h90", "as98"))),
+    "mc-table snn": lambda: cli("mc-table", "--dgp", "dgp1", "--n", "100", "--reps", "2", "--rho", "0",
+                                "--alpha", "2", "--estimator", "snn", "--workers", "1", "--format", "json",
+                                "--out", str(out / "m.json")),
+    "rate-check snn": lambda: cli("rate-check", "--ns", "50,100,200", "--reps", "2", "--workers", "1",
+                                  "--format", "json", "--out", str(out / "r.json")),
+    "ident-check": lambda: cli("ident-check", "--points", "3", "--format", "json", "--out", str(out / "i.json")),
     # the module loads before the command reads its data
     "estimate of a missing file": lambda: cli("estimate", str(out / "missing.csv"), *columns, code=1),
     "estimate --nuisance probit": lambda: cli(
@@ -442,28 +448,34 @@ print(json.dumps(seen))
 @pytest.fixture(scope="module")
 def footprints(fresh_python, tmp_path_factory):
     """Which scipy modules are loaded after each step.  One interpreter runs
-    every path in turn; a second runs only the heckman table, so that the
-    table is the first to need scipy.special."""
+    every path in turn; a second runs only the heckman table and a third only
+    ident-check, so that each is the first to need scipy.special."""
     out = str(tmp_path_factory.mktemp("footprint"))
     chain = fresh_python(_IMPORT_FOOTPRINT, out, "simulate", "kernel-check", "true-nuisance table",
-                         "estimate of a missing file", "estimate --nuisance probit", "klein_spady_gamma")
-    return chain, fresh_python(_IMPORT_FOOTPRINT, out, "heckman table")
+                         "mc-table snn", "rate-check snn", "estimate of a missing file",
+                         "estimate --nuisance probit", "klein_spady_gamma")
+    return (chain, fresh_python(_IMPORT_FOOTPRINT, out, "heckman table"),
+            fresh_python(_IMPORT_FOOTPRINT, out, "ident-check"))
 
 
 def test_only_the_klein_spady_fit_loads_scipy_optimize(footprints):
-    chain, heckman = footprints
+    chain, heckman, ident = footprints
     assert {step: seen["scipy.optimize"] for step, seen in chain.items() if step != "import snnselect"} == {
-        "simulate": False, "kernel-check": False, "true-nuisance table": False,
-        "estimate of a missing file": False, "estimate --nuisance probit": False, "klein_spady_gamma": True,
+        "simulate": False, "kernel-check": False, "true-nuisance table": False, "mc-table snn": False,
+        "rate-check snn": False, "estimate of a missing file": False, "estimate --nuisance probit": False,
+        "klein_spady_gamma": True,
     }
     assert heckman["heckman table"]["scipy.optimize"] is False
+    assert ident["ident-check"]["scipy.optimize"] is False
 
 
-def test_scipy_special_loads_at_first_use_or_command_start(footprints):
-    chain, heckman = footprints
-    assert chain["import snnselect"] == [] and heckman["import snnselect"] == []
+def test_scipy_special_loads_at_first_use_or_before_a_csv_is_read(footprints):
+    chain, heckman, ident = footprints
+    assert chain["import snnselect"] == heckman["import snnselect"] == ident["import snnselect"] == []
     assert {step: seen["scipy.special"] for step, seen in chain.items() if step != "import snnselect"} == {
-        "simulate": False, "kernel-check": False, "true-nuisance table": False,
-        "estimate of a missing file": True, "estimate --nuisance probit": True, "klein_spady_gamma": True,
+        "simulate": False, "kernel-check": False, "true-nuisance table": False, "mc-table snn": False,
+        "rate-check snn": False, "estimate of a missing file": True, "estimate --nuisance probit": True,
+        "klein_spady_gamma": True,
     }
     assert heckman["heckman table"]["scipy.special"] is True
+    assert ident["ident-check"]["scipy.special"] is True
