@@ -87,12 +87,26 @@ class LatentDraw:
 
 
 def _standard_normal(g: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller transform of uniform pairs."""
+    """Box-Muller transform of m = ceil(n/2) uniform pairs: the m cosine
+    normals, then the m sine normals, the first n of them.
+
+    Worked out in place in the output; besides it, one array of m values
+    (a uniform draw, then the sines) is held at a time.
+    """
     m = (n + 1) // 2
-    u1 = 1.0 - g.random(m)  # (0, 1], keeps the log finite
-    u2 = g.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    z = np.empty(2 * m)
+    r, t = z[:m], z[m:]  # radius and angle, then the cosine and sine normals
+    np.subtract(1.0, g.random(m), out=r)  # (0, 1], keeps the log finite
+    t[:] = g.random(m)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= 2.0 * np.pi
+    sines = np.sin(t)
+    sines *= r
+    np.cos(t, out=t)
+    r *= t
+    t[:] = sines
     return z[:n]
 
 

@@ -8,8 +8,10 @@ whitespace-only line, no data rows), the file is read again by a row walk
 whose only job is to name the offending rows: rows with unparseable required
 fields are rejected, never imputed.  Non-finite values (``nan``, ``inf``) are
 rejected with their column and rows, whichever path parsed them.  Floats are
-written with 17 significant digits and CRLF line endings, in blocks of rows,
-so a write/load round trip is bit-exact.
+written with 17 significant digits and CRLF line endings, so a write/load
+round trip is bit-exact.  They are formatted one block of rows at a time,
+each block gathered from slices of the Dataset's arrays, so a write holds no
+copy of the whole table.
 """
 from __future__ import annotations
 
@@ -184,11 +186,11 @@ def save_dataset_csv(path: str | Path, data: Dataset, schema: CsvSchema | None =
     schema = schema or default_schema(data.k, data.l)
     if len(schema.x_columns) != data.k or len(schema.z_columns) != data.l:
         raise DataError("schema does not match dataset dimensions")
-    table = np.column_stack((data.d, data.y, data.X, data.Z))
     # "%.17g" is format(x, ".17g"); CRLF is csv.writer's line terminator
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    row = ",".join(["%.17g"] * len(schema.required_columns())) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(schema.required_columns())
         for start in range(0, data.n, _WRITE_ROWS):
-            block = table[start:start + _WRITE_ROWS]
+            rows = slice(start, start + _WRITE_ROWS)
+            block = np.column_stack((data.d[rows], data.y[rows], data.X[rows], data.Z[rows]))
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -19,7 +19,6 @@ failed rep.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
@@ -74,6 +73,8 @@ class MonteCarloReport:
 
     def to_json(self) -> str:
         """Strict JSON: a cell where every rep failed has null statistics."""
+        import json
+
         payload = {
             "family": self.family,
             "n": self.n,

@@ -4,7 +4,10 @@ Selection coefficients come from a probit fit (parametric) or a
 semiparametric binary-choice quasi-likelihood; outcome slopes come from the
 double-residual (partially linear) regression.  Both smooth on one
 leave-one-out Epanechnikov engine, O(n log n) over the sorted index:
-``_sorted_windows``, ``_loo_kernel_sums`` and ``_loo_ratio``.
+``_sorted_windows``, ``_loo_kernel_sums`` and ``_loo_ratio``.  The smoother
+makes no sorted copy of the values it smooths: it gathers one column at a
+time in index order and takes one window sum at a time, so beyond its (1 +
+m, n) kernel sums and its (n, m) estimates it holds a few arrays of n.
 
 ``scipy.optimize`` is imported inside ``klein_spady_gamma``, its only user,
 so importing the package, and every path that fits no Klein-Spady nuisance
@@ -13,7 +16,9 @@ loads it.  A process pays for that import, about 0.2 s and 22 MB, on its
 first Klein-Spady fit.  The probit, where the Klein-Spady fit starts, reaches
 ``scipy.special`` through ``numerics._special``, so the first probit of a
 process that has not loaded it yet pays about 0.25 s and 19 MB more; the
-generating values and Robinson's regression need neither module.
+generating values and Robinson's regression need neither module.  In
+memory the probit is the larger step: at n = 1e5, Robinson's regression
+allocates less at its peak than the probit fit before it.
 """
 from __future__ import annotations
 
@@ -101,7 +106,9 @@ def _sorted_windows(index: np.ndarray, h: float):
     def window_sums(cols: np.ndarray) -> np.ndarray:
         c = np.zeros(cols.shape[:-1] + (xs.shape[0] + 1,))
         np.cumsum(cols, axis=-1, out=c[..., 1:])
-        return np.take(c, hi, axis=-1) - np.take(c, lo, axis=-1)
+        sums = np.take(c, hi, axis=-1)
+        sums -= np.take(c, lo, axis=-1)
+        return sums
 
     return order, xs, window_sums
 
@@ -119,8 +126,8 @@ def _loo_ratio(kern: np.ndarray):
     and the rows whose window holds another observation with positive
     weight (ratio 0 elsewhere)."""
     valid = kern[0] > 1e-10
-    ratio = np.zeros((kern.shape[0] - 1, kern.shape[1]))
-    ratio[:, valid] = kern[1:, valid] / kern[0, valid]
+    ratio = np.divide(kern[1:], kern[0], out=np.zeros((kern.shape[0] - 1, kern.shape[1])),
+                      where=valid)
     return ratio, valid
 
 
@@ -132,11 +139,16 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
     at least one other observation with positive weight.
     """
     order, xs, window_sums = _sorted_windows(index, h)
-    b = np.vstack([np.ones(xs.shape[0]), np.asarray(values, dtype=float)[order].T])
-    # column by column, so the window sums held at once stay 3 x n
-    ratio, valid_s = _loo_ratio(np.stack([
-        _loo_kernel_sums(xs, h, *window_sums(np.stack([c, c * xs, c * xs * xs])), c) for c in b
-    ]))
+    values = np.asarray(values, dtype=float)
+    # column by column and one window sum at a time, so no sorted copy of
+    # ``values`` is made and the temporaries stay a few n long
+    kern = np.empty((1 + values.shape[1], xs.shape[0]))
+    for j in range(kern.shape[0]):
+        c = np.ones(xs.shape[0]) if j == 0 else values[:, j - 1].take(order)
+        kern[j] = _loo_kernel_sums(xs, h, window_sums(c), window_sums(c * xs),
+                                   window_sums(c * xs * xs), c)
+    ratio, valid_s = _loo_ratio(kern)
+    del kern  # as large as est, which is allocated next
     est = np.empty(ratio.T.shape)
     valid = np.empty_like(valid_s)
     est[order] = ratio.T
@@ -273,20 +285,18 @@ def robinson_beta(
     selection index are removed, and the residuals are regressed on each
     other without an intercept (it is absorbed by the smoothing).
     """
-    sel = data.selected()
-    m = int(sel.sum())
-    if m < data.k + 10:
+    rows = np.flatnonzero(data.selected())
+    if rows.size < data.k + 10:
         raise EstimationError("insufficient selected observations")
-    idx = (data.Z @ gamma)[sel]
+    idx = (data.Z @ gamma).take(rows)
     if bandwidth is None:
         bandwidth = silverman_bandwidth(idx)
-    y, X = data.y[sel], data.X[sel]
-    smooth, valid = _loo_epanechnikov(idx, np.column_stack([y, X]), bandwidth)
+    yX = np.column_stack((data.y.take(rows), data.X.take(rows, axis=0)))
+    smooth, valid = _loo_epanechnikov(idx, yX, bandwidth)
     if int(valid.sum()) < data.k + 2:
         raise EstimationError("singular design")
-    ry = y[valid] - smooth[valid, 0]
-    rX = X[valid] - smooth[valid, 1:]
-    coef, _, rank, _ = np.linalg.lstsq(rX, ry, rcond=None)
+    resid = (yX - smooth)[valid]
+    coef, _, rank, _ = np.linalg.lstsq(resid[:, 1:], resid[:, 0], rcond=None)
     if rank < data.k:
         raise EstimationError("singular design")
     return coef

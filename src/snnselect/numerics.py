@@ -9,13 +9,15 @@ Everything here is a pure function of its arguments and safe to call
 concurrently.
 
 ``_special`` is the package's one way to ``scipy.special``: it imports the
-module on its first call, so ``import snnselect`` loads no scipy.
+module on its first call, so ``import snnselect`` loads no scipy.  The exact
+kernel constants (``kernel_moment``, ``kernel_l2``) are worked out in
+``fractions`` arithmetic on the first call for each argument and cached, so
+that module too loads only when first needed, and later calls cost a lookup.
 """
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,39 +69,43 @@ def eval_kernel(order: int, u):
     return out
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b):
-            out[i + k] += x * y
-    return out
+@functools.cache
+def _exact_integral(order: int, j: int, power: int) -> float:
+    """∫ u^j K(u)^power du over [-1, 1], K the kernel of ``order`` and
+    ``power`` 1 or 2, the correctly rounded exact value: K's power series on
+    [-1, 1] multiplied out in rational arithmetic.  Cached, so a process
+    works each constant out once; ``fractions`` is imported on the first
+    call."""
+    from fractions import Fraction
 
-
-def _kernel_coefficients(order: int) -> list[Fraction]:
-    """Exact power-series coefficients c_k of K(u) = sum c_k u^k on [-1, 1]."""
     _check_order(order)
+
+    def mul(a: list, b: list) -> list:
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return out
+
     coef = [Fraction(3, 4), Fraction(0), Fraction(-3, 4)]
     if order == 4:
-        coef = _poly_mul(coef, [Fraction(_EPAN4_A), Fraction(0), Fraction(_EPAN4_B)])
-    return coef
-
-
-def _integral(coef: list[Fraction], j: int = 0) -> Fraction:
-    """Exact ∫ u^j sum c_k u^k du over [-1, 1]; odd powers integrate to 0."""
-    return sum(2 * c / (j + k + 1) for k, c in enumerate(coef) if (j + k) % 2 == 0)
+        coef = mul(coef, [Fraction(_EPAN4_A), Fraction(0), Fraction(_EPAN4_B)])
+    if power == 2:
+        coef = mul(coef, coef)
+    # odd powers of u integrate to 0 over [-1, 1]
+    return float(sum(2 * c / (j + k + 1) for k, c in enumerate(coef) if (j + k) % 2 == 0))
 
 
 def kernel_moment(order: int, j: int) -> float:
     """∫ u^j K(u) du over [-1, 1], the correctly rounded exact value."""
     if j < 0:
         raise ValueError("moment order must be nonnegative")
-    return float(_integral(_kernel_coefficients(order), j))
+    return _exact_integral(order, j, 1)
 
 
 def kernel_l2(order: int) -> float:
     """∫ K(u)^2 du, the variance constant of the kernel, correctly rounded."""
-    coef = _kernel_coefficients(order)
-    return float(_integral(_poly_mul(coef, coef)))
+    return _exact_integral(order, 0, 2)
 
 
 def normal_pdf(x):

@@ -5,12 +5,15 @@ Every random stream (simulated draws, bootstrap resamples) is keyed by a seed
 hashed from its coordinates, so no stream depends on scheduling or on another.
 That is what lets ``run_tasks`` spread tasks over processes in any order and
 still return what one process would.
+
+``hashlib`` is imported by ``derive_seed`` and the process pool by
+``run_tasks`` when it forks, so importing this module loads neither, and a
+run on one process never loads ``concurrent.futures.process`` or
+``multiprocessing``.
 """
 from __future__ import annotations
 
-import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -21,6 +24,8 @@ __all__ = ["derive_seed", "generator", "processes", "run_tasks"]
 
 def derive_seed(base_seed: int, label: str, rep: int) -> int:
     """64-bit replication seed from a SHA-256 mix; never sequential reuse."""
+    import hashlib
+
     digest = hashlib.sha256(f"{base_seed}|{label}|{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -52,12 +57,14 @@ def run_tasks(fn, tasks, workers: int) -> list:
     uses the platform's default start method; where that is fork (Linux),
     workers start without importing numpy and scipy again: ``scipy.special``
     is loaded here just before the fork, so no worker imports its own copy on
-    a first probit.
+    a first probit.  The pool class is imported there too, and only there.
     """
     tasks = list(tasks)
     procs = min(processes(workers), len(tasks))
     if procs <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     results = [None] * len(tasks)
     _special()
     pool = ProcessPoolExecutor(max_workers=procs - 1)

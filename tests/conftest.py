@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,3 +32,24 @@ def fresh_python():
         return json.loads(res.stdout.splitlines()[-1])
 
     return run
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """``peak(fn, *args)``: the most bytes that ``fn(*args)`` held at once
+    beyond what was allocated before the call, as ``tracemalloc`` counts
+    them (numpy's array buffers included).  Deterministic, unlike RSS."""
+    def peak(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak

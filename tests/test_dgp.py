@@ -127,6 +127,22 @@ class TestSimulate:
         draw = simulate(DgpSpec("dgp1", 50000, rho=0.75, seed=29))
         assert np.corrcoef(draw.u, draw.v)[0, 1] == pytest.approx(0.75, abs=0.02)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 1001, 4096])
+    def test_standard_normal_matches_concatenated_box_muller(self, n):
+        # the transform as first written, with its cosine and sine halves
+        # concatenated; the in-place one must give the same bits
+        def concatenated(g, n):
+            m = (n + 1) // 2
+            u1 = 1.0 - g.random(m)
+            u2 = g.random(m)
+            r = np.sqrt(-2.0 * np.log(u1))
+            return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+
+        for seed in (0, 4242):
+            z = dgp._standard_normal(dgp.generator(seed), n)
+            assert z.shape == (n,)
+            assert z.tobytes() == concatenated(dgp.generator(seed), n).tobytes()
+
 
 def _outcome_at(spec):
     draw = simulate(spec)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 from concurrent.futures import Future
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from snnselect import baselines, montecarlo, nuisance, seeding
+from snnselect import baselines, montecarlo, nuisance
 from snnselect.baselines import TailRule
 from snnselect.dgp import DgpSpec
 from snnselect.estimator import BandwidthRule
@@ -458,13 +459,13 @@ class TestRateCheck:
 
     def test_one_pool_for_all_sizes(self, monkeypatch):
         pools = []
-        real = seeding.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counted(*args, **kwargs):
             pools.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS, reps=4, base_seed=5, workers=2)
         assert len(pools) == 1
@@ -498,7 +499,7 @@ class TestRateCheck:
             def shutdown(self, cancel_futures=False):
                 assert cancel_futures
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(montecarlo, "_run_chunk", counted_chunk)
         run = lambda workers: rate_check([100, 200, 400], DgpSpec("dgp1", 100), OLS,
                                          reps=4, base_seed=5, workers=workers)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,23 @@ def selection_sample(n, gamma, seed=0, k=2, rho=0.0):
     return make_data(d, y, X, Z)
 
 
+# sha256 of the bytes of (estimates, valid) from _loo_epanechnikov on the
+# dgp2 draw of test_dgp2_draw_bits_pinned at h = 0.05 and 0.5, as recorded
+# when the smoother still sorted a stacked copy of the values
+LOO_DGP2_DIGEST = "f36d2cb6dacd"
+
+
 class TestLooSmoother:
+    def test_dgp2_draw_bits_pinned(self):
+        draw = simulate(DgpSpec("dgp2", 3000, rho=0.5, alpha=1.5, seed=36))
+        values = np.column_stack([draw.dataset.y, draw.dataset.X, draw.dataset.d])
+        digest = hashlib.sha256()
+        for h in (0.05, 0.5):  # both leave some rows with an empty window
+            est, valid = _loo_epanechnikov(draw.index, values, h)
+            assert not valid.all()
+            digest.update(est.tobytes() + valid.tobytes())
+        assert digest.hexdigest()[:12] == LOO_DGP2_DIGEST
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(36)
         for n in (15, 60):
@@ -55,6 +73,15 @@ class TestLooSmoother:
         x = np.array([0.0, 0.01, 10.0])
         est, valid = _loo_epanechnikov(x, np.ones((3, 1)), 0.5)
         assert valid.tolist() == [True, True, False]
+
+
+class TestRobinsonMemory:
+    def test_peak_at_most_the_probit_peak(self, traced_peak):
+        # the smoother holds a few columns of the selected rows at a time, so
+        # Robinson's step never needs more memory than the probit before it
+        data = simulate(DgpSpec("dgp1", 100_000, rho=0.5, seed=4242)).dataset
+        gamma = probit_gamma(data)  # and scipy.special is loaded before tracing
+        assert traced_peak(robinson_beta, data, gamma) <= traced_peak(probit_gamma, data)
 
 
 class TestProbitGamma:
@@ -402,11 +429,15 @@ class TestSilverman:
 
 
 _IMPORT_FOOTPRINT = """
-import json, sys
+import sys
+import snnselect
+# a fresh interpreter has none of these; the script imports json only below
+LAZY = ("concurrent.futures", "multiprocessing", "hashlib", "json", "fractions")
+seen = {"import snnselect": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        "stdlib at import": [m for m in LAZY if m in sys.modules]}
+import json, os
 from pathlib import Path
 out, steps = Path(sys.argv[1]), sys.argv[2:]
-import snnselect
-seen = {"import snnselect": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
 from snnselect.cli import cli_main
 from snnselect.montecarlo import TablePlan, run_table
 from snnselect.registry import EstimatorConfig
@@ -414,8 +445,18 @@ from snnselect.registry import EstimatorConfig
 def cli(*argv, code=0):
     assert cli_main(list(argv)) == code, argv
 
-def table(*configs):
-    run_table(TablePlan("dgp2", 200, list(configs), rhos=(0.5,), alphas=(2.0,), reps=3), 7, workers=1)
+def table(*configs, workers=1):
+    run_table(TablePlan("dgp2", 200, list(configs), rhos=(0.5,), alphas=(2.0,), reps=3), 7, workers=workers)
+
+def two_worker_table():
+    os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+    table(EstimatorConfig("ols"), workers=2)
+
+def decompose():
+    rows = (out / "s.csv").read_text().splitlines()
+    (out / "g.csv").write_text("\\n".join([rows[0] + ",g"] + [f"{r},{i % 2}" for i, r in enumerate(rows[1:])]))
+    cli("decompose", str(out / "g.csv"), *columns, "--group-col", "g", "--nuisance", "probit",
+        "--bootstrap", "2", "--format", "json", "--out", str(out / "d.json"))
 
 csv = str(out / "s.csv")
 columns = ("--outcome-col", "y", "--selection-col", "d", "--x-cols", "x1,x2,x3,x4",
@@ -434,36 +475,46 @@ STEPS = {
     "estimate of a missing file": lambda: cli("estimate", str(out / "missing.csv"), *columns, code=1),
     "estimate --nuisance probit": lambda: cli(
         "estimate", csv, *columns, "--nuisance", "probit", "--format", "json", "--out", str(out / "e.json")),
+    "decompose --workers 1": decompose,
     "heckman table": lambda: table(EstimatorConfig("heckman"), EstimatorConfig("snn", nuisance="probit")),
     "klein_spady_gamma": lambda: snnselect.klein_spady_gamma(
         snnselect.load_csv(csv, snnselect.default_schema(4, 7))),
+    "2-worker table": two_worker_table,
 }
 for step in steps:
     STEPS[step]()
-    seen[step] = {m: m in sys.modules for m in ("scipy.special", "scipy.optimize")}
+    seen[step] = {m: m in sys.modules for m in ("scipy.special", "scipy.optimize", "concurrent.futures",
+                                                "concurrent.futures.process", "multiprocessing")}
 print(json.dumps(seen))
 """
+
+_SINGLE_PROCESS_CHAIN = ("simulate", "kernel-check", "true-nuisance table", "mc-table snn",
+                         "rate-check snn", "estimate of a missing file", "estimate --nuisance probit",
+                         "decompose --workers 1", "klein_spady_gamma")
 
 
 @pytest.fixture(scope="module")
 def footprints(fresh_python, tmp_path_factory):
-    """Which scipy modules are loaded after each step.  One interpreter runs
-    every path in turn; a second runs only the heckman table and a third only
-    ident-check, so that each is the first to need scipy.special."""
+    """Which modules are loaded after each step.  One interpreter runs every
+    single-process path in turn and then a 2-worker table; a second runs
+    only the heckman table and a third only ident-check, so that each is
+    the first to need scipy.special."""
     out = str(tmp_path_factory.mktemp("footprint"))
-    chain = fresh_python(_IMPORT_FOOTPRINT, out, "simulate", "kernel-check", "true-nuisance table",
-                         "mc-table snn", "rate-check snn", "estimate of a missing file",
-                         "estimate --nuisance probit", "klein_spady_gamma")
+    chain = fresh_python(_IMPORT_FOOTPRINT, out, *_SINGLE_PROCESS_CHAIN, "2-worker table")
     return (chain, fresh_python(_IMPORT_FOOTPRINT, out, "heckman table"),
             fresh_python(_IMPORT_FOOTPRINT, out, "ident-check"))
 
 
+def _steps(record: dict) -> dict:
+    return {step: seen for step, seen in record.items() if step not in ("import snnselect", "stdlib at import")}
+
+
 def test_only_the_klein_spady_fit_loads_scipy_optimize(footprints):
     chain, heckman, ident = footprints
-    assert {step: seen["scipy.optimize"] for step, seen in chain.items() if step != "import snnselect"} == {
+    assert {step: seen["scipy.optimize"] for step, seen in _steps(chain).items()} == {
         "simulate": False, "kernel-check": False, "true-nuisance table": False, "mc-table snn": False,
         "rate-check snn": False, "estimate of a missing file": False, "estimate --nuisance probit": False,
-        "klein_spady_gamma": True,
+        "decompose --workers 1": False, "klein_spady_gamma": True, "2-worker table": True,
     }
     assert heckman["heckman table"]["scipy.optimize"] is False
     assert ident["ident-check"]["scipy.optimize"] is False
@@ -472,10 +523,28 @@ def test_only_the_klein_spady_fit_loads_scipy_optimize(footprints):
 def test_scipy_special_loads_at_first_use_or_before_a_csv_is_read(footprints):
     chain, heckman, ident = footprints
     assert chain["import snnselect"] == heckman["import snnselect"] == ident["import snnselect"] == []
-    assert {step: seen["scipy.special"] for step, seen in chain.items() if step != "import snnselect"} == {
+    assert {step: seen["scipy.special"] for step, seen in _steps(chain).items()} == {
         "simulate": False, "kernel-check": False, "true-nuisance table": False, "mc-table snn": False,
         "rate-check snn": False, "estimate of a missing file": True, "estimate --nuisance probit": True,
-        "klein_spady_gamma": True,
+        "decompose --workers 1": True, "klein_spady_gamma": True, "2-worker table": True,
     }
     assert heckman["heckman table"]["scipy.special"] is True
     assert ident["ident-check"]["scipy.special"] is True
+
+
+def test_import_loads_no_pool_hashing_json_or_fractions(footprints):
+    for record in footprints:
+        assert record["stdlib at import"] == []
+
+
+def test_only_a_pool_loads_the_process_pool_modules(footprints):
+    chain, heckman, ident = footprints
+    pool = ("concurrent.futures.process", "multiprocessing")
+    for step in _SINGLE_PROCESS_CHAIN:
+        assert [m for m in pool if chain[step][m]] == [], step
+    assert [m for m in pool if heckman["heckman table"][m] or ident["ident-check"][m]] == []
+    # scipy.special imports the concurrent.futures package (not its process
+    # pool); until a step loads scipy.special, the package is absent too
+    assert [step for step in _SINGLE_PROCESS_CHAIN if chain[step]["concurrent.futures"]] == [
+        step for step in _SINGLE_PROCESS_CHAIN if chain[step]["scipy.special"]]
+    assert all(chain["2-worker table"][m] for m in ("concurrent.futures",) + pool)

@@ -1,10 +1,10 @@
+import concurrent.futures
 import multiprocessing
 import os
 import time
 
 import pytest
 
-from snnselect import seeding
 from snnselect.seeding import run_tasks
 
 
@@ -46,7 +46,8 @@ class TestRunTasks:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built")
 
-        monkeypatch.setattr(seeding, "ProcessPoolExecutor", no_pool)
+        # run_tasks imports the pool class from concurrent.futures when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert run_tasks(abs, [-1, 2, -3], 1) == [1, 2, 3]
         assert run_tasks(abs, [-4], 3) == [4]  # one task needs one process
         assert run_tasks(abs, [], 3) == []
