@@ -19,6 +19,7 @@ failed rep.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
@@ -73,8 +74,6 @@ class MonteCarloReport:
 
     def to_json(self) -> str:
         """Strict JSON: a cell where every rep failed has null statistics."""
-        import json
-
         payload = {
             "family": self.family,
             "n": self.n,

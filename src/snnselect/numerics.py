@@ -12,12 +12,13 @@ concurrently.
 module on its first call, so ``import snnselect`` loads no scipy.  The exact
 kernel constants (``kernel_moment``, ``kernel_l2``) are worked out in
 ``fractions`` arithmetic on the first call for each argument and cached, so
-that module too loads only when first needed, and later calls cost a lookup.
+later calls cost a lookup.
 """
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,10 +75,7 @@ def _exact_integral(order: int, j: int, power: int) -> float:
     """∫ u^j K(u)^power du over [-1, 1], K the kernel of ``order`` and
     ``power`` 1 or 2, the correctly rounded exact value: K's power series on
     [-1, 1] multiplied out in rational arithmetic.  Cached, so a process
-    works each constant out once; ``fractions`` is imported on the first
-    call."""
-    from fractions import Fraction
-
+    works each constant out once."""
     _check_order(order)
 
     def mul(a: list, b: list) -> list:

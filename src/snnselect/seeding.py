@@ -6,13 +6,13 @@ hashed from its coordinates, so no stream depends on scheduling or on another.
 That is what lets ``run_tasks`` spread tasks over processes in any order and
 still return what one process would.
 
-``hashlib`` is imported by ``derive_seed`` and the process pool by
-``run_tasks`` when it forks, so importing this module loads neither, and a
-run on one process never loads ``concurrent.futures.process`` or
-``multiprocessing``.
+The process pool is imported by ``run_tasks`` when it forks, so importing
+this module does not load it, and a run on one process never loads
+``concurrent.futures.process`` or ``multiprocessing``.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -24,8 +24,6 @@ __all__ = ["derive_seed", "generator", "processes", "run_tasks"]
 
 def derive_seed(base_seed: int, label: str, rep: int) -> int:
     """64-bit replication seed from a SHA-256 mix; never sequential reuse."""
-    import hashlib
-
     digest = hashlib.sha256(f"{base_seed}|{label}|{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

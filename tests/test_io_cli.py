@@ -312,16 +312,6 @@ class TestRoundTrip:
         for a in "dyXZ":
             assert getattr(back, a).tobytes() == getattr(ds, a).tobytes()
 
-    def test_writer_bytes_match_cellwise_writer_across_blocks(self, tmp_path):
-        # two full blocks and three rows of a third, at the real block size
-        n = 2 * io_csv._WRITE_ROWS + 3
-        ds = simulate(DgpSpec("dgp2", n, rho=0.5, alpha=1.5, seed=17)).dataset
-        schema = default_schema(ds.k, ds.l)
-        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        save_dataset_csv(fast, ds, schema)
-        save_csv_cellwise(slow, ds, schema)
-        assert fast.read_bytes() == slow.read_bytes()
-
     def test_writer_peak_does_not_grow_with_n(self, tmp_path, traced_peak):
         # each block is gathered from slices of the columns, so what a write
         # holds is one block, at any n; small blocks keep the traced run short
