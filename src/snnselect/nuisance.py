@@ -91,17 +91,22 @@ def silverman_bandwidth(index: np.ndarray) -> float:
 
 
 def _sorted_windows(index: np.ndarray, h: float):
-    """Median-centre and stable-sort ``index`` and bound each row's window
-    |x_j - x_i| <= h.  Returns (order, xs, window_sums), where
-    ``window_sums(cols)`` sums each column of a stack (last axis: sorted
-    rows) over every row's window, from one cumsum over the whole stack.
+    """Median-centre and stable-sort ``index`` and bound each row's open
+    window |x_j - x_i| < h (the kernel is 0 on its edge).  Returns (order,
+    xs, window_sums, in_window), where ``window_sums(cols)`` sums each column
+    of a stack (last axis: sorted rows) over every row's window, from one
+    cumsum over the whole stack, and ``in_window`` flags the sorted rows
+    whose window holds another row.  That flag is a count of rows, exact
+    where a kernel sum is not: a sum is the difference of two prefix sums
+    over the whole sample, which on a heavy-tailed index reach 1e13, so for
+    a far-tail row with an empty window it is rounding noise, not 0.
     """
     x = np.asarray(index, dtype=float)
     x = x - np.median(x)  # limits cancellation in the x^2 prefix sums
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    lo = np.searchsorted(xs, xs - h, side="left")
-    hi = np.searchsorted(xs, xs + h, side="right")
+    lo = np.searchsorted(xs, xs - h, side="right")
+    hi = np.searchsorted(xs, xs + h, side="left")
 
     def window_sums(cols: np.ndarray) -> np.ndarray:
         c = np.zeros(cols.shape[:-1] + (xs.shape[0] + 1,))
@@ -110,7 +115,7 @@ def _sorted_windows(index: np.ndarray, h: float):
         sums -= np.take(c, lo, axis=-1)
         return sums
 
-    return order, xs, window_sums
+    return order, xs, window_sums, hi - lo > 1
 
 
 def _loo_kernel_sums(xs: np.ndarray, h: float, s0, s1, s2, b) -> np.ndarray:
@@ -121,11 +126,14 @@ def _loo_kernel_sums(xs: np.ndarray, h: float, s0, s1, s2, b) -> np.ndarray:
     return 0.75 * ((1.0 - xs * xs / hh) * s0 + (2.0 * xs / hh) * s1 - s2 / hh) - 0.75 * b
 
 
-def _loo_ratio(kern: np.ndarray):
+def _loo_ratio(kern: np.ndarray, in_window: np.ndarray):
     """Rows 1.. of the (nb, n) kernel sums over row 0, the sums for b = 1,
-    and the rows whose window holds another observation with positive
-    weight (ratio 0 elsewhere)."""
-    valid = kern[0] > 1e-10
+    and the valid rows (ratio 0 elsewhere): those whose window holds another
+    row, by ``_sorted_windows``' count, and whose kernel sum is above
+    rounding.  The sum test alone passes an empty window whose sum is noise;
+    the count alone passes a window whose other rows all sit on its edge
+    (index values h apart on a grid), whose sum is noise near 0."""
+    valid = in_window & (kern[0] > 1e-10)
     ratio = np.divide(kern[1:], kern[0], out=np.zeros((kern.shape[0] - 1, kern.shape[1])),
                       where=valid)
     return ratio, valid
@@ -138,7 +146,7 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
     Returns (estimates, valid) where ``valid`` flags rows whose window holds
     at least one other observation with positive weight.
     """
-    order, xs, window_sums = _sorted_windows(index, h)
+    order, xs, window_sums, in_window = _sorted_windows(index, h)
     values = np.asarray(values, dtype=float)
     # column by column and one window sum at a time, so no sorted copy of
     # ``values`` is made and the temporaries stay a few n long
@@ -147,7 +155,7 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
         c = np.ones(xs.shape[0]) if j == 0 else values[:, j - 1].take(order)
         kern[j] = _loo_kernel_sums(xs, h, window_sums(c), window_sums(c * xs),
                                    window_sums(c * xs * xs), c)
-    ratio, valid_s = _loo_ratio(kern)
+    ratio, valid_s = _loo_ratio(kern, in_window)
     del kern  # as large as est, which is allocated next
     est = np.empty(ratio.T.shape)
     valid = np.empty_like(valid_s)
@@ -185,7 +193,7 @@ def _ks_loglik_and_grad(
     fallback rows contribute 0 to the gradient.
     """
     d, n = data.d, data.n
-    order, xs, window_sums = _sorted_windows(data.Z @ gamma, h)
+    order, xs, window_sums, in_window = _sorted_windows(data.Z @ gamma, h)
     ds = d[order]
     Zs = data.Z[order, 1:].T
     Zs = Zs - Zs.mean(axis=1, keepdims=True)  # differences z_j - z_i unchanged
@@ -202,7 +210,7 @@ def _ks_loglik_and_grad(
     W = window_sums(cols)
     s0, s1, sz, sxz = W[:, 0], W[:, 1], W[:, 3 : 3 + m], W[:, 3 + m :]
     kern = _loo_kernel_sums(xs, h, s0, s1, W[:, 2], cols[:, 0])
-    ratio, valid = _loo_ratio(kern)
+    ratio, valid = _loo_ratio(kern, in_window)
 
     fallback = float(np.clip(d.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
     p_s = np.where(valid, ratio[0], fallback)

@@ -91,7 +91,8 @@ def mse_optimal_bandwidth(sigma2: float, m_p: float, n: int, p: int = 2,
 
 
 def loo_nw_bruteforce(index, values, h: float):
-    """Leave-one-out Nadaraya-Watson smooth by double loop."""
+    """Leave-one-out Nadaraya-Watson smooth, one row at a time, each from a
+    direct sum of its nonnegative kernel weights over the other rows."""
     index = np.asarray(index, dtype=float)
     V = np.atleast_2d(np.asarray(values, dtype=float))
     if V.shape[0] != index.shape[0]:
@@ -100,24 +101,20 @@ def loo_nw_bruteforce(index, values, h: float):
     est = np.zeros_like(V)
     valid = np.zeros(n, dtype=bool)
     for i in range(n):
-        num = np.zeros(V.shape[1])
-        den = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            k = 0.75 * (1.0 - ((index[j] - index[i]) / h) ** 2)
-            if k > 0.0:
-                num += k * V[j]
-                den += k
+        k = 0.75 * (1.0 - ((index - index[i]) / h) ** 2)
+        k[i] = 0.0
+        k[k < 0.0] = 0.0
+        den = k.sum()
         if den > 1e-10:
-            est[i] = num / den
+            est[i] = k @ V / den
             valid[i] = True
     return est, valid
 
 
 def ks_loglik_bruteforce(d, Z, gamma, h: float, clip: float = 1e-4):
     """Klein-Spady leave-one-out quasi-log-likelihood and its gradient in
-    gamma[1:] by double loop, differentiating each kernel weight directly.
+    gamma[1:], one row at a time, each from direct sums over the other rows
+    that differentiate each kernel weight.
 
     A row whose window holds no other point takes the clipped sample mean, a
     probability outside [clip, 1 - clip] is clipped; both add 0 to the
@@ -131,23 +128,16 @@ def ks_loglik_bruteforce(d, Z, gamma, h: float, clip: float = 1e-4):
     value = 0.0
     grad = np.zeros(l - 1)
     for i in range(n):
-        num = den = 0.0
-        dnum = np.zeros(l - 1)
-        dden = np.zeros(l - 1)
-        for j in range(n):
-            if j == i:
-                continue
-            u = (x[j] - x[i]) / h
-            k = 0.75 * (1.0 - u * u)
-            if k > 0.0:
-                dk = -1.5 * u / h * (Z[j, 1:] - Z[i, 1:])
-                num += k * d[j]
-                den += k
-                dnum += dk * d[j]
-                dden += dk
+        u = (x - x[i]) / h
+        k = 0.75 * (1.0 - u * u)
+        w = k > 0.0
+        w[i] = False
+        k = k[w]
+        dk = (-1.5 * u[w] / h)[:, None] * (Z[w, 1:] - Z[i, 1:])
+        den = k.sum()
         if den > 1e-10:
-            p = num / den
-            dp = (dnum - p * dden) / den
+            p = k @ d[w] / den
+            dp = (d[w] @ dk - p * dk.sum(axis=0)) / den
         else:
             p = fallback
             dp = np.zeros(l - 1)

@@ -451,19 +451,26 @@ class TestCli:
         assert payload["reps"] == 6
 
     def test_mc_table_json_is_strict_where_every_rep_failed(self, tmp_path):
-        # the plug-in rule refuses every sample below n = 30
+        # the plug-in rule refuses every sample below n = 30, and every
+        # other estimator but snn at a fixed h refuses some draw at n = 25
         out = tmp_path / "r.json"
         assert cli_main(["mc-table", "--dgp", "dgp2", "--n", "25", "--reps", "30", "--rho", "0.5",
-                         "--alpha", "2,1", "--estimator", "snn", "--format", "json",
+                         "--alpha", "2,1", "--estimator", "snn", "--estimator", "ols",
+                         "--estimator", "heckman", "--estimator", "h90", "--estimator", "as98",
+                         "--bandwidth", "plugin", "--bandwidth", "fixed:0.05", "--format", "json",
                          "--out", str(out)]) == 0
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        (cells,) = json.loads(out.read_text(), parse_constant=reject)["panels"].values()
+        panels = json.loads(out.read_text(), parse_constant=reject)["panels"]
+        cells = panels["snn (plugin x1)"]
         assert [cell["reps_failed"] for cell in cells] == [30, 30]
         for cell in cells:
             assert cell["sq_bias"] is cell["sd"] is cell["rmse_scaled"] is None
+        for prefix in ("ols", "heckman", "h90 ", "as98 "):
+            (label,) = [label for label in panels if label.startswith(prefix)]
+            assert sum(cell["reps_failed"] for cell in panels[label]) > 0, label
 
     def test_mc_table_reproduces_table_cell(self, tmp_path):
         # the reference (rho=0, alpha=2) cell through the CLI surface; the
@@ -481,15 +488,18 @@ class TestCli:
         cell = panel[0]
         assert abs(cell["rmse_scaled"] - 2.0645) <= 0.15 * 2.0645
 
-    def test_rate_check_smoke(self, tmp_path):
-        out = tmp_path / "rate.json"
-        rc = cli_main([
-            "rate-check", "--ns", "50,100,200", "--reps", "8", "--rho", "0",
-            "--seed", "5", "--format", "json", "--out", str(out),
-        ])
-        assert rc == 0
-        payload = json.loads(out.read_text())
+    def test_rate_check_smoke(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        outs = [tmp_path / f"rate-w{w}.json" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            rc = cli_main([
+                "rate-check", "--ns", "50,100,200", "--reps", "8", "--rho", "0",
+                "--seed", "5", "--workers", str(w), "--format", "json", "--out", str(out),
+            ])
+            assert rc == 0
+        payload = json.loads(outs[0].read_text())
         assert len(payload["rmse"]) == 3
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_rate_check_repeated_sizes_exit_1(self, capsys):
         argv = ["rate-check", "--ns", "200,200,200", "--estimator", "ols", "--reps", "3"]

@@ -43,18 +43,27 @@ def selection_sample(n, gamma, seed=0, k=2, rho=0.0):
 
 # sha256 of the bytes of (estimates, valid) from _loo_epanechnikov on the
 # dgp2 draw of test_dgp2_draw_bits_pinned at h = 0.05 and 0.5, as recorded
-# when the smoother still sorted a stacked copy of the values
-LOO_DGP2_DIGEST = "f36d2cb6dacd"
+# when a valid row came to need another row in its open window
+LOO_DGP2_DIGEST = "1d803182eb76"
 
 
 class TestLooSmoother:
     def test_dgp2_draw_bits_pinned(self):
+        # the Cauchy index puts the prefix sums near 1e13, where a kernel sum
+        # over an empty window is rounding noise: the flags must still be
+        # the oracle's
         draw = simulate(DgpSpec("dgp2", 3000, rho=0.5, alpha=1.5, seed=36))
         values = np.column_stack([draw.dataset.y, draw.dataset.X, draw.dataset.d])
         digest = hashlib.sha256()
         for h in (0.05, 0.5):  # both leave some rows with an empty window
             est, valid = _loo_epanechnikov(draw.index, values, h)
+            oest, ovalid = loo_nw_bruteforce(draw.index, values, h)
             assert not valid.all()
+            assert np.array_equal(valid, ovalid)
+            if h == 0.5:
+                # at 0.05, two valid rows still differ by about 4e-8, from
+                # cancellation in the prefix sums themselves
+                assert np.allclose(est[valid], oest[valid], atol=1e-9)
             digest.update(est.tobytes() + valid.tobytes())
         assert digest.hexdigest()[:12] == LOO_DGP2_DIGEST
 
@@ -69,10 +78,50 @@ class TestLooSmoother:
             assert np.array_equal(valid, ovalid)
             assert np.allclose(est[valid], oest[valid], atol=1e-9)
 
+    def test_neighbours_on_the_window_edge(self):
+        # a 0.1 grid at h = 0.2: rows 1017.6 and 1017.8 see only each other,
+        # on the window's open edge, where the kernel is 0 (up to rounding)
+        x = 1000.0 + 0.1 * np.array([9, 27, 33, 48, 50, 71, 84, 87, 115, 164, 176, 178])
+        V = np.arange(12.0)[:, None]
+        with np.errstate(divide="raise", invalid="raise"):
+            est, valid = _loo_epanechnikov(x, V, 0.2)
+        oest, ovalid = loo_nw_bruteforce(x, V, 0.2)
+        assert np.array_equal(valid, ovalid)
+        assert np.allclose(est[valid], oest[valid], atol=1e-9)
+
     def test_flags_isolated_points(self):
         x = np.array([0.0, 0.01, 10.0])
         est, valid = _loo_epanechnikov(x, np.ones((3, 1)), 0.5)
         assert valid.tolist() == [True, True, False]
+
+
+class TestHeavyTailedIndex:
+    """dgp2's Cauchy covariates put far-tail rows alone in their windows."""
+
+    def test_row_order_never_moves_snn_theta(self):
+        config = EstimatorConfig("snn", nuisance="probit")
+        for seed in range(30):
+            data = simulate(DgpSpec("dgp2", 800, rho=0.5, seed=seed)).dataset
+            perm = np.random.default_rng(seed).permutation(data.n)
+            permuted = make_data(data.d[perm], data.y[perm], data.X[perm], data.Z[perm])
+            a, b = _theta_or_reason(data, config), _theta_or_reason(permuted, config)
+            if isinstance(a, str):
+                assert a == b, seed
+            else:
+                assert abs(a - b) <= 1e-9 * abs(a), seed
+
+    def test_klein_spady_value_matches_the_oracle(self):
+        # the value at the probit start and the Silverman pilot, where
+        # klein_spady_gamma begins
+        for seed in range(6):
+            data = simulate(DgpSpec("dgp2", 1000, rho=0.5, seed=seed)).dataset
+            gamma = probit_gamma(data)
+            index = data.Z @ gamma
+            assert np.ptp(index) >= 1e5
+            h = silverman_bandwidth(index)
+            value = _ks_loglik_and_grad(data, gamma, h)[0]
+            ovalue = ks_loglik_bruteforce(data.d, data.Z, gamma, h)[0]
+            assert abs(value - ovalue) <= 1e-9 * abs(ovalue), seed
 
 
 class TestRobinsonMemory:
@@ -381,12 +430,13 @@ class TestIndexDirection:
     def test_negating_the_normalizing_column(self, family, seed):
         # negating Z's first column (and its twin, X's first column) flips
         # the sign of the probit's first coefficient; the normalized index,
-        # and so every estimate on it, must not move
+        # and so every estimate on it, must not move, nor may OLS's or the
+        # two-step's intercept
         data = simulate(DgpSpec(family, 400, rho=0.5, seed=seed)).dataset
         flip = np.ones(data.l)
         flip[0] = -1.0
         flipped = make_data(data.d, data.y, data.X * flip[:data.k], data.Z * flip)
-        for method in ("snn", "h90", "as98"):
+        for method in ("snn", "ols", "heckman", "h90", "as98"):
             config = EstimatorConfig(method, nuisance="probit")
             a = _theta_or_reason(data, config)
             b = _theta_or_reason(flipped, config)
@@ -432,7 +482,11 @@ _IMPORT_FOOTPRINT = """
 import json, os, sys
 from pathlib import Path
 import snnselect
-seen = {"import snnselect": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import snnselect": scipy_modules(),
         "pool at import": [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]}
 out, steps = Path(sys.argv[1]), sys.argv[2:]
 from snnselect.cli import cli_main
@@ -482,6 +536,7 @@ for step in steps:
     STEPS[step]()
     seen[step] = {m: m in sys.modules for m in ("scipy.special", "scipy.optimize", "concurrent.futures",
                                                 "concurrent.futures.process", "multiprocessing")}
+    seen[step]["scipy"] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -527,6 +582,11 @@ def test_scipy_special_loads_at_first_use_or_before_a_csv_is_read(footprints):
     }
     assert heckman["heckman table"]["scipy.special"] is True
     assert ident["ident-check"]["scipy.special"] is True
+
+
+def test_simulate_and_kernel_check_load_no_scipy(footprints):
+    chain = footprints[0]
+    assert chain["simulate"]["scipy"] == chain["kernel-check"]["scipy"] == []
 
 
 def test_import_loads_no_process_pool(footprints):

@@ -1,24 +1,24 @@
-"""Named Monte Carlo plans and a short hash of each one's panels.
+"""Named Monte Carlo plans and a short hash of each one's results.
 
 A change that must leave results as they were compares these hashes before
-and after it.  Each plan runs at workers 1 and 2 and prints
+and after it.  Each plan runs at each of its worker counts and prints
 
-    plan workers=W -> sha256(repr(panels))[:12]
+    plan workers=W -> sha256(repr(outcome))[:12]
 
-and then one ``sha256(repr(panel))[:12]`` per panel label.  The run exits 1
-when a plan's panels differ between worker counts.  The plan ``one-row``
-instead hashes the five public one-sample estimators over a sweep of
-simulated draws, the bits of every field or the failure message of every
-fit, and prints one line
+and then its notes, one line each.  A Monte Carlo plan's outcome is its
+panels, run at workers 1, 2 and 8 (as many processes as the usable CPUs
+allow), and its notes are one ``sha256(repr(panel))[:12]`` per panel label.
+The run exits 1 when a plan's outcome differs between worker counts.
 
-    one-row -> sha256(repr(outcomes))[:12] (F fits, E failed)
-
-It imports those estimators from ``snnselect`` alone, so the same script
-runs on any tree that exports them.  The plan ``decompose-probit`` hashes
-the full-sample quantities of a two-group decomposition under the probit
-nuisance with the bootstrap SEs and failure count of B = 20 replicates,
-at workers 1 and 2, and exits 1 when they differ between worker counts.  Hashes are of bits, so they hold on
-one host; another BLAS build may change them.
+The plan ``one-row`` runs in one process.  It hashes the five public
+one-sample estimators over a sweep of simulated draws, the bits of every
+field or the failure message of every fit, and notes the count of fits and
+of failures.  It imports those estimators from ``snnselect`` alone, so the
+same script runs on any tree that exports them.  The plan
+``decompose-probit`` hashes the full-sample quantities of a two-group
+decomposition under the probit nuisance with the bootstrap SEs and failure
+count of B = 20 replicates.  Hashes are of bits, so they hold on one host;
+another BLAS build may change them.
 
     python tools/identity.py             # every plan
     python tools/identity.py --list      # the plan names
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,54 +50,29 @@ from snnselect import (
 from snnselect.montecarlo import TablePlan, run_table
 from snnselect.registry import EstimatorConfig
 
-WORKERS = (1, 2)
+WORKERS = (1, 2, 8)
 _FIVE = [EstimatorConfig(method) for method in ("snn", "ols", "heckman", "h90", "as98")]
-
-# name -> (plan, base seed)
-PLANS = {
-    # perfbench's mc-dgp2-table at its default seed and at the held-out seed
-    "benchmark-seed1": (TablePlan("dgp2", 200, _FIVE, reps=50), 1),
-    "benchmark-seed4242": (TablePlan("dgp2", 200, _FIVE, reps=50), 4242),
-    # tests/test_acceptance.py's DGP2 table
-    "criterion-4": (TablePlan("dgp2", 100, _FIVE, reps=1000), 20260809),
-    # CI's dgp2 n=25 table, where every estimator refuses some draws
-    "ci-dgp2-n25-failures": (TablePlan(
-        "dgp2", 25,
-        [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.05))]
-        + _FIVE[1:],
-        rhos=(0.5,), alphas=(2.0, 1.0), reps=30), 0),
-    # CI's dgp1 n=100 table, where some draws fit the plug-in's polynomial pilot
-    "dgp1-pilot": (TablePlan(
-        "dgp1", 100,
-        [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3)),
-         EstimatorConfig("h90"), EstimatorConfig("as98")],
-        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
-    # the probit nuisance fitted once per draw and shared by four configs,
-    # where a draw whose probit fails fails every one of them
-    "dgp2-probit-nuisance": (TablePlan(
-        "dgp2", 100,
-        [EstimatorConfig("snn", nuisance="probit"),
-         EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3), nuisance="probit"),
-         EstimatorConfig("h90", nuisance="probit"), EstimatorConfig("as98", nuisance="probit"),
-         EstimatorConfig("ols")],
-        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
-    # dgp1 at n = 40, where every draw's window at a fixed h of 0.01 or
-    # 0.001 holds one rank and widens before it fits
-    "widening": (TablePlan(
-        "dgp1", 40,
-        [EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.01)),
-         EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.001)), EstimatorConfig("snn")],
-        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
-}
-
-
-ONE_ROW = "one-row"
-DECOMPOSE = "decompose-probit"
-NAMES = [*PLANS, ONE_ROW, DECOMPOSE]
+_PROBIT = [EstimatorConfig("snn", nuisance="probit"),
+           EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3), nuisance="probit"),
+           EstimatorConfig("h90", nuisance="probit"), EstimatorConfig("as98", nuisance="probit"),
+           EstimatorConfig("ols")]
 
 
 def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
+
+
+class Plan(NamedTuple):
+    run: Callable[[int], tuple]  # workers -> (outcome, notes)
+    workers: tuple = WORKERS
+
+
+def _table(plan: TablePlan, seed: int) -> Plan:
+    def run(workers):
+        panels = run_table(plan, base_seed=seed, workers=workers).panels
+        return panels, [f"{label} -> {_digest(panel)}" for label, panel in panels.items()]
+
+    return Plan(run)
 
 
 def _one_row_outcomes():
@@ -121,7 +97,13 @@ def _one_row_outcomes():
                         yield str(exc)
 
 
-def _decompose_outcome(workers: int):
+def _one_row(workers: int):
+    outcomes = list(_one_row_outcomes())
+    failed = sum(isinstance(outcome, str) for outcome in outcomes)
+    return outcomes, [f"{len(outcomes)} fits, {failed} failed"]
+
+
+def _decompose(workers: int):
     """The full-sample quantities of two fixed dgp1 groups of 600 rows under
     snn with the probit nuisance, then the SEs and failure count of a
     B = 20 bootstrap on ``workers`` processes."""
@@ -129,39 +111,69 @@ def _decompose_outcome(workers: int):
     group1 = simulate(DgpSpec("dgp1", 600, rho=0.25, alpha=1.5, theta0=1.4, seed=12)).dataset
     config = DecompositionConfig(EstimatorConfig("snn", nuisance="probit"))
     boot = bootstrap_se(group0, group1, config, n_boot=20, seed=13, workers=workers)
-    return decompose(group0, group1, config).quantities(), dict(boot.ses), boot.n_failed
+    return (decompose(group0, group1, config).quantities(), dict(boot.ses), boot.n_failed), []
+
+
+PLANS = {
+    # perfbench's mc-dgp2-table at its default seed and at the held-out seed
+    "benchmark-seed1": _table(TablePlan("dgp2", 200, _FIVE, reps=50), 1),
+    "benchmark-seed4242": _table(TablePlan("dgp2", 200, _FIVE, reps=50), 4242),
+    # tests/test_acceptance.py's DGP2 table
+    "criterion-4": _table(TablePlan("dgp2", 100, _FIVE, reps=1000), 20260809),
+    # dgp2 at n = 25, where every estimator but snn at a fixed h refuses
+    # some draws and the plug-in refuses all of them
+    "ci-dgp2-n25-failures": _table(TablePlan(
+        "dgp2", 25,
+        [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.05))]
+        + _FIVE[1:],
+        rhos=(0.5,), alphas=(2.0, 1.0), reps=30), 0),
+    # dgp1 at n = 100, where some draws fit the plug-in's polynomial pilot
+    "dgp1-pilot": _table(TablePlan(
+        "dgp1", 100,
+        [EstimatorConfig("snn"), EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3)),
+         EstimatorConfig("h90"), EstimatorConfig("as98")],
+        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    # the probit nuisance fitted once per draw and shared by four configs,
+    # where a draw whose probit fails fails every one of them
+    "dgp2-probit-nuisance": _table(TablePlan(
+        "dgp2", 100, _PROBIT, rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    # the same at n = 800, where far-tail rows sit alone in the smoother's
+    # windows
+    "dgp2-probit-n800": _table(TablePlan(
+        "dgp2", 800, _PROBIT, rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    # dgp1 at n = 40, where every draw's window at a fixed h of 0.01 or
+    # 0.001 holds one rank and widens before it fits
+    "widening": _table(TablePlan(
+        "dgp1", 40,
+        [EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.01)),
+         EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.001)), EstimatorConfig("snn")],
+        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    "one-row": Plan(_one_row, (1,)),
+    "decompose-probit": Plan(_decompose),
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="print the plan names and exit")
-    parser.add_argument("--only", choices=NAMES, action="append", help="repeatable")
+    parser.add_argument("--only", choices=list(PLANS), action="append", help="repeatable")
     args = parser.parse_args(argv)
     if args.list:
-        print("\n".join(NAMES))
+        print("\n".join(PLANS))
         return 0
     status = 0
-    for name in args.only or NAMES:
-        if name == ONE_ROW:
-            outcomes = list(_one_row_outcomes())
-            failed = sum(isinstance(outcome, str) for outcome in outcomes)
-            print(f"{name} -> {_digest(outcomes)} ({len(outcomes)} fits, {failed} failed)", flush=True)
-            continue
+    for name in args.only or PLANS:
+        plan = PLANS[name]
         hashes = set()
-        for workers in WORKERS:
-            if name == DECOMPOSE:
-                outcome = _decompose_outcome(workers)
-            else:
-                plan, seed = PLANS[name]
-                outcome = run_table(plan, base_seed=seed, workers=workers).panels
+        for workers in plan.workers:
+            outcome, notes = plan.run(workers)
             digest = _digest(outcome)
             hashes.add(digest)
             print(f"{name} workers={workers} -> {digest}", flush=True)
-        if name != DECOMPOSE:
-            for label, panel in outcome.items():
-                print(f"  {label} -> {_digest(panel)}")
+        for note in notes:
+            print(f"  {note}")
         if len(hashes) > 1:
-            print(f"{name}: results differ between workers {WORKERS}", file=sys.stderr)
+            print(f"{name}: results differ between workers {plan.workers}", file=sys.stderr)
             status = 1
     return status
 
