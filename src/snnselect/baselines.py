@@ -109,23 +109,25 @@ def _solve_each(H: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
-def _separated(d: np.ndarray, xb: np.ndarray) -> bool:
-    """Whether the fit classifies every row perfectly: an essentially-zero
-    deviance, i.e. a log-likelihood above -1e-6.  Every term of that sum is
-    <= 0, so one row whose signed margin (xb where d = 1, -xb where d = 0)
-    is below 4 already puts it below log Phi(4) = -3.2e-5; only a sample
-    without such a row needs the sum."""
-    if np.any(np.where(d == 1.0, xb, -xb) < _SEPARATION_MARGIN):
-        return False
-    log_ndtr = _special().log_ndtr
-    loglik = float(d @ log_ndtr(xb) + (1.0 - d) @ log_ndtr(-xb))
-    return loglik > -1e-6
+def _separated(D: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Whether each fit of the (R, n) outcomes and indices classifies every
+    observation perfectly: an essentially-zero deviance, i.e. a
+    log-likelihood above -1e-6.  Every term of that sum is <= 0, so one
+    observation whose signed margin (xb where d = 1, -xb where d = 0) is
+    below 4 already puts it below log Phi(4) = -3.2e-5; only a sample
+    without such an observation needs the sum."""
+    separated = np.where(D == 1.0, xb, -xb).min(axis=1) >= _SEPARATION_MARGIN
+    if separated.any():
+        log_ndtr = _special().log_ndtr
+        separated &= np.vecdot(D, log_ndtr(xb)) + np.vecdot(1.0 - D, log_ndtr(-xb)) > -1e-6
+    return separated
 
 
 def _probit_newton(D: np.ndarray, Z: np.ndarray,
                    G0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Probit MLE of each row of D (R, n) on its Z (R, n, l): Newton with the
-    analytic Hessian, the R problems stacked into each step's products.
+    analytic Hessian, the R problems stacked into each step's products.  D
+    holds 0/1 outcomes, as a Dataset's or ``probit_mle``'s checked d does.
 
     Returns (G, failed), G of shape (R, l), NaN in a failed row.  A problem
     fails on a constant outcome, a singular Hessian, divergence (a
@@ -142,9 +144,6 @@ def _probit_newton(D: np.ndarray, Z: np.ndarray,
     more.  Otherwise it iterates on under the rules above, so a sample
     without an MLE still fails on divergence or separation.
     """
-    # the separation test's short-circuit holds for 0/1 outcomes only
-    if not np.all((D == 0.0) | (D == 1.0)):
-        raise ValueError("probit outcome must be 0/1")
     R, _, l = Z.shape
     G = np.zeros((R, l)) if G0 is None else np.array(G0, dtype=float)
     failed = D.min(axis=1) == D.max(axis=1)
@@ -187,9 +186,7 @@ def _probit_newton(D: np.ndarray, Z: np.ndarray,
     # a perfectly classifying fit means the MLE does not exist
     ok = np.flatnonzero(~failed)
     Do, Zo = (D, Z) if ok.size == R else (D[ok], Z[ok])
-    xb = (Zo @ G[ok][:, :, None])[:, :, 0]
-    for i, r in enumerate(ok):
-        failed[r] = _separated(Do[i], xb[i])
+    failed[ok] = _separated(Do, (Zo @ G[ok][:, :, None])[:, :, 0])
     G[failed] = np.nan
     return G, failed
 
@@ -212,6 +209,9 @@ def probit_mle(d: np.ndarray, Z: np.ndarray, start: np.ndarray | None = None) ->
                          f"regressors of shape {Z.shape}")
     if not np.isfinite(Z).all():
         raise ValueError("probit regressors must be finite")
+    # the separation test's short-circuit holds for 0/1 outcomes only
+    if not np.all((d == 0.0) | (d == 1.0)):
+        raise ValueError("probit outcome must be 0/1")
     G0 = None if start is None else np.asarray(start, dtype=float)[None]
     G, failed = _probit_newton(d[None], Z[None], G0)
     if failed[0]:
@@ -286,8 +286,7 @@ def _selected_quantile(values: np.ndarray, keep: np.ndarray, q: float) -> np.nda
     values come first in order.  The two order statistics around (m - 1) q
     and the weight between them follow numpy's default 'linear' method,
     including its lerp from the nearer end.  Past the last kept value both
-    neighbours are that value, and the weight then changes nothing.  A row
-    holding NaN sorts it last and gets NaN, as ``np.quantile`` does.
+    neighbours are that value, and the weight then changes nothing.
     """
     m = np.count_nonzero(keep, axis=1)
     ordered = np.sort(np.where(keep, values, np.inf), axis=1)
@@ -299,7 +298,7 @@ def _selected_quantile(values: np.ndarray, keep: np.ndarray, q: float) -> np.nda
     lo = ordered[rows, np.minimum(prev, last).astype(np.intp)]
     hi = ordered[rows, np.minimum(prev + 1.0, last).astype(np.intp)]
     # a row without a quantile interpolates zeros, so it raises no warning
-    void = (m == 0) | np.isnan(ordered[:, -1])
+    void = m == 0
     lo[void] = hi[void] = 0.0
     diff = hi - lo
     out = lo + diff * gamma

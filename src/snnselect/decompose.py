@@ -90,12 +90,9 @@ def decompose(data0: Dataset, data1: Dataset, config: DecompositionConfig | None
     th0, b0, ybar0, xbar0 = _fit_group(data0, config, "group0", starts[0])
     th1, b1, ybar1, xbar1 = _fit_group(data1, config, "group1", starts[1])
     gap = ybar1 - ybar0
-    if config.weighting == "group0":
-        A = (th1 - th0) + float(xbar0 @ (b1 - b0))
-        B = float((xbar1 - xbar0) @ b1)
-    else:
-        A = (th1 - th0) + float(xbar1 @ (b1 - b0))
-        B = float((xbar1 - xbar0) @ b0)
+    xw, bw = (xbar0, b1) if config.weighting == "group0" else (xbar1, b0)
+    A = (th1 - th0) + float(xw @ (b1 - b0))
+    B = float((xbar1 - xbar0) @ bw)
     C = gap - A - B
     return DecompositionReport(
         gap_overall=gap,

@@ -169,7 +169,7 @@ def _upper_tail_ratio(idx: np.ndarray) -> np.ndarray:
     q50, q75, q95 = np.quantile(idx, [0.50, 0.75, 0.95], axis=1)
     shoulder = q75 - q50
     return np.divide(q95 - q75, shoulder, out=np.full(shoulder.shape, np.inf),
-                     where=~(shoulder <= 0.0))
+                     where=shoulder > 0.0)
 
 
 def _plug_in_from_ranks(
@@ -213,7 +213,7 @@ def _plug_in_from_ranks(
     h = np.full(R, hi)
     if n < 30:
         return h, dict.fromkeys(range(R), "insufficient sample")
-    rows = np.flatnonzero(_upper_tail_ratio(idx) <= _TAIL_RATIO_MAX)  # a NaN ratio fails too
+    rows = np.flatnonzero(_upper_tail_ratio(idx) <= _TAIL_RATIO_MAX)
     if rows.size == 0:
         return h, {}
     # the columns (1, t, ..., t^p) by np.vander's running product

@@ -17,6 +17,7 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
     Self-comparison is included, so every value is at least 1/n and the
     maximum index always maps to 1.  Ties share the highest applicable rank.
+    An index that is not finite has no ranks and raises "non-finite index".
     This is the one-row call of ``_rank_rows``, which the Monte Carlo
     engine runs on R index rows at once.
     """
@@ -24,7 +25,10 @@ def eta_hat(Z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         raise EstimationError("insufficient sample")
     if not np.any(np.asarray(gamma, dtype=float) != 0.0):
         raise EstimationError("degenerate index")
-    idx = np.asarray(Z, dtype=float) @ np.asarray(gamma, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx = np.asarray(Z, dtype=float) @ np.asarray(gamma, dtype=float)
+    if not np.isfinite(idx).all():
+        raise EstimationError("non-finite index")
     return _rank_rows(idx[None])[0]
 
 
@@ -32,16 +36,13 @@ def _rank_rows(index: np.ndarray) -> np.ndarray:
     """The rank transform of each row: one argsort per row, then each sorted
     position takes the 1-based position of the last member of its tie
     group.  Ranks depend on the values alone, so the argsort need not be
-    stable.  NaN sorts last and counts as equal to NaN, as in ``np.sort``
-    and ``np.searchsorted``; the counts are exact, so each rank is the
-    correctly rounded count / n."""
+    stable.  The counts are exact, so each rank is the correctly rounded
+    count / n."""
     R, n = index.shape
     order = np.argsort(index, axis=1)
     flat = order + np.arange(0, R * n, n)[:, None]
     ordered = index.ravel()[flat]
     tie = ordered[:, 1:] == ordered[:, :-1]
-    if np.isnan(ordered[:, -1]).any():
-        tie |= np.isnan(ordered[:, 1:]) & np.isnan(ordered[:, :-1])
     ends = np.arange(1.0, n + 1.0)
     if tie.any():
         # a position inside a tie group takes the end of the group: the

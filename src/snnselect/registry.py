@@ -254,10 +254,11 @@ class Block:
         without them), else from one ``fit_nuisance`` call, given its start
         from ``starts``, whose EstimationError fails that row.  A beta that
         is not of shape (k,), or a gamma not of shape (l,), raises
-        ValueError.  ``errors``, {row: the message of its nuisance error}
-        (such a row holds zeros below);
-        ``beta`` (R, k); ``gamma`` (R, l); ``index`` (R, n), each row bitwise
-        data.Z @ gamma; ``residuals`` (R, n), each row bitwise
+        ValueError.  ``errors``, {row: the message of its nuisance error,
+        else "non-finite index" for a row whose index is not finite} (a row
+        with a nuisance error holds zeros below); ``beta`` (R, k); ``gamma``
+        (R, l); ``index`` (R, n), each row bitwise data.Z @ gamma;
+        ``residuals`` (R, n), each row bitwise
         ``residualized_outcome(data, beta)``."""
         if key not in self._under:
             if key is None and self.truths is None:
@@ -281,8 +282,10 @@ class Block:
                     raise ValueError(f"beta and gamma need shapes {B.shape[1:]} and {G.shape[1:]},"
                                      f" not {np.shape(beta)} and {np.shape(gamma)}")
                 B[i], G[i] = beta, gamma
-            self._under[key] = {"errors": errors, "beta": B, "gamma": G,
-                                "index": (self.Z @ G[:, :, None])[:, :, 0],
+            index = (self.Z @ G[:, :, None])[:, :, 0]
+            unranked = np.flatnonzero(~np.isfinite(index).all(axis=1))
+            errors = {**dict.fromkeys(unranked.tolist(), "non-finite index"), **errors}
+            self._under[key] = {"errors": errors, "beta": B, "gamma": G, "index": index,
                                 "residuals": self.D * (self.Y - (self.X @ B[:, :, None])[:, :, 0])}
         return self._under[key]
 
@@ -297,8 +300,8 @@ class Block:
 def _fit_block(block: Block, config: EstimatorConfig):
     """The method's rows over the block, and the failure rule: {row: reason}
     for every row whose fit does not stand.  The first that applies wins:
-    the row's nuisance error, the method's error, a non-finite
-    theta, a non-finite standard error."""
+    the row's nuisance error or "non-finite index", the method's error, a
+    non-finite theta, a non-finite standard error."""
     method = METHODS[config.method]
     with np.errstate(over="ignore", invalid="ignore"):
         unfitted = block.under(config.nuisance)["errors"] if method.needs_nuisance else {}

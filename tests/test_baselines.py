@@ -176,8 +176,6 @@ class TestProbitStack:
         z = np.random.default_rng(35).normal(size=(50, 2))
         with pytest.raises(ValueError, match="0/1"):
             probit_mle(np.full(50, 0.5), z)
-        with pytest.raises(ValueError, match="0/1"):
-            _probit_newton(np.stack([np.ones(50), np.full(50, 2.0)]), np.stack([z, z]))
 
     def test_separation_verdict_short_circuits(self, monkeypatch):
         calls = []

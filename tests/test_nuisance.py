@@ -371,6 +371,26 @@ class TestRobinson:
         with pytest.raises(EstimationError, match="insufficient selected"):
             robinson_beta(data, np.array([1.0, 0.0]))
 
+    def test_too_few_rows_with_a_neighbour(self):
+        # 20 selected rows 10 apart, one pair 0.5 apart: at h = 1 only the
+        # pair has another row in its window, 2 < k + 2
+        n, k = 20, 2
+        z = np.arange(n) * 10.0
+        z[1] = 0.5
+        rng = np.random.default_rng(54)
+        data = make_data(np.ones(n), rng.normal(size=n), rng.normal(size=(n, k)), z)
+        with pytest.raises(EstimationError, match="^singular design$"):
+            robinson_beta(data, np.array([1.0]), bandwidth=1.0)
+
+    def test_rank_deficient_residual_design(self):
+        rng = np.random.default_rng(55)
+        n = 200
+        x = rng.normal(size=n)
+        data = make_data(np.ones(n), rng.normal(size=n), np.column_stack([x, x]),
+                         rng.normal(size=(n, 2)))
+        with pytest.raises(EstimationError, match="^singular design$"):
+            robinson_beta(data, np.array([1.0, 0.5]), bandwidth=0.5)
+
     def test_huge_bandwidth_degenerates_to_demeaned_ols(self):
         rng = np.random.default_rng(51)
         n, k = 200, 2

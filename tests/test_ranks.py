@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,13 @@ class TestEtaHat:
             eta_hat(one_col([1.0]), np.array([1.0]))
         with pytest.raises(EstimationError, match="degenerate index"):
             eta_hat(one_col([1.0, 2.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_index_raises(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match="^non-finite index$"):
+                eta_hat(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, bad]))
 
     def test_matches_bruteforce_random(self):
         rng = np.random.default_rng(3)

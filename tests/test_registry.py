@@ -18,6 +18,7 @@ from snnselect.registry import (
     METHODS,
     Block,
     EstimatorConfig,
+    _fit_block,
     _stacked,
     as98_intercept,
     fit,
@@ -162,6 +163,53 @@ class TestNonFiniteOutput:
                 warnings.simplefilter("error", RuntimeWarning)
                 result = call()
             assert abs(result.theta) < float("inf")
+
+
+class TestNonFiniteIndex:
+    """An inf or NaN in gamma leaves the index without ranks: every route
+    fails the row as "non-finite index" and returns no number."""
+
+    BAD = [np.inf, np.nan]
+    RANKED = ["snn", "h90", "as98"]  # the methods that read the index
+
+    @staticmethod
+    def _calls(method, bad):
+        """The method by ``fit`` and by its public one-sample function, with
+        ``bad`` in a dgp1 draw's gamma."""
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
+        data, beta, gamma = draw.dataset, draw.beta0, draw.gamma0.copy()
+        gamma[1] = bad
+        public = {"snn": snn_intercept, "h90": h90_intercept, "as98": as98_intercept}[method]
+        return [lambda: fit(data, EstimatorConfig(method), (beta, gamma))[0],
+                lambda: public(data, beta, gamma)]
+
+    @pytest.mark.parametrize("action", ["error", "default"])
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("method", RANKED)
+    def test_named_error(self, method, bad, action):
+        # "error" as CI runs the suite, with -X dev -W error
+        for call in self._calls(method, bad):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                with pytest.raises(EstimationError, match="^non-finite index$"):
+                    call()
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_block_fails_only_that_row(self, bad):
+        draws = [simulate(DgpSpec("dgp1", 200, rho=0.5, seed=seed)) for seed in (3, 4, 5)]
+        truths = [(draw.beta0, draw.gamma0.copy()) for draw in draws]
+        truths[1][1][0] = bad
+        datasets = [draw.dataset for draw in draws]
+        for method in self.RANKED:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                block = Block(datasets, truths)
+                thetas = fit_thetas(block, EstimatorConfig(method))
+            assert np.isnan(thetas[1]), method
+            assert _fit_block(block, EstimatorConfig(method))[1] == {1: "non-finite index"}, method
+            for i in (0, 2):
+                alone = fit(datasets[i], EstimatorConfig(method), truths[i])[0].theta
+                assert np.float64(thetas[i]).tobytes() == np.float64(alone).tobytes(), method
 
 
 class TestNuisanceShape:

@@ -182,13 +182,11 @@ class TestRowsMatchAlone:
             assert eta[i].tobytes() == eta_hat(data.Z, self.gamma).tobytes(), self.names[i]
 
     def test_ranks_match_sort_and_searchsorted(self):
-        # the one-sort reference: ties, infinities and NaN, which sorts last
-        # and ties with NaN there
+        # the one-sort reference: ties and infinities
         rng = np.random.default_rng(11)
         index = np.round(rng.normal(size=(6, 40)), 1)
         index[1, :3] = np.inf
         index[2, :5] = -np.inf
-        index[3, [4, 9, 17]] = np.nan
         index[4] = 2.5
         eta = _rank_rows(index)
         for row, values in zip(eta, index):
@@ -665,12 +663,11 @@ class TestSelectedQuantile:
         values[5] = np.round(values[5])  # ties
         values[6, :4] = np.inf
         values[7, :4] = -np.inf
-        values[8, 3] = np.nan
         keep = rng.random(size=(40, 30)) < rng.random(size=(40, 1))
         keep[0] = True
         keep[1] = False
         keep[2] = np.arange(30) == 17  # one kept value
-        keep[6:9, :4] = True
+        keep[6:8, :4] = True
         for q in (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.95, 1.0):
             with np.errstate(invalid="ignore"):  # lerp between two infinities
                 got = _selected_quantile(values, keep, q)
