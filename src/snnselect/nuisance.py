@@ -4,10 +4,16 @@ Selection coefficients come from a probit fit (parametric) or a
 semiparametric binary-choice quasi-likelihood; outcome slopes come from the
 double-residual (partially linear) regression.  Both smooth on one
 leave-one-out Epanechnikov engine, O(n log n) over the sorted index:
-``_sorted_windows``, ``_loo_kernel_sums`` and ``_loo_ratio``.  The smoother
-makes no sorted copy of the values it smooths: it gathers one column at a
-time in index order and takes one window sum at a time, so beyond its (1 +
-m, n) kernel sums and its (n, m) estimates it holds a few arrays of n.
+``_sorted_windows``, ``_loo_kernel_sums`` and ``_loo_ratio``.  The engine's
+window sums write into work arrays their caller allocates.  Robinson's
+smoother makes no sorted copy of the values it smooths: it gathers one
+column at a time in index order, into work arrays of n that all its columns
+share, so beyond its (1 + m, n) kernel sums and its (n, m) estimates it
+holds a few arrays of n.  A Klein-Spady fit
+allocates the large arrays of an evaluation once, about 4.8 MB at n = 4000
+and l = 7, and every evaluation of the fit writes into them: arrays of that
+size, freed and allocated again, come back from the C allocator as fresh
+pages, about 950 page faults per evaluation.
 
 ``scipy.optimize`` is imported inside ``klein_spady_gamma``, its only user,
 so importing the package, and every path that fits no Klein-Spady nuisance
@@ -90,30 +96,60 @@ def silverman_bandwidth(index: np.ndarray) -> float:
     return _SILVERMAN_C * scale * n ** (-0.2)
 
 
+def _stable_order(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")``, bit for bit, from the default sort.
+    Only rows of equal value can come out of it in another order, so when
+    the sorted values hold a tie the order is sorted again by (tie run,
+    position), as one sort of distinct integer keys.  NaNs sort last and
+    equal nothing, so an ``x`` with a NaN takes the stable sort itself."""
+    order = np.argsort(x)
+    xs = x[order]
+    if np.isnan(xs[-1:]).any():
+        return np.argsort(x, kind="stable")
+    tie = xs[1:] == xs[:-1]
+    if tie.any():
+        n = x.shape[0]
+        run = np.concatenate(([0], np.cumsum(~tie)))
+        order = np.sort(run * n + order) % n
+    return order
+
+
+def _window_work(shape: tuple):
+    """Work arrays for ``window_sums`` of a stack of ``shape`` (last axis:
+    sorted rows): its prefix sums, whose first entry stays 0, and the
+    gather of each row's lower window bound."""
+    return np.zeros(shape[:-1] + (shape[-1] + 1,)), np.empty(shape)
+
+
 def _sorted_windows(index: np.ndarray, h: float):
     """Median-centre and stable-sort ``index`` and bound each row's open
     window |x_j - x_i| < h (the kernel is 0 on its edge).  Returns (order,
-    xs, window_sums, in_window), where ``window_sums(cols)`` sums each column
-    of a stack (last axis: sorted rows) over every row's window, from one
-    cumsum over the whole stack, and ``in_window`` flags the sorted rows
-    whose window holds another row.  That flag is a count of rows, exact
-    where a kernel sum is not: a sum is the difference of two prefix sums
-    over the whole sample, which on a heavy-tailed index reach 1e13, so for
-    a far-tail row with an empty window it is rounding noise, not 0.
+    xs, window_sums, in_window), where ``window_sums(cols, out, work)`` sums
+    each column of a stack (last axis: sorted rows) over every row's window,
+    from one cumsum over the whole stack, into ``out``, with ``work`` from
+    ``_window_work`` of its shape, and returns ``out``.  ``in_window`` flags the
+    sorted rows whose window holds another row.  That flag is a count of
+    rows, exact where a kernel sum is not: a sum is the difference of two
+    prefix sums over the whole sample, which on a heavy-tailed index reach
+    1e13, so for a far-tail row with an empty window it is rounding noise,
+    not 0.
     """
     x = np.asarray(index, dtype=float)
     x = x - np.median(x)  # limits cancellation in the x^2 prefix sums
-    order = np.argsort(x, kind="stable")
+    order = _stable_order(x)
     xs = x[order]
     lo = np.searchsorted(xs, xs - h, side="right")
     hi = np.searchsorted(xs, xs + h, side="left")
 
-    def window_sums(cols: np.ndarray) -> np.ndarray:
-        c = np.zeros(cols.shape[:-1] + (xs.shape[0] + 1,))
-        np.cumsum(cols, axis=-1, out=c[..., 1:])
-        sums = np.take(c, hi, axis=-1)
-        sums -= np.take(c, lo, axis=-1)
-        return sums
+    def window_sums(cols: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+        prefix, lower = work
+        np.cumsum(cols, axis=-1, out=prefix[..., 1:])
+        # mode="clip" (every index is in range) writes straight into out=,
+        # where "raise" would gather into a fresh copy first
+        np.take(prefix, hi, axis=-1, out=out, mode="clip")
+        np.take(prefix, lo, axis=-1, out=lower, mode="clip")
+        out -= lower
+        return out
 
     return order, xs, window_sums, hi - lo > 1
 
@@ -148,13 +184,23 @@ def _loo_epanechnikov(index: np.ndarray, values: np.ndarray, h: float):
     """
     order, xs, window_sums, in_window = _sorted_windows(index, h)
     values = np.asarray(values, dtype=float)
-    # column by column and one window sum at a time, so no sorted copy of
-    # ``values`` is made and the temporaries stay a few n long
-    kern = np.empty((1 + values.shape[1], xs.shape[0]))
+    n = xs.shape[0]
+    # column by column and one window sum at a time, into work arrays that
+    # every column shares, so no sorted copy of ``values`` is made and the
+    # work arrays stay a few n long
+    b, xb, sums, work = np.empty(n), np.empty(n), np.empty((3, n)), _window_work((n,))
+    kern = np.empty((1 + values.shape[1], n))
     for j in range(kern.shape[0]):
-        c = np.ones(xs.shape[0]) if j == 0 else values[:, j - 1].take(order)
-        kern[j] = _loo_kernel_sums(xs, h, window_sums(c), window_sums(c * xs),
-                                   window_sums(c * xs * xs), c)
+        if j == 0:
+            b[:] = 1.0
+        else:
+            np.take(values[:, j - 1], order, out=b, mode="clip")
+        window_sums(b, sums[0], work)
+        window_sums(np.multiply(b, xs, out=xb), sums[1], work)
+        xb *= xs
+        window_sums(xb, sums[2], work)
+        kern[j] = _loo_kernel_sums(xs, h, *sums, b)
+    del b, xb, sums, work  # before the ratio and the estimates are allocated
     ratio, valid_s = _loo_ratio(kern, in_window)
     del kern  # as large as est, which is allocated next
     est = np.empty(ratio.T.shape)
@@ -180,10 +226,9 @@ def probit_gamma(data: Dataset, start: np.ndarray | None = None) -> np.ndarray:
     return g / abs(g[0])
 
 
-def _ks_loglik_and_grad(
-    data: Dataset, gamma: np.ndarray, h: float
-) -> tuple[float, np.ndarray]:
-    """Leave-one-out quasi-log-likelihood and its exact gradient in gamma[1:].
+def _ks_evaluator(data: Dataset, h: float):
+    """``gamma -> (value, gradient)``: the leave-one-out quasi-log-likelihood
+    at bandwidth ``h`` and its exact gradient in gamma[1:].
 
     Runs on ``_loo_epanechnikov``'s engine: p_i is its smooth of d, from
     the ``_sorted_windows`` sums that also give the gradient.  K'(u) = -1.5u
@@ -191,42 +236,66 @@ def _ks_loglik_and_grad(
     z_ik) d_j expands into window sums of b, x b, z_k b and x z_k b for
     b = d (numerator) and b = 1 (denominator).  Clipped and empty-window
     fallback rows contribute 0 to the gradient.
-    """
-    d, n = data.d, data.n
-    order, xs, window_sums, in_window = _sorted_windows(data.Z @ gamma, h)
-    ds = d[order]
-    Zs = data.Z[order, 1:].T
-    Zs = Zs - Zs.mean(axis=1, keepdims=True)  # differences z_j - z_i unchanged
-    m = Zs.shape[0]
 
+    The arrays of (3 + 2m) or m rows of n are allocated here, once, and
+    every evaluation writes into them; only arrays of a row or two of n
+    are allocated per evaluation.
+    """
+    d, n, m = data.d, data.n, data.l - 1
+    Zfree = data.Z[:, 1:]
     # columns b, x b, x^2 b, z_k b, x z_k b for b = 1 (row 0) and b = d (row 1)
     cols = np.empty((2, 3 + 2 * m, n))
     cols[0, 0] = 1.0
-    cols[1, 0] = ds
-    cols[:, 1] = cols[:, 0] * xs
-    cols[:, 2] = cols[:, 1] * xs
-    cols[:, 3 : 3 + m] = cols[:, None, 0] * Zs
-    cols[:, 3 + m :] = cols[:, None, 1] * Zs
-    W = window_sums(cols)
-    s0, s1, sz, sxz = W[:, 0], W[:, 1], W[:, 3 : 3 + m], W[:, 3 + m :]
-    kern = _loo_kernel_sums(xs, h, s0, s1, W[:, 2], cols[:, 0])
-    ratio, valid = _loo_ratio(kern, in_window)
-
+    W, work = np.empty(cols.shape), _window_work(cols.shape)
+    # the sorted Z columns, kept (n, m) so that their mean is reduced over
+    # the layout of ``Z[order, 1:]``: another layout sums in another order
+    zrows = np.empty((n, m))
+    cross, term = np.empty((2, m, n)), np.empty((2, m, n))
     fallback = float(np.clip(d.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
-    p_s = np.where(valid, ratio[0], fallback)
-    active = valid & (p_s > _PROB_CLIP) & (p_s < 1.0 - _PROB_CLIP)
-    p_s = np.clip(p_s, _PROB_CLIP, 1.0 - _PROB_CLIP)
-    p = np.empty(n)
-    p[order] = p_s
-    value = float(d @ np.log(p) + (1.0 - d) @ np.log(1.0 - p))
 
-    # sum_window (x_j - x_i)(z_jk - z_ik) b_j, for b = 1 and b = d
-    cross = sxz - Zs * s1[:, None] - xs * sz + (xs * s0)[:, None] * Zs
-    # dp_i = -(1.5/h^2) (cross_d - p_i cross_1) / D_i, weighted by dloglik/dp_i
-    weight = np.zeros(n)
-    pa, da = p_s[active], ds[active]
-    weight[active] = (da / pa - (1.0 - da) / (1.0 - pa)) * (-1.5 / (h * h)) / kern[0, active]
-    return value, (cross[1] - p_s * cross[0]) @ weight
+    def evaluate(gamma: np.ndarray) -> tuple[float, np.ndarray]:
+        order, xs, window_sums, in_window = _sorted_windows(data.Z @ gamma, h)
+        ds = np.take(d, order, out=cols[1, 0], mode="clip")
+        Zs = np.take(Zfree, order, axis=0, out=zrows, mode="clip").T
+        Zs -= Zs.mean(axis=1, keepdims=True)  # differences z_j - z_i unchanged
+        np.multiply(cols[:, 0], xs, out=cols[:, 1])
+        np.multiply(cols[:, 1], xs, out=cols[:, 2])
+        np.multiply(cols[:, None, 0], Zs, out=cols[:, 3 : 3 + m])
+        np.multiply(cols[:, None, 1], Zs, out=cols[:, 3 + m :])
+        window_sums(cols, W, work)
+        s0, s1, sz, sxz = W[:, 0], W[:, 1], W[:, 3 : 3 + m], W[:, 3 + m :]
+        kern = _loo_kernel_sums(xs, h, s0, s1, W[:, 2], cols[:, 0])
+        ratio, valid = _loo_ratio(kern, in_window)
+
+        p_s = np.where(valid, ratio[0], fallback)
+        active = valid & (p_s > _PROB_CLIP) & (p_s < 1.0 - _PROB_CLIP)
+        p_s = np.clip(p_s, _PROB_CLIP, 1.0 - _PROB_CLIP)
+        p = np.empty(n)
+        p[order] = p_s
+        value = float(d @ np.log(p) + (1.0 - d) @ np.log(1.0 - p))
+
+        # sum_window (x_j - x_i)(z_jk - z_ik) b_j, for b = 1 and b = d:
+        # sxz - Zs s1 - xs sz + (xs s0) Zs, left to right, since the order
+        # of the operations sets the bits
+        np.multiply(Zs, s1[:, None], out=cross)
+        np.subtract(sxz, cross, out=cross)
+        np.subtract(cross, np.multiply(xs, sz, out=term), out=cross)
+        np.add(cross, np.multiply((xs * s0)[:, None], Zs, out=term), out=cross)
+        # dp_i = -(1.5/h^2) (cross_d - p_i cross_1) / D_i, weighted by dloglik/dp_i
+        weight = np.zeros(n)
+        pa, da = p_s[active], ds[active]
+        weight[active] = (da / pa - (1.0 - da) / (1.0 - pa)) * (-1.5 / (h * h)) / kern[0, active]
+        dp = np.subtract(cross[1], np.multiply(p_s, cross[0], out=term[0]), out=term[0])
+        return value, dp @ weight
+
+    return evaluate
+
+
+def _ks_loglik_and_grad(
+    data: Dataset, gamma: np.ndarray, h: float
+) -> tuple[float, np.ndarray]:
+    """One evaluation of ``_ks_evaluator(data, h)``, with arrays of its own."""
+    return _ks_evaluator(data, h)(gamma)
 
 
 def klein_spady_objective(
@@ -259,18 +328,18 @@ def klein_spady_gamma(data: Dataset) -> np.ndarray:
         return start
     from scipy import optimize
 
-    pilot_bandwidth = silverman_bandwidth(data.Z @ start)
+    evaluate = _ks_evaluator(data, silverman_bandwidth(data.Z @ start))
     values = {}  # gamma.tobytes() -> objective, for every gamma evaluated
 
     def loglik(gamma: np.ndarray) -> float:
         key = gamma.tobytes()
         if key not in values:
-            values[key] = klein_spady_objective(data, gamma, pilot_bandwidth)
+            values[key] = evaluate(gamma)[0]
         return values[key]
 
     def negloglik(free: np.ndarray) -> tuple[float, np.ndarray]:
         gamma = np.concatenate([start[:1], free])
-        value, grad = _ks_loglik_and_grad(data, gamma, pilot_bandwidth)
+        value, grad = evaluate(gamma)
         values[gamma.tobytes()] = value
         return -value, -grad
 

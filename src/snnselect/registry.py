@@ -50,13 +50,9 @@ class Method(NamedTuple):
 
 
 def _snn_fit(block, cfg):
-    """snn's stacked body, after the check that ``eta_hat`` makes: a zero
-    gamma is a "degenerate index"."""
     arrays = block.under(cfg.nuisance)
-    flat = dict.fromkeys(np.flatnonzero(~arrays["gamma"].any(axis=1)), "degenerate index")
-    rows, errors = estimator._snn_rows(block.ranks(cfg.nuisance), arrays["index"],
-                                       arrays["residuals"], cfg.kernel_order, cfg.bandwidth)
-    return rows, {**errors, **flat}
+    return estimator._snn_rows(block.ranks(cfg.nuisance), arrays["index"], arrays["residuals"],
+                               cfg.kernel_order, cfg.bandwidth)
 
 
 def _h90_fit(block, cfg):
@@ -255,8 +251,9 @@ class Block:
         from ``starts``, whose EstimationError fails that row.  A beta that
         is not of shape (k,), or a gamma not of shape (l,), raises
         ValueError.  ``errors``, {row: the message of its nuisance error,
-        else "non-finite index" for a row whose index is not finite} (a row
-        with a nuisance error holds zeros below); ``beta`` (R, k); ``gamma``
+        else "non-finite index" for a row whose index is not finite, else
+        "degenerate index" for a row whose gamma is all zero} (a row with a
+        nuisance error holds zeros below); ``beta`` (R, k); ``gamma``
         (R, l); ``index`` (R, n), each row bitwise data.Z @ gamma;
         ``residuals`` (R, n), each row bitwise
         ``residualized_outcome(data, beta)``."""
@@ -284,7 +281,9 @@ class Block:
                 B[i], G[i] = beta, gamma
             index = (self.Z @ G[:, :, None])[:, :, 0]
             unranked = np.flatnonzero(~np.isfinite(index).all(axis=1))
-            errors = {**dict.fromkeys(unranked.tolist(), "non-finite index"), **errors}
+            flat = np.flatnonzero(~G.any(axis=1))
+            errors = {**dict.fromkeys(flat.tolist(), "degenerate index"),
+                      **dict.fromkeys(unranked.tolist(), "non-finite index"), **errors}
             self._under[key] = {"errors": errors, "beta": B, "gamma": G, "index": index,
                                 "residuals": self.D * (self.Y - (self.X @ B[:, :, None])[:, :, 0])}
         return self._under[key]
@@ -300,8 +299,8 @@ class Block:
 def _fit_block(block: Block, config: EstimatorConfig):
     """The method's rows over the block, and the failure rule: {row: reason}
     for every row whose fit does not stand.  The first that applies wins:
-    the row's nuisance error or "non-finite index", the method's error, a
-    non-finite theta, a non-finite standard error."""
+    the row's nuisance error, "non-finite index" or "degenerate index", the
+    method's error, a non-finite theta, a non-finite standard error."""
     method = METHODS[config.method]
     with np.errstate(over="ignore", invalid="ignore"):
         unfitted = block.under(config.nuisance)["errors"] if method.needs_nuisance else {}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from oracles import ks_loglik_bruteforce, loo_nw_bruteforce
-from snnselect import nuisance
+from snnselect import derive_seed, nuisance
 from snnselect.data import Dataset
 from snnselect.dgp import DgpSpec, simulate
 from snnselect.exceptions import EstimationError
@@ -257,17 +257,22 @@ class TestKleinSpady:
         # optimizer computed
         data = simulate(DgpSpec("dgp1", 600, rho=0.5, seed=11)).dataset
         evaluations, results = [], []
-        ks_loglik_and_grad, minimize = nuisance._ks_loglik_and_grad, optimize.minimize
+        ks_evaluator, minimize = nuisance._ks_evaluator, optimize.minimize
 
-        def counted(data, gamma, h):
-            evaluations.append(gamma.tobytes())
-            return ks_loglik_and_grad(data, gamma, h)
+        def counted(data, h):
+            evaluate = ks_evaluator(data, h)
+
+            def each(gamma):
+                evaluations.append(gamma.tobytes())
+                return evaluate(gamma)
+
+            return each
 
         def kept(*args, **kwargs):
             results.append(minimize(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(nuisance, "_ks_loglik_and_grad", counted)
+        monkeypatch.setattr(nuisance, "_ks_evaluator", counted)
         monkeypatch.setattr(optimize, "minimize", kept)
         g = klein_spady_gamma(data)
         assert len(evaluations) == results[0].nfev == len(set(evaluations))
@@ -337,6 +342,74 @@ class TestKleinSpadyGradient:
         if separated:
             clipped = (p[valid, 0] <= _PROB_CLIP) | (p[valid, 0] >= 1.0 - _PROB_CLIP)
             assert 0 < clipped.sum() < valid.sum()
+
+
+# sha256 of the bytes of (value, gradient) at the 8 gammas of
+# _ks_design_gammas, as recorded before a fit's evaluations came to share
+# their work arrays
+KS_DESIGN_DIGEST = "5251723cf3b6"
+
+
+def _ks_design_gammas():
+    """The estimate-ks-4000 benchmark's design sample (dgp1, n = 4000,
+    l = 7), the Silverman pilot of its probit index, and 8 gammas: the
+    probit start and 7 perturbations of its free components."""
+    data = simulate(DgpSpec("dgp1", 4000, rho=0.5, alpha=2.0,
+                            seed=derive_seed(0, "estimate-ks-4000", 0))).dataset
+    start = probit_gamma(data)
+    rng = np.random.default_rng(35)
+    gammas = [start] + [np.concatenate([start[:1], start[1:] + 0.05 * rng.normal(size=data.l - 1)])
+                        for _ in range(7)]
+    return data, silverman_bandwidth(data.Z @ start), gammas
+
+
+class TestKleinSpadyWorkArrays:
+    """A fit's evaluations write into work arrays allocated once per fit."""
+
+    def test_design_sample_bits_pinned(self):
+        # one evaluator across all 8 gammas, its arrays first filled at
+        # another gamma: each evaluation is bitwise a one-off call
+        data, h, gammas = _ks_design_gammas()
+        evaluate = nuisance._ks_evaluator(data, h)
+        evaluate(gammas[-1])
+        digest = hashlib.sha256()
+        for gamma in gammas:
+            value, grad = evaluate(gamma)
+            once = _ks_loglik_and_grad(data, gamma, h)
+            assert value == once[0] and grad.tobytes() == once[1].tobytes()
+            digest.update(np.float64(value).tobytes() + grad.tobytes())
+        assert digest.hexdigest()[:12] == KS_DESIGN_DIGEST
+
+    def test_an_evaluation_allocates_no_work_arrays(self, traced_peak):
+        # the one-off call holds about 4.2 MB here, most of it the (2, 15,
+        # n) stacks; an evaluation of a fit holds the row arrays alone
+        data, h, gammas = _ks_design_gammas()
+        evaluate = nuisance._ks_evaluator(data, h)
+        evaluate(gammas[0])
+        assert traced_peak(evaluate, gammas[1]) <= 2_000_000
+
+
+class TestStableOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=1, max_size=100),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50),
+        st.tuples(st.floats(-1e6, 1e6), st.integers(1, 200)).map(lambda t: [t[0]] * t[1]),
+        st.tuples(st.integers(1, 2000), st.integers(0, 2**32 - 1)).map(
+            lambda t: np.random.default_rng(t[1]).normal(size=t[0])[
+                np.random.default_rng(t[1] + 1).integers(0, t[0], size=t[0])].tolist()),
+    ))
+    def test_is_the_stable_argsort(self, values):
+        # small integers as floats, a mix of +-0.0, any floats with NaN and
+        # inf, all values equal, and resample-style duplicates of a draw
+        x = np.asarray(values, dtype=float)
+        assert np.array_equal(nuisance._stable_order(x), np.argsort(x, kind="stable"))
+
+    @pytest.mark.parametrize("x", [[5.0], [1.0, 1.0], [2.0, 1.0], [-0.0, 0.0], [0.0, -0.0]])
+    def test_one_and_two_rows(self, x):
+        x = np.asarray(x)
+        assert np.array_equal(nuisance._stable_order(x), np.argsort(x, kind="stable"))
 
 
 class TestRobinson:

@@ -212,6 +212,48 @@ class TestNonFiniteIndex:
                 assert np.float64(thetas[i]).tobytes() == np.float64(alone).tobytes(), method
 
 
+class TestZeroGamma:
+    """A gamma of zeros leaves an index with no direction: every method that
+    reads it fails the row as "degenerate index", by ``fit``, by its public
+    one-sample function and in a block."""
+
+    RANKED = ["snn", "h90", "as98"]
+
+    @pytest.mark.parametrize("method", RANKED)
+    def test_named_error(self, method):
+        draw = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3))
+        data, beta, gamma = draw.dataset, draw.beta0, np.zeros_like(draw.gamma0)
+        public = {"snn": snn_intercept, "h90": h90_intercept, "as98": as98_intercept}[method]
+        for call in (lambda: fit(data, EstimatorConfig(method), (beta, gamma)),
+                     lambda: public(data, beta, gamma)):
+            with pytest.raises(EstimationError, match="^degenerate index$"):
+                call()
+
+    def test_block_fails_only_that_row(self):
+        draws = [simulate(DgpSpec("dgp1", 200, rho=0.5, seed=seed)) for seed in (3, 4, 5)]
+        truths = [(draw.beta0, draw.gamma0) for draw in draws]
+        truths[1] = (draws[1].beta0, np.zeros_like(draws[1].gamma0))
+        datasets = [draw.dataset for draw in draws]
+        block = Block(datasets, truths)
+        for config in [EstimatorConfig(method) for method in self.RANKED] + [EstimatorConfig("ols")]:
+            thetas = fit_thetas(block, config)
+            reasons = _fit_block(block, config)[1]
+            if config.method == "ols":  # reads no index
+                assert reasons == {} and not np.isnan(thetas).any()
+                continue
+            assert np.isnan(thetas[1]) and reasons == {1: "degenerate index"}, config.method
+            for i in (0, 2):
+                alone = fit(datasets[i], config, truths[i])[0].theta
+                assert np.float64(thetas[i]).tobytes() == np.float64(alone).tobytes(), config.method
+
+    def test_a_nuisance_error_still_wins(self):
+        # a row whose nuisance fit failed holds a zero gamma too
+        data = simulate(DgpSpec("dgp1", 200, rho=0.5, seed=3)).dataset
+        constant = dataclasses.replace(data, d=np.ones(data.n))
+        block = Block([data, constant])
+        assert block.under("probit")["errors"] == {1: "probit failed"}
+
+
 class TestNuisanceShape:
     """A beta that is not (k,) or a gamma that is not (l,) is rejected, not
     broadcast over the coefficients."""

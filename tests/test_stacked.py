@@ -101,9 +101,10 @@ def _row0(rows, errors):
 
 def _reference(data, config, generating):
     """(result, reason) of one dataset by its method's body on one row, with
-    the failure rule written out: the nuisance fit's error, then the body's
-    error (for snn, ``eta_hat``'s first), then a non-finite theta, then a
-    non-finite standard error.  ``generating`` is the (beta, gamma) of
+    the failure rule written out: the nuisance fit's error, then a zero
+    gamma's "degenerate index", then the body's error (for snn,
+    ``eta_hat``'s first), then a non-finite theta, then a non-finite
+    standard error.  ``generating`` is the (beta, gamma) of
     ``nuisance=None``."""
     beta, gamma = generating
     if METHODS[config.method].needs_nuisance and config.nuisance is not None:
@@ -112,6 +113,8 @@ def _reference(data, config, generating):
             return None, message
         beta, gamma = est.beta, est.gamma
     if METHODS[config.method].needs_nuisance:
+        if not np.any(gamma):
+            return None, "degenerate index"
         index, W = (data.Z @ gamma)[None], residualized_outcome(data, beta)[None]
     D, X, Y, Z = data.d[None], data.X[None], data.y[None], data.Z[None]
     one = {
@@ -393,6 +396,9 @@ def _failing_block(n):
         # OLS and the two-step refuse it
         "few-selected": (Dataset(few, few * base.y, base.X, base.Z), (beta, gamma)),
         "zero-gamma": (datasets[1], (beta, np.zeros_like(gamma))),
+        # no row above the median index is selected: the tail means' tails are empty
+        "unselected-tail": (Dataset(1.0 - separated, (1.0 - separated) * base.y, base.X, base.Z),
+                            (beta, gamma)),
         # snn's and the tail means' standard errors overflow
         "scaled": (dataclasses.replace(datasets[2], y=datasets[2].y * 1e200), (beta * 1e200, gamma)),
     }
@@ -441,14 +447,14 @@ class TestFitThetasContract:
 
 
     def test_zero_gamma_reason_is_the_r1_message(self):
-        # snn fails in eta_hat's check before its body runs, the tail means
-        # on their empty tail; the block row and ``fit`` name it the same
+        # every method that reads the index fails a zero gamma before its
+        # body runs; the block row and ``fit`` name it the same
         names, datasets, generating = _failing_block(100)
         i = names.index("zero-gamma")
         block = Block(datasets, generating)
         for config in (EstimatorConfig("snn"), EstimatorConfig("h90"), EstimatorConfig("as98")):
             _, want = _reference(datasets[i], config, generating[i])
-            assert want == ("degenerate index" if config.method == "snn" else "empty tail")
+            assert want == "degenerate index"
             assert _alone(fit, datasets[i], config, generating[i])[1] == want
             assert registry._fit_block(block, config)[1].get(i) == want
 

@@ -148,6 +148,12 @@ PLANS = {
         [EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.01)),
          EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.001)), EstimatorConfig("snn")],
         rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=40), 0),
+    # the Klein-Spady nuisance fitted once per draw and shared by snn and
+    # h90, where a draw whose fit fails fails both
+    "dgp2-ks-nuisance": _table(TablePlan(
+        "dgp2", 1000,
+        [EstimatorConfig("snn", nuisance="klein_spady"), EstimatorConfig("h90", nuisance="klein_spady")],
+        rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=10), 0),
     "one-row": Plan(_one_row, (1,)),
     "decompose-probit": Plan(_decompose),
 }
