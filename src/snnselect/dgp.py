@@ -3,19 +3,27 @@
 Sampling uses a counter-based generator (Philox) feeding explicit inverse
 and Box-Muller transforms, so draws are reproducible bit-for-bit across
 platforms and worker processes.
+
+One body draws a block of R samples of a spec as one stack
+(``_draw_rows``).  Each row draws its uniforms from its own seed's stream,
+one generator being rekeyed from row to row (``seeding.rekey``); the
+transforms, the index, d and y then run once over the (R, ...) stack.
+``simulate`` is its call of one row, where the transforms work in place in
+the drawn arrays; the Monte Carlo engine calls it once per block.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .exceptions import EstimationError
 from .numerics import _special
-from .seeding import generator
+from .seeding import generator, rekey
 
 __all__ = [
     "FAMILIES",
@@ -57,6 +65,11 @@ class DgpSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown DGP family: {self.family!r}")
+        for name in ("n", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not -1.0 <= self.rho <= 1.0:
@@ -86,18 +99,16 @@ class LatentDraw:
     beta0: np.ndarray
 
 
-def _standard_normal(g: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller transform of m = ceil(n/2) uniform pairs: the m cosine
-    normals, then the m sine normals, the first n of them.
+def _standard_normal(z: np.ndarray) -> np.ndarray:
+    """Box-Muller transform of each row of z, in place: a row of 2m uniforms,
+    m radius uniforms then m angle uniforms, becomes its m cosine normals
+    and then its m sine normals.
 
-    Worked out in place in the output; besides it, one array of m values
-    (a uniform draw, then the sines) is held at a time.
+    Besides z, one array of half its length (the sines) is held at a time.
     """
-    m = (n + 1) // 2
-    z = np.empty(2 * m)
-    r, t = z[:m], z[m:]  # radius and angle, then the cosine and sine normals
-    np.subtract(1.0, g.random(m), out=r)  # (0, 1], keeps the log finite
-    t[:] = g.random(m)
+    m = z.shape[-1] // 2
+    r, t = z[..., :m], z[..., m:]  # radius and angle, then the cosine and sine normals
+    np.subtract(1.0, r, out=r)  # (0, 1], keeps the log finite
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
@@ -106,16 +117,31 @@ def _standard_normal(g: np.random.Generator, n: int) -> np.ndarray:
     sines *= r
     np.cos(t, out=t)
     r *= t
-    t[:] = sines
-    return z[:n]
+    t[...] = sines
+    return z
 
 
-def _standard_cauchy(g: np.random.Generator, n: int) -> np.ndarray:
-    return np.tan(np.pi * (g.random(n) - 0.5))
+def _standard_cauchy(z: np.ndarray) -> np.ndarray:
+    """tan(pi * (u - 0.5)) of the uniforms z, in place."""
+    z -= 0.5
+    z *= np.pi
+    return np.tan(z, out=z)
 
 
-def _pareto(g: np.random.Generator, n: int, alpha: float) -> np.ndarray:
-    return (1.0 - g.random(n)) ** (-1.0 / alpha)
+def _uniforms(seeds, sizes) -> list:
+    """One (R, size) array of uniforms per size, row r drawn from the stream
+    of ``seeds[r]``: ``sizes[0]`` uniforms, then ``sizes[1]``, and so on.
+    One generator is rekeyed from row to row; a single row is the drawn
+    arrays themselves, with no copy."""
+    g = generator(seeds[0])
+    rows = []
+    for r, seed in enumerate(seeds):
+        if r:
+            rekey(g, seed)
+        rows.append([g.random(size) for size in sizes])
+    if len(rows) == 1:
+        return [u[None] for u in rows[0]]
+    return [np.stack(column) for column in zip(*rows)]
 
 
 def true_gamma(spec: DgpSpec) -> np.ndarray:
@@ -126,6 +152,53 @@ def true_gamma(spec: DgpSpec) -> np.ndarray:
     return g
 
 
+class _Draws(NamedTuple):
+    """Draws of one spec stacked along a leading axis of R rows."""
+
+    d: np.ndarray  # (R, n)
+    y: np.ndarray  # (R, n)
+    X: np.ndarray  # (R, n, k), a view of Z's first k columns
+    Z: np.ndarray  # (R, n, l)
+    u: np.ndarray  # (R, n)
+    v: np.ndarray  # (R, n)
+    index: np.ndarray  # (R, n)
+    beta0: np.ndarray  # (k,), every row's
+    gamma0: np.ndarray  # (l,), every row's
+
+
+def _draw_rows(spec: DgpSpec, seeds) -> _Draws:
+    """The draws of ``spec`` at each of ``seeds``, stacked: row r is the draw
+    of ``spec.with_seed(seeds[r])``, and ``simulate`` is the call of one row.
+
+    Each row draws its uniforms from its own stream, in the order
+    ``simulate`` documents.  Every step after that runs once over the whole
+    stack and computes each row from that row alone, so a row's bits do not
+    depend on R or on the other rows.
+    """
+    n, l, k = spec.n, spec.l, spec.k
+    pairs = 2 * ((n + 1) // 2)  # the uniforms of n Box-Muller normals
+    if spec.family == "dgp1":
+        Zu, Vu, Eu = _uniforms(seeds, (2 * ((n * l + 1) // 2), pairs, pairs))
+        Z = _standard_normal(Zu)[:, :n * l]
+        v = _standard_normal(Vu)[:, :n]
+    else:
+        Zu, Vu, Eu = _uniforms(seeds, (n * l, n, pairs))
+        Z = _standard_cauchy(Zu)
+        v = (1.0 - Vu) ** (-1.0 / spec.alpha)
+    Z = Z.reshape(len(seeds), n, l)
+    u = _standard_normal(Eu)[:, :n]
+    u *= math.sqrt(max(1.0 - spec.rho**2, 0.0))  # E, then rho * V + E
+    u += spec.rho * v
+
+    gamma0 = true_gamma(spec)
+    beta0 = np.ones(k)
+    index = Z @ gamma0
+    d = (index >= v).astype(float)
+    X = Z[:, :, :k]
+    y = d * (spec.theta0 + X @ beta0 + u)
+    return _Draws(d, y, X, Z, u, v, index, beta0, gamma0)
+
+
 def simulate(spec: DgpSpec) -> LatentDraw:
     """Draw one sample; a deterministic function of the spec (incl. seed).
 
@@ -134,30 +207,14 @@ def simulate(spec: DgpSpec) -> LatentDraw:
     E ~ N(0, 1 - rho^2); under dgp2 the Pareto V is used as drawn, so rho is
     the exact correlation only when Var(V) exists (alpha > 2).
     """
-    g = generator(spec.seed)
-    n, l, k = spec.n, spec.l, spec.k
-    if spec.family == "dgp1":
-        Z = _standard_normal(g, n * l).reshape(n, l)
-        v = _standard_normal(g, n)
-    else:
-        Z = _standard_cauchy(g, n * l).reshape(n, l)
-        v = _pareto(g, n, spec.alpha)
-    e = math.sqrt(max(1.0 - spec.rho**2, 0.0)) * _standard_normal(g, n)
-    u = spec.rho * v + e
-
-    gamma0 = true_gamma(spec)
-    beta0 = np.ones(k)
-    index = Z @ gamma0
-    d = (index >= v).astype(float)
-    X = Z[:, :k]
-    y = d * (spec.theta0 + X @ beta0 + u)
+    draws = _draw_rows(spec, [spec.seed])
     return LatentDraw(
-        dataset=Dataset(d=d, y=y, X=X, Z=Z),
-        u=u,
-        v=v,
-        index=index,
-        gamma0=gamma0,
-        beta0=beta0,
+        dataset=Dataset(d=draws.d[0], y=draws.y[0], X=draws.X[0], Z=draws.Z[0]),
+        u=draws.u[0],
+        v=draws.v[0],
+        index=draws.index[0],
+        gamma0=draws.gamma0,
+        beta0=draws.beta0,
     )
 
 

@@ -8,14 +8,14 @@ cross-estimator comparisons common-random-number comparisons.
 
 Estimators are ``registry.EstimatorConfig`` records, and ``run_cell``,
 ``run_table`` and ``rate_check`` take nothing else; each is one dispatch of
-its cells.  The engine is cell-major: each draw is simulated once and every
+its cells.  The engine is cell-major: each draw is made once and every
 estimator of its cell runs on it, and the reps of all cells go as
 contiguous chunks to one ``seeding.run_tasks`` call, whose ``workers``
 processes count the caller as one.  A chunk runs in blocks of
-draws, and each estimator runs over a whole ``registry.Block`` in one
-``registry.fit_thetas`` call, the block fit that ``registry.fit`` runs on
-one dataset.  A draw whose fit fails is NaN in its row and counts as a
-failed rep.
+draws, each drawn as one stack (``dgp._draw_rows``), and each estimator
+runs over a whole ``registry.Block`` in one ``registry.fit_thetas`` call,
+the block fit that ``registry.fit`` runs on one dataset.  A draw whose fit
+fails is NaN in its row and counts as a failed rep.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dgp import DgpSpec, simulate
+from . import dgp
+from .dgp import DgpSpec
 from .estimator import BandwidthRule, undersmoothing_bandwidth
 from .exceptions import EstimationError
 from .registry import Block, EstimatorConfig, fit_thetas
@@ -143,14 +144,15 @@ def _cell_label(spec: DgpSpec) -> str:
 
 
 def _run_chunk(task):
-    """Simulate reps [start, stop) of one cell, each once, and run every
+    """Draw reps [start, stop) of one cell, each once, and run every
     estimator on each draw.  Returns the (estimators, reps) array of
     estimates in rep order, NaN where a fit raised EstimationError.
 
-    The reps run in blocks of at most ``_BLOCK_ROWS`` rows; each estimator
-    runs over a whole block in one ``fit_thetas`` call.  The configs of a
-    draw share one nuisance fit per gamma method; when that fit fails, every
-    config that uses it counts the rep as failed.
+    The reps run in blocks of at most ``_BLOCK_ROWS`` rows.  Each block is
+    drawn in one ``dgp._draw_rows`` call, and each estimator runs over the
+    whole block in one ``fit_thetas`` call.  The configs of a draw share
+    one nuisance fit per gamma method; when that fit fails, every config
+    that uses it counts the rep as failed.
     """
     spec, estimators, base_seed, start, stop = task
     label = _cell_label(spec)
@@ -158,8 +160,9 @@ def _run_chunk(task):
     out = np.full((len(estimators), stop - start), math.nan)
     for lo in range(start, stop, per_block):
         reps = range(lo, min(lo + per_block, stop))
-        draws = [simulate(spec.with_seed(derive_seed(base_seed, label, rep))) for rep in reps]
-        block = Block([draw.dataset for draw in draws], [(draw.beta0, draw.gamma0) for draw in draws])
+        draws = dgp._draw_rows(spec, [derive_seed(base_seed, label, rep) for rep in reps])
+        block = Block.stacked(draws.d, draws.y, draws.X, draws.Z,
+                              [(draws.beta0, draws.gamma0)] * len(reps))
         for e, est in enumerate(estimators):
             out[e, lo - start:lo - start + len(reps)] = fit_thetas(block, est)
     return out
@@ -249,7 +252,7 @@ class TablePlan:
 def run_table(plan: TablePlan, base_seed: int, workers: int = 1) -> MonteCarloReport:
     """Compute every cell of the plan; deterministic for fixed base_seed.
 
-    Cell-major: each draw is simulated once and every estimator of the plan
+    Cell-major: each draw is made once and every estimator of the plan
     runs on it; the whole table is one ``seeding.run_tasks`` dispatch.
     """
     keys = [(rho, alpha) for rho in plan.rhos for alpha in plan.alphas]

@@ -217,16 +217,45 @@ class Block:
     probit nuisance fit when they are bootstrap resamples (``starts``), and
     the stacked arrays that the stacked fits of a block share, each built
     on first use and then kept for every config.  The stacked fits only
-    read them: on a block of one they may be the dataset's own arrays."""
+    read them: on a block of one they may be the dataset's own arrays.
+
+    ``Block.stacked`` builds a block the other way round, from the stacked
+    arrays of simulated draws (``dgp._draw_rows``): the fits read those,
+    and a row's Dataset is built only when ``datasets`` is read, as a
+    fitted nuisance does."""
 
     def __init__(self, datasets, truths=None, starts=None):
-        self.datasets = list(datasets)
+        self._datasets = list(datasets)
+        self._rows = len(self._datasets)
         self.truths = None if truths is None else list(truths)
         self.starts = None if starts is None else list(starts)
         self._under = {}
 
+    @classmethod
+    def stacked(cls, D, Y, X, Z, truths) -> "Block":
+        """The block whose row r is ``Dataset(D[r], Y[r], X[r], Z[r])``, with
+        ``truths``.  The rows are checked as their Datasets would be: the
+        first row a Dataset refuses raises that Dataset's error."""
+        X = np.ascontiguousarray(X)  # the copy np.stack makes of strided rows
+        valid = (((D == 0.0) | (D == 1.0)).all(axis=1) & np.isfinite(Y).all(axis=1)
+                 & np.isfinite(X).all(axis=(1, 2)) & np.isfinite(Z).all(axis=(1, 2)))
+        if not valid.all():
+            row = np.flatnonzero(~valid)[0]
+            Dataset(D[row], Y[row], X[row], Z[row])  # raises that row's error
+        block = cls([], truths)
+        block._datasets, block._rows = None, len(D)
+        block.D, block.Y, block.X, block.Z = D, Y, X, Z
+        return block
+
+    @property
+    def datasets(self) -> list:
+        if self._datasets is None:
+            self._datasets = [Dataset(self.D[i], self.Y[i], self.X[i], self.Z[i])
+                              for i in range(len(self))]
+        return self._datasets
+
     def __len__(self) -> int:
-        return len(self.datasets)
+        return self._rows
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -262,15 +291,15 @@ class Block:
                 raise ValueError("nuisance=None needs the generating beta and gamma"
                                  " of a simulated draw")
             errors = {}
-            B = np.zeros((len(self), self.datasets[0].k))
-            G = np.zeros((len(self), self.datasets[0].l))
-            for i, data in enumerate(self.datasets):
+            B = np.zeros((len(self), self.X.shape[2]))
+            G = np.zeros((len(self), self.Z.shape[2]))
+            for i in range(len(self)):
                 if key is None:
                     beta, gamma = self.truths[i]
                 else:
                     try:
                         start = None if self.starts is None else self.starts[i]
-                        est = nuisance.fit_nuisance(data, key, start)
+                        est = nuisance.fit_nuisance(self.datasets[i], key, start)
                     except EstimationError as exc:
                         errors[i] = str(exc)
                         continue

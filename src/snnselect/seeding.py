@@ -19,7 +19,9 @@ import numpy as np
 
 from .numerics import _special
 
-__all__ = ["derive_seed", "generator", "processes", "run_tasks"]
+__all__ = ["derive_seed", "generator", "rekey", "processes", "run_tasks"]
+
+_KEY_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def derive_seed(base_seed: int, label: str, rep: int) -> int:
@@ -29,7 +31,25 @@ def derive_seed(base_seed: int, label: str, rep: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed & _KEY_MASK)))
+
+
+def rekey(g: np.random.Generator, seed: int) -> None:
+    """Restart ``g`` (a ``generator``) as ``generator(seed)``: from here on it
+    draws that stream bit for bit, whatever it drew before.
+
+    It sets the Philox state a fresh ``generator(seed)`` starts from: the
+    key, a zero counter and an empty buffer.  Building a new Philox instead
+    seeds it from OS entropy first, only to replace that with the key.
+    """
+    g.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _KEY_MASK, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def processes(workers: int) -> int:

@@ -4,6 +4,7 @@ import pytest
 from snnselect import dgp
 from snnselect.dgp import DgpSpec, identification_ratio, simulate, true_gamma
 from snnselect.exceptions import EstimationError
+from snnselect.seeding import derive_seed
 
 
 class TestSpecValidation:
@@ -26,6 +27,19 @@ class TestSpecValidation:
         draw = simulate(DgpSpec("dgp1", 1000, rho=1.0, seed=5))
         assert np.allclose(draw.u, draw.v, atol=1e-12)
 
+
+    @pytest.mark.parametrize("field, value", [("n", 100.0), ("n", "100"), ("seed", 1.5),
+                                              ("seed", None)])
+    def test_integer_fields(self, field, value):
+        spec = {"n": 100, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            DgpSpec("dgp1", **spec)
+
+    def test_numpy_integer_fields(self):
+        spec = DgpSpec("dgp1", np.int32(100), seed=np.uint64(2**63 + 1))
+        assert (type(spec.n), type(spec.seed)) == (int, int)
+        assert spec == DgpSpec("dgp1", 100, seed=2**63 + 1)
+        assert spec.with_seed(np.int64(5)).seed == 5
 
     def test_non_finite_alpha(self):
         for family in ("dgp1", "dgp2"):
@@ -139,9 +153,46 @@ class TestSimulate:
             return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
 
         for seed in (0, 4242):
-            z = dgp._standard_normal(dgp.generator(seed), n)
+            z = dgp._standard_normal(dgp.generator(seed).random(2 * ((n + 1) // 2)))[:n]
             assert z.shape == (n,)
             assert z.tobytes() == concatenated(dgp.generator(seed), n).tobytes()
+
+
+class TestDrawRows:
+    """``dgp._draw_rows`` draws a block of R seeds as one stack, and every row
+    is bitwise ``simulate``'s draw at that seed.  Odd n ends a Box-Muller
+    transform mid-pair, and rho = 1 zeroes the scale of E."""
+
+    FIELDS = ("d", "y", "X", "Z", "u", "v", "index")
+
+    @pytest.mark.parametrize("family", ["dgp1", "dgp2"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 101, 200])
+    def test_every_row_is_simulate(self, family, n):
+        for rows in (1, 3, 50):
+            for rho in (0.0, 0.5, 1.0):
+                spec = DgpSpec(family, n, rho=rho, alpha=1.5)
+                seeds = [derive_seed(n, f"{family}:{rho}", rep) for rep in range(rows)]
+                draws = dgp._draw_rows(spec, seeds)
+                assert draws.beta0.tobytes() == np.ones(spec.k).tobytes()
+                assert draws.gamma0.tobytes() == true_gamma(spec).tobytes()
+                for r, seed in enumerate(seeds):
+                    one = simulate(spec.with_seed(seed))
+                    data = one.dataset
+                    alone = {"d": data.d, "y": data.y, "X": data.X, "Z": data.Z,
+                             "u": one.u, "v": one.v, "index": one.index}
+                    for field in self.FIELDS:
+                        row = getattr(draws, field)[r]
+                        assert row.shape == alone[field].shape, (rows, rho, r, field)
+                        assert row.tobytes() == alone[field].tobytes(), (rows, rho, r, field)
+
+    @pytest.mark.parametrize("family", ["dgp1", "dgp2"])
+    def test_simulate_memory(self, family, traced_peak):
+        # beyond its output arrays, a draw at n = 1e5 holds little more
+        # than the sines of its Box-Muller transform at a time
+        spec = DgpSpec(family, 100_000, rho=0.5, alpha=2.0, seed=4242)
+        draw = simulate(spec)
+        arrays = (draw.dataset.d, draw.dataset.y, draw.dataset.Z, draw.u, draw.v, draw.index)
+        assert traced_peak(simulate, spec) <= 1.2 * sum(a.nbytes for a in arrays)
 
 
 def _outcome_at(spec):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from snnselect import baselines, montecarlo, nuisance
+from snnselect import baselines, dgp, montecarlo, nuisance
 from snnselect.baselines import TailRule
 from snnselect.dgp import DgpSpec
 from snnselect.estimator import BandwidthRule
@@ -294,7 +294,7 @@ class TestSerializationText:
 
 
 class TestCellMajorEngine:
-    """run_table simulates each draw once and shares it across estimators."""
+    """run_table draws each draw once and shares it across estimators."""
 
     @staticmethod
     def _counting(monkeypatch, module, name):
@@ -308,12 +308,26 @@ class TestCellMajorEngine:
         monkeypatch.setattr(module, name, counted)
         return calls
 
+    @staticmethod
+    def _rows_drawn(monkeypatch):
+        """The seeds of each block the engine draws, one list per block."""
+        blocks = []
+        real = dgp._draw_rows
+
+        def counted(spec, seeds):
+            blocks.append(list(seeds))
+            return real(spec, seeds)
+
+        monkeypatch.setattr(dgp, "_draw_rows", counted)
+        return blocks
+
     def test_one_simulate_per_draw(self, monkeypatch):
-        calls = self._counting(monkeypatch, montecarlo, "simulate")
+        blocks = self._rows_drawn(monkeypatch)
         configs = [EstimatorConfig(method=m) for m in ("snn", "ols", "h90")]
         plan = TablePlan("dgp1", 50, configs, rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=5)
         run_table(plan, base_seed=61, workers=1)
-        assert len(calls) == 4 * 5  # cells x reps, not x estimators
+        seeds = [seed for block in blocks for seed in block]
+        assert len(seeds) == len(set(seeds)) == 4 * 5  # cells x reps, not x estimators
 
     def test_table_matches_run_cell_with_failures(self):
         # at n=40 under dgp2 OLS and the two-step refuse some draws
@@ -348,9 +362,11 @@ class TestCellMajorEngine:
         plan = self.HECKMAN_PLAN
         whole = run_table(plan, base_seed=83, workers=1)
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 4 * 40 + 39)
-        calls = self._counting(monkeypatch, montecarlo, "simulate")
+        blocks = self._rows_drawn(monkeypatch)
         blocked = run_table(plan, base_seed=83, workers=1)
-        assert len(calls) == 4 * 30
+        seeds = [seed for block in blocks for seed in block]
+        assert len(seeds) == len(set(seeds)) == 4 * 30
+        assert max(map(len, blocks)) == 4  # 30 reps a cell, in blocks of at most 4
         assert repr(blocked.panels) == repr(whole.panels)
 
     def test_failed_stacked_probit_reruns_scalar_fit(self, monkeypatch):

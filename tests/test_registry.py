@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import snnselect
-from snnselect import montecarlo, seeding
+from snnselect import dgp, montecarlo, seeding
 from snnselect.cli import build_parser
 from snnselect.data import Dataset
 from snnselect.dgp import FAMILIES, DgpSpec, simulate
-from snnselect.exceptions import EstimationError
+from snnselect.exceptions import DataError, EstimationError
 from snnselect.numerics import KERNEL_ORDERS
 from snnselect.nuisance import GAMMA_METHODS
 from snnselect.registry import (
@@ -316,3 +316,49 @@ class TestBlockOfOne:
                 strided, _ = fit(draw.dataset, EstimatorConfig(method, nuisance=key), truth)
                 assert np.float64(result.theta).tobytes() == np.float64(strided.theta).tobytes()
         assert [a.tobytes() for a in arrays] == before
+
+
+class TestStackedBlock:
+    """``Block.stacked`` over the stacked arrays of simulated draws fits as
+    the block of their datasets does, and checks its rows as their
+    Datasets would."""
+
+    CONFIGS = [EstimatorConfig(method) for method in METHODS] + [
+        EstimatorConfig("snn", nuisance="probit")]
+
+    @staticmethod
+    def _draws(family, n, rows=6):
+        spec = DgpSpec(family, n, rho=0.5, alpha=1.5)
+        seeds = [seeding.derive_seed(3, family, rep) for rep in range(rows)]
+        return spec, seeds, dgp._draw_rows(spec, seeds)
+
+    @pytest.mark.parametrize("family, n", [("dgp1", 101), ("dgp2", 40), ("dgp2", 200)])
+    def test_same_thetas_as_datasets(self, family, n):
+        spec, seeds, draws = self._draws(family, n)
+        singles = [simulate(spec.with_seed(seed)) for seed in seeds]
+        truths = [(draws.beta0, draws.gamma0)] * len(seeds)
+        stacked = Block.stacked(draws.d, draws.y, draws.X, draws.Z, truths)
+        listed = Block([one.dataset for one in singles], [(one.beta0, one.gamma0) for one in singles])
+        for config in self.CONFIGS:
+            assert fit_thetas(stacked, config).tobytes() == fit_thetas(listed, config).tobytes(), \
+                config
+        assert stacked.X.flags.c_contiguous
+        for data, one in zip(stacked.datasets, singles):
+            for field in ("d", "y", "X", "Z"):
+                assert getattr(data, field).tobytes() == getattr(one.dataset, field).tobytes()
+
+    def test_first_bad_row_raises_its_dataset_error(self):
+        _, _, draws = self._draws("dgp1", 50)
+        D, Y, Z = draws.d.copy(), draws.y.copy(), draws.Z.copy()
+        Y[4, 7] = np.nan
+        Z[2, 3, 1] = np.inf
+        Z[2, 9, 0] = -np.inf
+        with pytest.raises(DataError) as expected:
+            Dataset(D[2], Y[2], Z[2, :, :4], Z[2])
+        assert str(expected.value) == "non-finite value in X at row 3, 9; non-finite value in Z at row 3, 9"
+        with pytest.raises(DataError) as raised:
+            Block.stacked(D, Y, Z[:, :, :4], Z, [(draws.beta0, draws.gamma0)] * len(D))
+        assert str(raised.value) == str(expected.value)
+        D[1, 0] = 0.5
+        with pytest.raises(ValueError, match="selection indicator must be 0/1"):
+            Block.stacked(D, Y, Z[:, :, :4], Z, [(draws.beta0, draws.gamma0)] * len(D))

@@ -3,9 +3,10 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
-from snnselect.seeding import run_tasks
+from snnselect.seeding import derive_seed, generator, rekey, run_tasks
 
 
 def _square_and_pid(x):
@@ -69,6 +70,31 @@ class TestRunTasks:
         with pytest.raises(RuntimeError, match="in a worker"):
             run_tasks(_fail_outside, [os.getpid()] * 6, 2)
         assert multiprocessing.active_children() == []
+
+
+class TestRekey:
+    SEEDS = [0, 1, 2**63, 2**64 - 1, -1] + [derive_seed(7, "rekey", i) for i in range(95)]
+
+    @staticmethod
+    def _state(g):
+        """The Philox state as plain values, arrays as lists."""
+        state = g.bit_generator.state
+        return {**{k: np.asarray(v).tolist() for k, v in state.items() if k != "state"},
+                **{k: v.tolist() for k, v in state["state"].items()}}
+
+    def test_rekeyed_stream_is_generators(self):
+        g = generator(12345)
+        for i, seed in enumerate(self.SEEDS):
+            # a partial draw first: part of a Philox buffer, half a 64-bit word
+            g.random(i % 7)
+            g.integers(0, 2**32, size=i % 3, dtype=np.uint32)
+            rekey(g, seed)
+            fresh = generator(seed)
+            assert self._state(g) == self._state(fresh)
+            for size in (1, 3, 8, 101):
+                assert g.random(size).tobytes() == fresh.random(size).tobytes()
+            assert (g.integers(0, 2**32, size=5, dtype=np.uint32).tobytes()
+                    == fresh.integers(0, 2**32, size=5, dtype=np.uint32).tobytes())
 
 
 _FORKED_WORKERS = """

@@ -154,6 +154,13 @@ PLANS = {
         "dgp2", 1000,
         [EstimatorConfig("snn", nuisance="klein_spady"), EstimatorConfig("h90", nuisance="klein_spady")],
         rhos=(0.0, 0.5), alphas=(2.0, 1.0), reps=10), 0),
+    # dgp1 at an odd n, so each draw's Box-Muller ends mid-pair, with a
+    # probit nuisance fitted on its table rows (at a fixed h, since the
+    # panel label of snn omits the nuisance)
+    "dgp1-odd-n": _table(TablePlan(
+        "dgp1", 101,
+        _FIVE + [EstimatorConfig("snn", bandwidth=BandwidthRule.fixed(0.3), nuisance="probit")],
+        rhos=(0.0, 0.95), alphas=(2.0, 1.0), reps=40), 0),
     "one-row": Plan(_one_row, (1,)),
     "decompose-probit": Plan(_decompose),
 }
